@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import Graph
-
-DEFAULT_SUBSET_CAP = 24
+from .graphs import DEFAULT_SUBSET_CAP, Graph, _bridge_mask, _components, component_count
 
 
 @dataclass(frozen=True)
@@ -151,25 +149,6 @@ def _refined_key(n: int, edges: tuple[tuple[int, int], ...]):
     return (n, relabeled)
 
 
-def _components(n: int, edges: tuple[tuple[int, int], ...]):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
-
-
 def _contract(n: int, edges: tuple[tuple[int, int], ...], e: tuple[int, int]):
     """Merge v into u, dropping loops and parallel copies (simple convention)."""
     u, v = e
@@ -190,44 +169,6 @@ def _contract(n: int, edges: tuple[tuple[int, int], ...], e: tuple[int, int]):
     return n - 1, tuple(sorted(out))
 
 
-def _bridge_set(n: int, edges: tuple[tuple[int, int], ...]) -> set[int]:
-    sub: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        sub[u].append((v, i))
-        sub[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(sub[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
-            for w, i in it:
-                if i == pedge:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, i, iter(sub[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(pedge)
-    return bridges
-
-
 def _chrom(n: int, edges: tuple[tuple[int, int], ...]) -> Polynomial:
     if not edges:
         return _monomial(n)
@@ -236,12 +177,11 @@ def _chrom(n: int, edges: tuple[tuple[int, int], ...]) -> Polynomial:
     if len(comps) > 1:
         result = Polynomial.one()
         for comp in comps:
-            comp_sorted = sorted(comp)
-            pos = {v: i for i, v in enumerate(comp_sorted)}
+            pos = {v: i for i, v in enumerate(comp)}
             sub = tuple(
                 sorted((pos[u], pos[v]) for u, v in edges if u in pos and v in pos)
             )
-            result = result * _chrom(len(comp_sorted), sub)
+            result = result * _chrom(len(comp), sub)
         return result
 
     if len(edges) == n - 1:
@@ -253,8 +193,8 @@ def _chrom(n: int, edges: tuple[tuple[int, int], ...]) -> Polynomial:
     if hit is not None:
         return hit
 
-    bridges = _bridge_set(n, edges)
-    pick = next(i for i in range(len(edges)) if i not in bridges)
+    bridges = _bridge_mask(n, edges)
+    pick = next(i for i in range(len(edges)) if not bridges >> i & 1)
     e = edges[pick]
     deleted = edges[:pick] + edges[pick + 1:]
     cn, cedges = _contract(n, edges, e)
@@ -280,28 +220,7 @@ def chromatic_incl_excl(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Polynomial:
             attempted=2**ne,
             budget=2**cap,
         )
-    n = g.n
-    edges = g.edges
-    counts = [0] * (n + 1)
+    counts = [0] * (g.n + 1)
     for mask in range(1 << ne):
-        parent = list(range(n))
-        comps = n
-        rem = mask
-        bits = 0
-        while rem:
-            low = rem & -rem
-            i = low.bit_length() - 1
-            rem ^= low
-            bits += 1
-            u, v = edges[i]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                parent[u] = v
-                comps -= 1
-        counts[comps] += 1 if bits % 2 == 0 else -1
+        counts[component_count(g, mask)] += 1 if mask.bit_count() % 2 == 0 else -1
     return Polynomial(tuple(counts))

@@ -9,7 +9,7 @@ exact classification.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -25,6 +25,8 @@ from .girth import (
 from .graphs import (
     Cycle,
     Graph,
+    _bfs_path,
+    _mask_adj,
     component_count,
     enumerate_cycles,
     mask_indices,
@@ -123,55 +125,12 @@ def _subgraph_cycle(g: Graph, mask: int) -> Optional[Cycle]:
     start_edge = next(mask_indices(cyclic))
     u, v = g.edges[start_edge]
     # shortest u-v path avoiding the edge itself, within the cyclic part
-    allowed = set(mask_indices(cyclic))
-    parent = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for w in g.adj[x]:
-            i = g.edge_index(x, w)
-            if i not in allowed or i == start_edge or w in parent:
-                continue
-            parent[w] = x
-            queue.append(w)
-    path = []
-    node: Optional[int] = v
-    while node is not None:
-        path.append(node)
-        node = parent[node]
+    path = _bfs_path(_mask_adj(g, cyclic ^ 1 << start_edge), u, v)
     return Cycle.from_vertices(g, path)
 
 
 def _girth_values(g: Graph) -> list[float]:
     return [edge_girth(g, i).value for i in range(len(g.edges))]
-
-
-def _shortest_path_within(adj: list[set[int]], u: int, v: int, limit: int) -> Optional[list[int]]:
-    """Shortest u-v path of length <= limit in the current edge set, if any."""
-    parent: dict[int, Optional[int]] = {u: None}
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        if dist[x] >= limit:
-            continue
-        for w in sorted(adj[x]):
-            if w not in parent:
-                parent[w] = x
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    if v not in parent:
-        return None
-    path = []
-    node: Optional[int] = v
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    return list(reversed(path))
 
 
 def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
@@ -184,11 +143,7 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
     placeable and a valid ordering can always be rearranged to start with it.
     """
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for i in mask_indices(tree):
-        u, v = g.edges[i]
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _mask_adj(g, tree)
 
     pending = sorted(free, key=lambda i: (girths[i], i))
     labeling: list[int] = []
@@ -201,7 +156,7 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
                 break
             u, v = g.edges[e]
             target = int(girths[e]) - 1
-            path = _shortest_path_within(adj, u, v, target)
+            path = _bfs_path(adj, u, v, target)
             if path is not None and len(path) - 1 == target:
                 placed = (e, path)
                 break
@@ -211,8 +166,8 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
         labeling.append(e)
         cycles.append(Cycle.from_vertices(g, path))
         u, v = g.edges[e]
-        adj[u].add(v)
-        adj[v].add(u)
+        insort(adj[u], v)
+        insort(adj[v], u)
         pending.remove(e)
     return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
 
@@ -468,7 +423,8 @@ def crossing_edges(g: Graph, v1: Sequence[int], v2: Sequence[int]) -> int:
 
 
 def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
-                            estar: Optional[int] = None) -> ClassifierVerdict:
+                            estar: Optional[int] = None,
+                            cycle_budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Edge set between two vertex classes, even set-girth, and no short
     cycle leaving a cross-class path when its crossing edges are removed.
 
@@ -500,7 +456,7 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
         )
 
     if r0 - 1 >= 3:
-        for cyc in enumerate_cycles(g, r0 - 1):
+        for cyc in enumerate_cycles(g, r0 - 1, budget=cycle_budget):
             arcs = _arcs_outside(g, cyc, estar)
             if arcs is None:
                 continue

@@ -239,7 +239,8 @@ def _cmd_cor5(args):
         estar = 0
         for i in _edge_tokens(g, args.estar, directed=False):
             estar |= 1 << i
-    verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar)
+    verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar,
+                                      cycle_budget=args.budget_cycles)
     _emit(args, _verdict_lines(verdict), verdict.to_json())
     return EXIT_OK
 
@@ -273,6 +274,13 @@ _COMMANDS = {
 }
 
 
+_BUDGET_HELP = {
+    "covers": "cap on (m!)^q cover assignments",
+    "cycles": "cap on enumerated cycles",
+    "trees": "cap on enumerated spanning trees / search states",
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dp-chroma",
@@ -281,19 +289,16 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *budgets):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", help="path to an edge-list file")
         src.add_argument("--fixture",
                          help="named graph: cycle:n, path:n, complete:n, "
                               "complete_multipartite:a,b,..., fig1, fig3b")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget-covers", type=int, default=10**6,
-                       help="cap on (m!)^q cover assignments for dpexact")
-        p.add_argument("--budget-cycles", type=int, default=10**6,
-                       help="cap on enumerated cycles")
-        p.add_argument("--budget-trees", type=int, default=10**6,
-                       help="cap on enumerated spanning trees / search states")
+        for kind in budgets:
+            p.add_argument(f"--budget-{kind}", type=int, default=10**6,
+                           help=_BUDGET_HELP[kind])
 
     p = sub.add_parser("chromatic", help="chromatic polynomial")
     common(p)
@@ -305,10 +310,10 @@ def _build_parser():
     p.add_argument("--cover", required=True, help="path to a cover JSON file")
 
     p = sub.add_parser("dpexact", help="exact DP color function value at m")
-    common(p)
+    common(p, "covers")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers over the cover space")
+                   help="parallel workers over the cover space (at most the CPU count)")
 
     p = sub.add_parser("twist", help="build the shift cover on an edge set and count")
     common(p)
@@ -327,30 +332,30 @@ def _build_parser():
                    help="edge list: indices or 'u-v' pairs, comma separated")
 
     p = sub.add_parser("balance", help="balance of an oriented edge set on short cycles")
-    common(p)
+    common(p, "cycles")
     p.add_argument("--estar", required=True, help="directed edges 'u>v,...'")
     p.add_argument("--bound", type=int, required=True,
                    help="check cycles strictly shorter than this")
 
     p = sub.add_parser("dpgood", help="search for a DP-good certificate")
-    common(p)
+    common(p, "trees")
 
     p = sub.add_parser("vorder", help="connected back-neighborhood vertex order")
-    common(p)
+    common(p, "trees")
     p.add_argument("--order", help="comma-separated vertex order to verify")
 
     p = sub.add_parser("thm5", help="even set-girth + balanced orientation check")
-    common(p)
+    common(p, "cycles")
     p.add_argument("--estar", required=True, help="directed edges 'u>v,...'")
 
     p = sub.add_parser("cor5", help="crossing edge set between two vertex classes")
-    common(p)
+    common(p, "cycles")
     p.add_argument("--v1", required=True, help="comma-separated vertex class")
     p.add_argument("--v2", required=True, help="comma-separated vertex class")
     p.add_argument("--estar", help="edge subset (defaults to all crossing edges)")
 
     p = sub.add_parser("classify", help="run every sufficient-condition check")
-    common(p)
+    common(p, "trees")
 
     return parser
 

@@ -9,6 +9,7 @@ which is the full cover space up to renaming of list vertices.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -16,11 +17,10 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import Graph, bfs_tree, component_vertex_sets, mask_indices
+from .graphs import DEFAULT_SUBSET_CAP, Graph, bfs_tree, component_vertex_sets, mask_indices
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_COVER_BUDGET = 10**6
-DEFAULT_SUBSET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,6 @@ class Cover:
 
     def is_identity(self, edge_index: int) -> bool:
         return self.perms[edge_index] == tuple(range(self.m))
-
-    def sloping_mask(self) -> int:
-        mask = 0
-        for i in range(len(self.perms)):
-            if not self.is_identity(i):
-                mask |= 1 << i
-        return mask
 
     def to_json(self) -> dict:
         return {
@@ -52,6 +45,8 @@ class Cover:
     @staticmethod
     def from_json(g: Graph, data: dict) -> "Cover":
         m = int(data["m"])
+        if m < 1:
+            raise ValueError("m must be >= 1")
         ident = tuple(range(m))
         perms = [ident] * len(g.edges)
         for key, seq in dict(data.get("perms", {})).items():
@@ -388,7 +383,14 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
     every permutation assignment on the q non-tree edges; normalization
     loses no covers, so the minimum is the DP color function value at m.
     Ties are broken toward the lexicographically smallest assignment.
+    The sweep is cut into one chunk per permutation of the first non-tree
+    edge; with `jobs` > 1 the chunks run on up to that many processes,
+    never more than there are chunks or CPUs.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
@@ -400,64 +402,45 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
             budget=budget,
         )
 
-    if jobs > 1 and q > 0:
-        return _dp_exact_parallel(g, m, free, node_budget, jobs)
+    heads = [(p,) for p in permutations(range(m))] if q else [()]
+    chunks = [(g, m, free, node_budget, head) for head in heads]
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: the executor module costs CLI start-up time
+        from concurrent.futures import ProcessPoolExecutor
 
-    perm_list = list(permutations(range(m)))
-    best: Optional[int] = None
-    best_combo = None
-    minimizers = 0
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_dp_chunk, chunks))
+    else:
+        results = list(map(_dp_chunk, chunks))
 
-    for combo in product(perm_list, repeat=q):
-        cov = _assignment_cover(g, m, free, combo)
-        value = count_transversals(g, cov, node_budget).value
-        if best is None or value < best:
-            best = value
-            best_combo = combo
-            minimizers = 1
+    # chunks are in lexicographic order, so the first strict minimum is the
+    # lexicographically smallest assignment
+    best, best_combo, minimizers = results[0]
+    for value, combo, count in results[1:]:
+        if value < best:
+            best, best_combo, minimizers = value, combo, count
         elif value == best:
-            minimizers += 1
-    assert best is not None and best_combo is not None
+            minimizers += count
     argmin = _assignment_cover(g, m, free, best_combo)
     return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
 
 
 def _dp_chunk(args):
-    g, m, free, node_budget, prefix = args
-    perm_list = list(permutations(range(m)))
+    """Sweep the assignments that start with `head`: (min, argmin, ties)."""
+    g, m, free, node_budget, head = args
+    # a tree has nothing to sweep, and its m is not bounded by the cover budget
+    perm_list = list(permutations(range(m))) if len(head) < len(free) else []
     best = None
     best_combo = None
     minimizers = 0
-    for rest in product(perm_list, repeat=len(free) - 1):
-        combo = (perm_list[prefix],) + rest
-        cov = _assignment_cover(g, m, free, combo)
-        value = count_transversals(g, cov, node_budget).value
+    for rest in product(perm_list, repeat=len(free) - len(head)):
+        combo = head + rest
+        value = count_transversals(g, _assignment_cover(g, m, free, combo), node_budget).value
         if best is None or value < best:
             best = value
             best_combo = combo
             minimizers = 1
         elif value == best:
             minimizers += 1
-    return prefix, best, best_combo, minimizers
-
-
-def _dp_exact_parallel(g: Graph, m: int, free: list[int], node_budget: int, jobs: int) -> CountReport:
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [(g, m, free, node_budget, p) for p in range(_factorial(m))]
-    results = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_dp_chunk, tasks))
-    # deterministic reduction: smallest value, then smallest prefix rank
-    results.sort(key=lambda r: r[0])
-    best = None
-    best_combo = None
-    minimizers = 0
-    for _, value, combo, count in results:
-        if best is None or value < best:
-            best, best_combo, minimizers = value, combo, count
-        elif value == best:
-            minimizers += count
-    assert best is not None and best_combo is not None
-    argmin = _assignment_cover(g, m, free, best_combo)
-    return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
+    return best, best_combo, minimizers

@@ -9,11 +9,10 @@ layers of the graph, with E0 edges crossing between layers, so a shortest
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graphs import Cycle, Graph, enumerate_cycles, mask_indices
+from .graphs import Cycle, Graph, _bfs_path, _mask_adj, enumerate_cycles, mask_indices
 
 INFINITE = math.inf
 
@@ -101,99 +100,47 @@ class BalanceVerdict:
 def edge_girth(g: Graph, e: int) -> GirthResult:
     """Length of a shortest cycle through edge e; INFINITE for a bridge."""
     u, v = g.edges[e]
-    parent = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for w in g.adj[x]:
-            if (x, w) in ((u, v), (v, u)):
-                continue
-            if w not in parent:
-                parent[w] = x
-                queue.append(w)
-    if v not in parent:
+    path = _bfs_path(_mask_adj(g, g.full_mask() ^ 1 << e), u, v)
+    if path is None:
         return GirthResult(INFINITE, None)
-    path = []
-    x: Optional[int] = v
-    while x is not None:
-        path.append(x)
-        x = parent[x]
     return GirthResult(len(path), Cycle.from_vertices(g, path))
 
 
-def _parity_neighbors(g: Graph, e0: int):
-    in_e0 = [bool(e0 >> i & 1) for i in range(len(g.edges))]
-    return [
-        [(w, in_e0[g.edge_index(v, w)]) for w in g.adj[v]]
-        for v in range(g.n)
-    ]
+def _parity_cover(g: Graph, e0: int) -> list[list[int]]:
+    """Ascending neighbour lists of the parity double cover of (g, e0).
 
-
-def _parity_bfs(nbrs, s: int, start_parity: int, bound: float):
-    """Shortest walk from (s, start_parity) to (s, 1-start_parity).
-
-    Returns (distance, closed walk vertices) or (INFINITE, None); walks of
-    length >= bound are not pursued.
+    Node 2v+p stands for (v, p); an edge of e0 joins the two layers.
     """
-    target = (s, 1 - start_parity)
-    dist = {(s, start_parity): 0}
-    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(s, start_parity): None}
-    queue = deque([(s, start_parity)])
-    while queue:
-        v, p = queue.popleft()
-        d = dist[(v, p)]
-        if d + 1 >= bound:
-            continue
-        for w, flip in nbrs[v]:
-            q = p ^ flip
-            if (w, q) not in dist:
-                dist[(w, q)] = d + 1
-                parent[(w, q)] = (v, p)
-                queue.append((w, q))
-    if target not in dist:
-        return INFINITE, None
-    walk = []
-    node: Optional[tuple[int, int]] = target
-    while node is not None:
-        walk.append(node[0])
-        node = parent[node]
-    return dist[target], walk[:-1]  # closed walk; drop repeated base vertex
+    cover: list[list[int]] = [[] for _ in range(2 * g.n)]
+    for v in range(g.n):
+        for w in g.adj[v]:
+            flip = e0 >> g.edge_index(v, w) & 1
+            cover[2 * v].append(2 * w + flip)
+            cover[2 * v + 1].append(2 * w + 1 - flip)
+    return cover
 
 
 def parity_distance(g: Graph, e0: int, v: int, start_parity: int = 0) -> float:
     """Double-cover distance from (v, start_parity) to (v, 1-start_parity)."""
-    d, _ = _parity_bfs(_parity_neighbors(g, e0), v, start_parity, INFINITE)
-    return d
+    path = _bfs_path(_parity_cover(g, e0), 2 * v + start_parity, 2 * v + 1 - start_parity)
+    return INFINITE if path is None else len(path) - 1
 
 
 def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     """Shortest cycle with odd |E(C) & E0|, via the parity double cover."""
-    nbrs = _parity_neighbors(g, e0)
-    best_len: float = INFINITE
-    best_path: Optional[list[int]] = None
+    cover = _parity_cover(g, e0)
+    best: Optional[list[int]] = None
     for s in range(g.n):
-        d, walk = _parity_bfs(nbrs, s, 0, best_len)
-        if walk is not None and d < best_len:
-            best_len = d
-            best_path = walk
-
-    if best_path is None:
+        limit = None if best is None else len(best) - 1
+        path = _bfs_path(cover, 2 * s, 2 * s + 1, limit)
+        if path is not None:
+            best = [node >> 1 for node in path[:-1]]  # closed walk, s once
+    if best is None:
         return GirthResult(INFINITE, None)
-    if len(set(best_path)) == len(best_path):
-        return GirthResult(best_len, Cycle.from_vertices(g, best_path))
-    # minimality makes the projected walk simple; re-derive defensively
-    return _girth_by_enumeration(g, e0)
-
-
-def _girth_by_enumeration(g: Graph, e0: int) -> GirthResult:
-    e0_set = set(mask_indices(e0))
-    for cyc in enumerate_cycles(g, g.n):
-        hits = sum(1 for p in cyc.edge_pairs() if g.edge_index(*p) in e0_set)
-        if hits % 2 == 1:
-            return GirthResult(len(cyc), cyc)
-    return GirthResult(INFINITE, None)
+    # a shortest odd closed walk is a simple cycle: a repeated vertex would
+    # split it into two shorter closed walks, one of them odd
+    assert len(set(best)) == len(best)
+    return GirthResult(len(best), Cycle.from_vertices(g, best))
 
 
 def shortest_odd_cycles(g: Graph, e0: int, budget: int = 10**6) -> list[Cycle]:

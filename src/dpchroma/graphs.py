@@ -4,6 +4,16 @@ Vertices are 0..n-1.  Edges are stored as a tuple of (u, v) pairs with
 u < v; the position of a pair in that tuple is the edge's index, stable
 for the lifetime of the graph.  Edge subsets are plain int bitmasks over
 those indices.
+
+The package's graph primitives live here, once each, and work on plain
+vertex counts, pair lists and neighbour lists so that every module can use
+them:
+
+* `_find` and `_components`: union-find and the components it yields;
+* `_bridge_mask`: the lowpoint DFS that finds bridges;
+* `_mask_adj` and `_bfs_path`: ascending neighbour lists of an edge subset
+  and the BFS shortest path over such lists, whose neighbour order fixes
+  every witness cycle the package reports.
 """
 
 from __future__ import annotations
@@ -11,12 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, GraphParseError
 
 DEFAULT_CYCLE_BUDGET = 10**6
 DEFAULT_TREE_BUDGET = 10**6
+DEFAULT_SUBSET_CAP = 24  # largest |E| whose 2^|E| subset sums are attempted
 
 
 class Graph:
@@ -74,9 +85,6 @@ class Graph:
         for u, v in pairs:
             mask |= 1 << self.edge_index(u, v)
         return mask
-
-    def mask_edges(self, mask: int) -> list[tuple[int, int]]:
-        return [self.edges[i] for i in mask_indices(mask)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,62 +290,42 @@ def fixture(name: str) -> Graph:
 # ---------------------------------------------------------------------------
 # edge-subset combinatorics
 
-def component_count(g: Graph, mask: int) -> int:
-    """Components of the spanning subgraph with edge set `mask`."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = g.n
-    for i in mask_indices(mask):
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-def component_vertex_sets(g: Graph, mask: int) -> list[list[int]]:
-    """Vertex sets of the components of the spanning subgraph, sorted."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in mask_indices(mask):
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Vertex sets of the components of ({0..n-1}, pairs), each ascending,
+    ordered by smallest vertex."""
+    parent = list(range(n))
+    for u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    for v in range(n):
+        groups.setdefault(_find(parent, v), []).append(v)
+    return list(groups.values())
 
 
-def non_bridge_edges(g: Graph, mask: int) -> int:
-    """Edges of `mask` that lie on a cycle of the spanning subgraph."""
-    sub: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i in mask_indices(mask):
-        u, v = g.edges[i]
+def _bridge_mask(n: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """Bitmask over the positions of `pairs` of the bridges of ({0..n-1}, pairs)."""
+    sub: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
         sub[u].append((v, i))
         sub[v].append((u, i))
 
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridge_mask = 0
+    disc = [-1] * n
+    low = [0] * n
+    bridges = 0
     timer = 0
 
     # iterative lowpoint DFS; parallel edges cannot occur in a simple graph
-    for root in range(g.n):
+    for root in range(n):
         if disc[root] != -1:
             continue
         stack = [(root, -1, iter(sub[root]))]
@@ -362,8 +350,70 @@ def non_bridge_edges(g: Graph, mask: int) -> int:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] > disc[u]:
-                        bridge_mask |= 1 << pedge
-    return mask & ~bridge_mask
+                        bridges |= 1 << pedge
+    return bridges
+
+
+def _mask_adj(g: Graph, mask: int) -> list[list[int]]:
+    """Ascending neighbour lists of the spanning subgraph with edge set `mask`."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i in mask_indices(mask):
+        u, v = g.edges[i]
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
+
+
+def _bfs_path(adj: Sequence[Sequence[int]], u: int, v: int,
+              limit: Optional[int] = None) -> Optional[list[int]]:
+    """A shortest u-v path (u != v) as its vertex list from u to v.
+
+    Neighbours are tried in list order, so ascending lists give the same
+    path every time.  Returns None if v is not within `limit` edges of u.
+    """
+    parent = {u: u}
+    frontier = [u]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                if w in parent:
+                    continue
+                parent[w] = x
+                if w == v:
+                    path = [v]
+                    while x != u:
+                        path.append(x)
+                        x = parent[x]
+                    path.append(u)
+                    path.reverse()
+                    return path
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def component_count(g: Graph, mask: int) -> int:
+    """Components of the spanning subgraph with edge set `mask`."""
+    return len(component_vertex_sets(g, mask))
+
+
+def component_vertex_sets(g: Graph, mask: int) -> list[list[int]]:
+    """Vertex sets of the components of the spanning subgraph, sorted."""
+    return _components(g.n, (g.edges[i] for i in mask_indices(mask)))
+
+
+def non_bridge_edges(g: Graph, mask: int) -> int:
+    """Edges of `mask` that lie on a cycle of the spanning subgraph."""
+    indices = list(mask_indices(mask))
+    bridges = _bridge_mask(g.n, [g.edges[i] for i in indices])
+    for k in mask_indices(bridges):
+        mask ^= 1 << indices[k]
+    return mask
 
 
 def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_CYCLE_BUDGET) -> list[Cycle]:
@@ -438,19 +488,13 @@ def _tree_rec(g: Graph, forced: int):
     edges = g.edges
     ne = len(edges)
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def connectable(parent: list[int], idx: int) -> bool:
         # can the remaining edges edges[idx:] still make parent one component?
         p = parent.copy()
-        comps = len({find(p, v) for v in range(n)})
+        comps = len({_find(p, v) for v in range(n)})
         for j in range(idx, ne):
             u, v = edges[j]
-            ru, rv = find(p, u), find(p, v)
+            ru, rv = _find(p, u), _find(p, v)
             if ru != rv:
                 p[ru] = rv
                 comps -= 1
@@ -466,7 +510,7 @@ def _tree_rec(g: Graph, forced: int):
         if ne - idx < need:
             return
         u, v = edges[idx]
-        ru, rv = find(parent, u), find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             if not forced >> idx & 1:
                 yield from rec(parent, idx + 1, chosen, need)

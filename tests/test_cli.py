@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dpchroma import Cover, DpGoodCertificate, Polynomial, verify_dp_good_certificate
 from dpchroma.cli import main
 from dpchroma.graphs import fixture
@@ -148,6 +150,24 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["dpexact", "--fixture", "complete:3", "--m", "-2"], 2),
+    (["dpexact", "--fixture", "complete:3", "--m", "0"], 2),
+    (["dpexact", "--fixture", "complete:3", "--m", "2", "--jobs", "-4"], 2),
+    (["dpexact", "--fixture", "complete:3", "--m", "2", "--jobs", "0"], 2),
+    (["dpcount", "--fixture", "complete:3", "--cover", "{m0}"], 2),
+    (["chromatic", "--fixture", "cycle:4", "--budget-trees", "5"], 2),
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7",
+      "--budget-cycles", "1"], 3),
+])
+def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
+    m0 = tmp_path / "m0.json"
+    m0.write_text(json.dumps({"m": 0}))
+    code, out, _ = run_cli(capsys, *(a.format(m0=m0) for a in argv))
+    assert code == expected
+    assert out == ""
+
+
 def test_missing_graph_source_exit_code(capsys):
     code, _, _ = run_cli(capsys, "chromatic")
     assert code == 2
@@ -167,3 +187,66 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "P(3) = 18" in proc.stdout
+
+
+# --format json output of the paper's figures, recorded before the graph
+# primitives were merged; it fixes the BFS tie-breaking behind every witness
+FIG3B_ARGS = ("--fixture", "fig3b")
+NOTE = ("satisfied status is a sufficient condition for the implied "
+        "membership, for all large enough fold counts")
+FIG3B_ORIENTATION = [
+    {"edge": 0, "tail": 2, "head": 3}, {"edge": 1, "tail": 2, "head": 7},
+    {"edge": 2, "tail": 6, "head": 3}, {"edge": 3, "tail": 0, "head": 3},
+    {"edge": 4, "tail": 2, "head": 1},
+]
+PINNED = [
+    (("girth", "--fixture", "fig1", "--edge", "5"),
+     {"value": 3, "witness": [2, 6, 11]}),
+    (("setgirth", *FIG3B_ARGS, "--edges", "2-3,2-7,3-6,0-3,1-2"),
+     {"value": 4, "witness": [0, 3, 5, 4]}),
+    (("cor5", *FIG3B_ARGS, "--v1", "0,2,6", "--v2", "1,3,7"),
+     {"condition": "crossing-edge-set", "status": "satisfied", "implied": "DP<",
+      "note": NOTE,
+      "certificate": {"set_girth": 4, "girth_witness": [0, 3, 5, 4],
+                      "orientation": FIG3B_ORIENTATION,
+                      "v1": [0, 2, 6], "v2": [1, 3, 7]},
+      "witness": None, "detail": {}}),
+    (("thm5", *FIG3B_ARGS, "--estar", "2>3,2>7,6>3,0>3,2>1"),
+     {"condition": "balanced-orientation", "status": "satisfied", "implied": "DP<",
+      "note": NOTE,
+      "certificate": {"set_girth": 4, "girth_witness": [0, 3, 5, 4],
+                      "orientation": FIG3B_ORIENTATION},
+      "witness": None, "detail": {}}),
+    (("classify", "--fixture", "fig1"),
+     {"verdicts": [
+         {"condition": "even-girth-edge", "status": "violated", "implied": "unknown",
+          "note": NOTE, "certificate": None, "witness": None,
+          "detail": {"reason": "every edge has odd or infinite girth",
+                     "edge_girths": [3, 5, 5, 5] + [3] * 17}},
+         {"condition": "dp-good", "status": "satisfied", "implied": "DP*",
+          "note": NOTE,
+          "certificate": {
+              "tree": [0, 1, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 19],
+              "labeling": [10, 12, 14, 16, 18, 20, 2, 3],
+              "cycles": [[5, 7, 8], [5, 6, 9], [3, 7, 10], [2, 6, 11],
+                         [0, 4, 12], [0, 1, 13], [2, 3, 7, 5, 6], [0, 1, 2, 3, 4]]},
+          "witness": None,
+          "detail": {"trees_tried": 3781, "girth_sequence": [3, 3, 3, 3, 3, 3, 5, 5]}},
+         {"condition": "connected-back-neighborhood-order", "status": "violated",
+          "implied": "unknown", "note": NOTE, "certificate": None, "witness": None,
+          "detail": {"reason": "no vertex order satisfies the condition "
+                               "(exhaustive over all orders)"}},
+         {"condition": "quad-girth-crossing-set", "status": "inconclusive",
+          "implied": "unknown", "note": NOTE, "certificate": None, "witness": None,
+          "detail": {"reason": "no candidate in the searched space has set-girth "
+                               "four; the search is not exhaustive",
+                     "tried": 101}}],
+      "implied": ["DP*"]}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=[a[0] for a, _ in PINNED])
+def test_pinned_json_output(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"

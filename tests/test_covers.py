@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 
 import oracles
@@ -209,6 +212,17 @@ def test_dp_exact_on_trees():
             assert report.cover.perms == canonical_cover(g, m).perms
 
 
+def test_dp_exact_on_a_tree_lists_no_permutations(monkeypatch):
+    # (m!)^0 = 1 cover passes any budget, so a large m must cost nothing
+    import dpchroma.covers as covers
+
+    def refuse(*args):
+        raise AssertionError("permutations listed for a tree")
+
+    monkeypatch.setattr(covers, "permutations", refuse)
+    assert dp_exact(path_graph(3), 12).value == 12 * 11 * 11
+
+
 def test_dp_exact_c3():
     assert dp_exact(cycle_graph(3), 2).value == 0
     assert dp_exact(cycle_graph(3), 3).value == 6
@@ -253,6 +267,35 @@ def test_dp_exact_parallel_matches_serial():
     assert parallel.value == serial.value
     assert parallel.minimizers == serial.minimizers
     assert parallel.cover.perms == serial.cover.perms
+
+
+def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch):
+    # a recording stand-in for the process pool: it runs the chunks in this
+    # process and keeps the worker count it was asked for
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    g = cycle_graph(4)
+    # (cpus, jobs, m, workers asked for); m! chunks, no pool for one worker
+    for cpus, jobs, m, workers in ((3, 64, 3, [3]), (64, 64, 2, [2]),
+                                   (8, 2, 3, [2]), (1, 64, 3, []), (8, 1, 3, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert dp_exact(g, m, jobs=jobs) == dp_exact(g, m)
+        assert asked == workers
 
 
 def test_dp_le_chromatic(rng):
