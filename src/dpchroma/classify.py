@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     _bfs_path,
     _mask_adj,
+    _require_connected,
     component_count,
     enumerate_cycles,
     mask_indices,
@@ -179,8 +180,7 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     tree must contain them; if they already close a cycle no tree exists and
     the verdict is violated outright.
     """
-    if g.n > 0 and component_count(g, g.full_mask()) != 1:
-        raise ValueError("graph must be connected")
+    _require_connected(g)
     girths = _girth_values(g)
     forced = 0
     for i, value in enumerate(girths):
@@ -304,6 +304,8 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     searches for any valid order (complete while 2^n stays within budget).
     A satisfied verdict implies DP-good and hence the strict cover class.
     """
+    if g.n == 0:
+        raise ValueError("graph must be connected")
     condition = "connected-back-neighborhood-order"
     nbr = _neighbor_masks(g)
 
@@ -325,8 +327,6 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
         return ClassifierVerdict(condition, SATISFIED, DP_STAR,
                                  certificate=tuple(seq))
 
-    if g.n == 0:
-        return ClassifierVerdict(condition, SATISFIED, DP_STAR, certificate=())
     if (1 << g.n) > budget:
         return ClassifierVerdict(
             condition, INCONCLUSIVE, UNKNOWN,
@@ -581,8 +581,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     Budget errors inside a sub-check degrade that verdict to inconclusive;
     membership is never claimed beyond what a satisfied condition implies.
     """
-    if g.n > 0 and component_count(g, g.full_mask()) != 1:
-        raise ValueError("graph must be connected")
+    _require_connected(g)
     verdicts = []
     checks = [
         ("even-girth-edge", lambda: scan_even_girth(g)),

@@ -9,15 +9,15 @@ which is the full cover space up to renaming of list vertices.
 
 from __future__ import annotations
 
+import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import DEFAULT_SUBSET_CAP, Graph, bfs_tree, component_vertex_sets, mask_indices
+from .graphs import DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected, bfs_tree, mask_indices
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_COVER_BUDGET = 10**6
@@ -45,16 +45,7 @@ class Cover:
     @staticmethod
     def from_json(g: Graph, data: dict) -> "Cover":
         m = int(data["m"])
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        ident = tuple(range(m))
-        perms = [ident] * len(g.edges)
-        for key, seq in dict(data.get("perms", {})).items():
-            i = int(key)
-            if not (0 <= i < len(g.edges)):
-                raise ValueError(f"perm for unknown edge index {i}")
-            perms[i] = _check_perm(seq, m)
-        return Cover(g, m, tuple(perms))
+        return Cover(g, m, tuple(_assigned_perms(g, m, data.get("perms", {}))))
 
 
 @dataclass(frozen=True)
@@ -93,11 +84,23 @@ class CountReport:
         return out
 
 
-def _check_perm(seq: Sequence[int], m: int) -> tuple[int, ...]:
-    p = tuple(int(x) for x in seq)
-    if sorted(p) != list(range(m)):
-        raise ValueError(f"not a permutation of range({m}): {seq!r}")
-    return p
+def _assigned_perms(g: Graph, m: int,
+                    assignment: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
+    """One permutation per edge, identity where `assignment` (keys: edge indices
+    or their strings) gives none; raises ValueError on any invalid input."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    ident = tuple(range(m))
+    perms = [ident] * len(g.edges)
+    for key, seq in dict(assignment).items():
+        i = int(key)
+        if not (0 <= i < len(g.edges)):
+            raise ValueError(f"permutation for unknown edge index {i}")
+        p = tuple(int(x) for x in seq)
+        if tuple(sorted(p)) != ident:
+            raise ValueError(f"not a permutation of range({m}): {seq!r}")
+        perms[i] = p
+    return perms
 
 
 def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -109,7 +112,14 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[x] for x in q])
+
+
+def _along(g: Graph, perms: Sequence[tuple[int, ...]], i: int, v: int) -> tuple[int, ...]:
+    """The matching of edge i read from endpoint v: index x in L(v) is
+    matched to index f[x] at the other end.  perms[i] is read from the
+    smaller endpoint."""
+    return perms[i] if v == g.edges[i][0] else _invert(perms[i])
 
 
 def canonical_cover(g: Graph, m: int) -> Cover:
@@ -138,40 +148,19 @@ def build_cover(g: Graph, m: int, assignment: Optional[Mapping[int, Sequence[int
     isomorphism of the cover graph, so counts are unchanged; the normalized
     form concentrates all the twist on non-tree edges.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ident = tuple(range(m))
-    perms = [ident] * len(g.edges)
-    if assignment:
-        for key, seq in dict(assignment).items():
-            i = int(key)
-            if not (0 <= i < len(g.edges)):
-                raise ValueError(f"assignment for unknown edge index {i}")
-            perms[i] = _check_perm(seq, m)
+    perms = _assigned_perms(g, m, assignment or {})
+    _require_connected(g)
 
-    tree = bfs_tree(g, root=0)  # raises for disconnected graphs
-
-    # gauge[v]: the renaming applied to L(v); chosen so tree edges become
-    # identity when the matching map is conjugated by the endpoint gauges
-    gauge: list[Optional[tuple[int, ...]]] = [None] * g.n
-    gauge[0] = ident
-    queue = deque([0])
-    while queue:
-        p = queue.popleft()
-        for w in g.adj[p]:
-            i = g.edge_index(p, w)
-            if not (tree >> i & 1) or gauge[w] is not None:
-                continue
-            u, v = g.edges[i]
-            fwd = perms[i] if p == u else _invert(perms[i])  # p -> w matching
-            gauge[w] = _compose(fwd, gauge[p])
-            queue.append(w)
+    # gauge[v]: the renaming applied to L(v), composed along the BFS tree
+    # path from vertex 0 so tree edges become identity when the matching
+    # map is conjugated by the endpoint gauges
+    gauge = [tuple(range(m))] * g.n
+    for v, p, i in _bfs_forest(g, g.full_mask(), [0])[1:]:
+        gauge[v] = _compose(_along(g, perms, i, p), gauge[p])
 
     normalized = []
     for i, (u, v) in enumerate(g.edges):
-        gu, gv = gauge[u], gauge[v]
-        assert gu is not None and gv is not None
-        normalized.append(_compose(_invert(gv), _compose(perms[i], gu)))
+        normalized.append(_compose(_invert(gauge[v]), _compose(perms[i], gauge[u])))
     cov = Cover(g, m, tuple(normalized))
     return cov, sloping_report(cov)
 
@@ -184,74 +173,42 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    ident = tuple(range(m))
     up = tuple((q + 1) % m for q in range(m))
     down = tuple((q - 1) % m for q in range(m))
-    tails = dict(estar.tails)
-    perms = []
-    for i, (u, v) in enumerate(g.edges):
-        if i in tails:
-            perms.append(up if tails[i] == u else down)
-        else:
-            perms.append(ident)
-    return Cover(g, m, tuple(perms))
+    shifts = {i: up if t == g.edges[i][0] else down for i, t in estar.tails}
+    return Cover(g, m, tuple(_assigned_perms(g, m, shifts)))
 
 
 # ---------------------------------------------------------------------------
 # counting
 
-def _component_order(g: Graph, comp: list[int]) -> list[int]:
-    members = set(comp)
-    root = max(comp, key=lambda v: (g.degree(v), -v))
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in seen or w not in members:
-                continue
-            seen.add(w)
-            order.append(w)
-            queue.append(w)
-    return order
-
-
-class _NodeBudget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError("transversal search node budget exhausted")
-
-
-def _count_component(g: Graph, cov: Cover, order: list[int], budget: _NodeBudget) -> int:
+def _count_component(g: Graph, cov: Cover, order: list[int],
+                     nodes: int, node_budget: int) -> tuple[int, int]:
+    """Transversals of the component searched in `order`, and the node count
+    `nodes` plus the nodes this search generated."""
     m = cov.m
     pos = {v: k for k, v in enumerate(order)}
     # constraints[k]: for vertex order[k], pairs (earlier position, forbidden
     # map f) meaning choice x at the earlier vertex forbids f[x] here
     constraints: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
-    for v in order:
-        for w in g.adj[v]:
-            if w not in pos or pos[w] >= pos[v]:
-                continue
-            i = g.edge_index(v, w)
-            u1, _ = g.edges[i]
-            f = cov.perms[i] if w == u1 else _invert(cov.perms[i])
-            constraints[pos[v]].append((pos[w], f))
+    for k, v in enumerate(order):
+        for w, i in g._incidence[v]:
+            if pos[w] < k:
+                constraints[k].append((pos[w], _along(g, cov.perms, i, w)))
 
     chosen = [0] * len(order)
     total = 0
 
     def candidates(k: int) -> list[int]:
-        banned = set()
-        for j, f in constraints[k]:
-            banned.add(f[chosen[j]])
-        return [x for x in range(m) if x not in banned]
+        # every candidate becomes a search node, so it is charged here
+        nonlocal nodes
+        banned = {f[chosen[j]] for j, f in constraints[k]}
+        opts = [x for x in range(m) if x not in banned]
+        nodes += len(opts)
+        if nodes > node_budget:
+            raise BudgetExceededError(f"more than {node_budget} transversal search nodes",
+                                      attempted=nodes, budget=node_budget)
+        return opts
 
     # explicit stack backtracking; stack depth equals assigned prefix length
     stack: list[list[int]] = [candidates(0)]
@@ -260,22 +217,30 @@ def _count_component(g: Graph, cov: Cover, order: list[int], budget: _NodeBudget
         if not opts:
             stack.pop()
             continue
-        budget.spend()
         chosen[len(stack) - 1] = opts.pop()
         if len(stack) == len(order):
             total += 1
             continue
         stack.append(candidates(len(stack)))
-    return total
+    return total, nodes
 
 
 def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
-    """Exact transversal count by pruned backtracking, component by component."""
-    budget = _NodeBudget(node_budget)
+    """Exact transversal count by pruned backtracking, component by component,
+    each searched in BFS order from its highest-degree vertex.  Raises
+    BudgetExceededError once the search generates more than `node_budget` nodes."""
+    roots = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    orders: list[list[int]] = []
+    for v, p, _ in _bfs_forest(g, g.full_mask(), roots):
+        if p < 0:
+            orders.append([])
+        orders[-1].append(v)
+    orders.sort(key=min)
     total = 1
-    for comp in component_vertex_sets(g, g.full_mask()):
-        order = _component_order(g, comp)
-        total *= _count_component(g, cov, order, budget)
+    nodes = 0
+    for order in orders:
+        count, nodes = _count_component(g, cov, order, nodes, node_budget)
+        total *= count
         if total == 0:
             break
     return CountReport(total, "backtracking")
@@ -289,53 +254,22 @@ def matched_selection_count(g: Graph, cov: Cover, edge_mask: int) -> int:
     factor m.
     """
     m = cov.m
-    sub: list[list[int]] = [[] for _ in range(g.n)]
-    for i in mask_indices(edge_mask):
-        u, v = g.edges[i]
-        sub[u].append(i)
-        sub[v].append(i)
-
-    seen = [False] * g.n
-    ident = tuple(range(m))
-    total = 1
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        # rho[v]: root index j forces index rho[v][j] at v
-        rho: dict[int, tuple[int, ...]] = {root: ident}
-        used: set[int] = set()
-        closing: list[int] = []  # edges whose cycle constraint must be checked
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for i in sub[v]:
-                if i in used:
-                    continue
-                used.add(i)
-                a, b = g.edges[i]
-                w = b if v == a else a
-                if w in rho:
-                    closing.append(i)
-                    continue
-                seen[w] = True
-                fwd = cov.perms[i] if v == a else _invert(cov.perms[i])
-                rho[w] = _compose(fwd, rho[v])
-                queue.append(w)
-        good = 0
-        for j in range(m):
-            ok = True
-            for i in closing:
-                a, b = g.edges[i]
-                if cov.perms[i][rho[a][j]] != rho[b][j]:
-                    ok = False
-                    break
-            if ok:
-                good += 1
-        total *= good
-        if total == 0:
-            return 0
-    return total
+    perms = cov.perms
+    # rho[v]: index j at the root of v's BFS tree forces index rho[v][j] at v
+    rho = [tuple(range(m))] * g.n
+    root = list(range(g.n))
+    forest = 0
+    for v, p, i in _bfs_forest(g, edge_mask, range(g.n)):
+        if p >= 0:
+            rho[v] = _compose(_along(g, perms, i, p), rho[p])
+            root[v] = root[p]
+            forest |= 1 << i
+    # good[r]: indices at tree root r that every closing edge so far keeps
+    good: list[Sequence[int]] = [range(m)] * g.n
+    for i in mask_indices(edge_mask & ~forest):
+        a, b = g.edges[i]
+        good[root[a]] = [j for j in good[root[a]] if perms[i][rho[a][j]] == rho[b][j]]
+    return math.prod(len(good[r]) for r in range(g.n) if root[r] == r)
 
 
 def count_incl_excl(g: Graph, cov: Cover, cap: int = DEFAULT_SUBSET_CAP) -> CountReport:
@@ -359,13 +293,6 @@ def count_incl_excl(g: Graph, cov: Cover, cap: int = DEFAULT_SUBSET_CAP) -> Coun
 
 # ---------------------------------------------------------------------------
 # exact DP color function at desk scale
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
 
 def _assignment_cover(g: Graph, m: int, free: list[int], combo) -> Cover:
     ident = tuple(range(m))
@@ -394,7 +321,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
-    space = _factorial(m) ** q
+    space = math.factorial(m) ** q
     if space > budget:
         raise BudgetExceededError(
             f"(m!)^q = {space} covers exceed the budget of {budget}",

@@ -64,12 +64,6 @@ class OrientedEdgeSet:
             tails[i] = t
         return OrientedEdgeSet.from_tails(g, tails)
 
-    def tail_of(self, edge_index: int) -> int:
-        for i, t in self.tails:
-            if i == edge_index:
-                return t
-        raise KeyError(edge_index)
-
     def reversed(self, g: Graph) -> "OrientedEdgeSet":
         flipped = {}
         for i, t in self.tails:

@@ -9,16 +9,19 @@ The package's graph primitives live here, once each, and work on plain
 vertex counts, pair lists and neighbour lists so that every module can use
 them:
 
-* `_find` and `_components`: union-find and the components it yields;
+* `_find`, `_union` and `_components`: union-find, its merge loop and the
+  components it yields;
 * `_bridge_mask`: the lowpoint DFS that finds bridges;
 * `_mask_adj` and `_bfs_path`: ascending neighbour lists of an edge subset
   and the BFS shortest path over such lists, whose neighbour order fixes
-  every witness cycle the package reports.
+  every witness cycle the package reports;
+* `Graph._incidence` and `_bfs_forest`: ascending (neighbour, edge index)
+  pairs per vertex, built once per graph, and the one BFS forest walk;
+* `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,7 +36,7 @@ DEFAULT_SUBSET_CAP = 24  # largest |E| whose 2^|E| subset sums are attempted
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "_index")
+    __slots__ = ("n", "edges", "adj", "_index", "_incidence")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -53,11 +56,13 @@ class Graph:
         self.n = n
         self.edges = tuple(norm)
         self._index = index
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in nbrs)
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(self.edges):
+            pairs[u].append((v, i))
+            pairs[v].append((u, i))
+        # _incidence[v]: (neighbour, edge index) pairs, ascending by neighbour
+        self._incidence = tuple(tuple(sorted(a)) for a in pairs)
+        self.adj = tuple(tuple(w for w, _ in a) for a in self._incidence)
 
     @property
     def m(self) -> int:
@@ -298,14 +303,22 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Vertex sets of the components of ({0..n-1}, pairs), each ascending,
-    ordered by smallest vertex."""
-    parent = list(range(n))
+def _union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
+    """Merge the endpoints of every pair in `parent`; returns the merge count."""
+    merges = 0
     for u, v in pairs:
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
+            merges += 1
+    return merges
+
+
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Vertex sets of the components of ({0..n-1}, pairs), each ascending,
+    ordered by smallest vertex."""
+    parent = list(range(n))
+    _union(parent, pairs)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(_find(parent, v), []).append(v)
@@ -397,14 +410,33 @@ def _bfs_path(adj: Sequence[Sequence[int]], u: int, v: int,
     return None
 
 
+def _bfs_forest(g: Graph, mask: int, roots: Iterable[int]) -> list[tuple[int, int, int]]:
+    """BFS forest of the spanning subgraph with edge set `mask`, listed as
+    (vertex, parent, edge index) in visiting order.  A tree, whose root has
+    parent and edge index -1, starts at each root not yet reached; neighbours
+    are tried ascending."""
+    incidence = g._incidence
+    seen = [False] * g.n
+    walk: list[tuple[int, int, int]] = []
+    head = 0  # walk[head:] is the BFS queue
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        walk.append((root, -1, -1))
+        while head < len(walk):
+            v = walk[head][0]
+            head += 1
+            for w, i in incidence[v]:
+                if not seen[w] and mask >> i & 1:
+                    seen[w] = True
+                    walk.append((w, v, i))
+    return walk
+
+
 def component_count(g: Graph, mask: int) -> int:
     """Components of the spanning subgraph with edge set `mask`."""
-    return len(component_vertex_sets(g, mask))
-
-
-def component_vertex_sets(g: Graph, mask: int) -> list[list[int]]:
-    """Vertex sets of the components of the spanning subgraph, sorted."""
-    return _components(g.n, (g.edges[i] for i in mask_indices(mask)))
+    return g.n - _union(list(range(g.n)), (g.edges[i] for i in mask_indices(mask)))
 
 
 def non_bridge_edges(g: Graph, mask: int) -> int:
@@ -439,7 +471,8 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_CYCLE_BUDGET)
                 if path[1] < path[-1]:
                     if len(out) >= budget:
                         raise BudgetExceededError(
-                            f"more than {budget} cycles", budget=budget
+                            f"more than {budget} cycles",
+                            attempted=len(out) + 1, budget=budget,
                         )
                     out.append(tuple(path))
             elif not closing_only and w > first and not seen[w]:
@@ -530,24 +563,20 @@ def spanning_trees(g: Graph, budget: int = DEFAULT_TREE_BUDGET, forced: int = 0)
     `forced` is an edge mask every yielded tree must contain; if those edges
     already close a cycle the stream is empty.
     """
-    if g.n == 0 or component_count(g, g.full_mask()) != 1:
-        raise ValueError("graph must be connected")
+    _require_connected(g)
     return SpanningTreeStream(g, budget, forced)
+
+
+def _require_connected(g: Graph) -> None:
+    """Raise ValueError unless g is connected; the empty graph is not."""
+    if component_count(g, g.full_mask()) != 1:
+        raise ValueError("graph must be connected")
 
 
 def bfs_tree(g: Graph, root: int = 0) -> int:
     """Edge mask of the BFS spanning tree from `root` (vertex-order ties)."""
-    seen = [False] * g.n
-    seen[root] = True
+    _require_connected(g)
     mask = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                mask |= 1 << g.edge_index(v, w)
-                queue.append(w)
-    if not all(seen):
-        raise ValueError("graph must be connected")
+    for _, _, i in _bfs_forest(g, g.full_mask(), [root])[1:]:
+        mask |= 1 << i
     return mask

@@ -168,6 +168,18 @@ def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["dpexact", "--m", "3"], ["classify"], ["dpgood"], ["vorder"],
+], ids=lambda argv: argv[0])
+def test_empty_graph_is_not_connected(capsys, tmp_path, argv):
+    path = tmp_path / "empty.txt"
+    path.write_text("0\n")
+    code, out, err = run_cli(capsys, *argv, "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "graph must be connected" in err
+
+
 def test_missing_graph_source_exit_code(capsys):
     code, _, _ = run_cli(capsys, "chromatic")
     assert code == 2
@@ -242,6 +254,14 @@ PINNED = [
                                "four; the search is not exhaustive",
                      "tried": 101}}],
       "implied": ["DP*"]}),
+    # recorded before the BFS walks were merged: the argmin cover is stated
+    # relative to the BFS tree from vertex 0
+    (("dpexact", "--fixture", "complete:4", "--m", "3"),
+     {"dp_value": "0", "chromatic_value": "0", "argmin": {"m": 3, "perms": {}},
+      "minimizers": 1}),
+    (("dpexact", "--fixture", "cycle:4", "--m", "3"),
+     {"dp_value": "15", "chromatic_value": "18",
+      "argmin": {"m": 3, "perms": {"2": [1, 2, 0]}}, "minimizers": 2}),
 ]
 
 

@@ -13,12 +13,15 @@ from dpchroma import (
     OrientedEdgeSet,
     build_cover,
     canonical_cover,
+    chromatic_incl_excl,
     chromatic_polynomial,
     complete_graph,
     count_incl_excl,
     count_transversals,
     cycle_graph,
     dp_exact,
+    enumerate_cycles,
+    fig1_graph,
     matched_selection_count,
     path_graph,
     sloping_report,
@@ -59,6 +62,15 @@ def test_k3_all_swaps_normalizes_to_one_swap():
     assert bin(report.sloping).count("1") == 1
     e = report.sloping.bit_length() - 1
     assert cov.perms[e] == swap
+
+
+def test_build_cover_pinned_normalization():
+    # recorded before the BFS walks were merged: fixes the BFS tree from
+    # vertex 0 that the gauges follow
+    cov, report = build_cover(fig1_graph(), 3, {0: [1, 2, 0], 5: [2, 0, 1]})
+    assert cov.to_json() == {"m": 3, "perms": {"2": [1, 2, 0], "15": [2, 0, 1],
+                                               "20": [1, 2, 0]}}
+    assert report.sloping == 1081348 == (1 << 2) | (1 << 15) | (1 << 20)
 
 
 def test_build_cover_rejects_non_bijections():
@@ -174,6 +186,30 @@ def test_matched_selection_count_oracle(rng):
         sub = [i for i in range(g.m) if mask >> i & 1]
         assert matched_selection_count(g, cov, mask) == \
             oracles.matched_count(n, list(g.edges), list(cov.perms), m, sub)
+
+
+def test_node_budget_counts_every_search_node():
+    # K3 at m=3 from vertex 0: 3 + 3*2 + 6*1 = 15 nodes, 6 transversals
+    g, cov = complete_graph(3), canonical_cover(complete_graph(3), 3)
+    assert count_transversals(g, cov, node_budget=15).value == 6
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, cov, node_budget=14)
+    assert (err.value.attempted, err.value.budget) == (15, 14)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: dp_exact(complete_graph(4), 3, budget=10),
+    lambda: count_transversals(complete_graph(5), canonical_cover(complete_graph(5), 3),
+                               node_budget=10),
+    lambda: count_incl_excl(complete_graph(5), canonical_cover(complete_graph(5), 3), cap=5),
+    lambda: chromatic_incl_excl(complete_graph(5), cap=5),
+    lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
+], ids=["dp_exact", "count_transversals", "count_incl_excl", "chromatic_incl_excl",
+        "enumerate_cycles"])
+def test_budget_error_reports_progress(run):
+    with pytest.raises(BudgetExceededError) as err:
+        run()
+    assert err.value.attempted > err.value.budget
 
 
 def test_count_budget_error():
