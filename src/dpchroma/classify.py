@@ -304,8 +304,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     searches for any valid order (complete while 2^n stays within budget).
     A satisfied verdict implies DP-good and hence the strict cover class.
     """
-    if g.n == 0:
-        raise ValueError("graph must be connected")
+    _require_connected(g)
     condition = "connected-back-neighborhood-order"
     nbr = _neighbor_masks(g)
 

@@ -4,13 +4,16 @@ A cover assigns each edge (u, v), u < v, a permutation sigma of range(m):
 cover vertex (u, i) is matched to (v, sigma(i)).  A transversal picks one
 index per vertex and is counted when no edge's matched pair is picked.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
-which is the full cover space up to renaming of list vertices.
+which is the full cover space up to renaming of list vertices.  It counts one
+cover per orbit of the first two non-tree edges under simultaneous
+conjugation, weighted by the orbit size.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
@@ -210,7 +213,12 @@ def _count_component(g: Graph, cov: Cover, order: list[int],
                                       attempted=nodes, budget=node_budget)
         return opts
 
-    # explicit stack backtracking; stack depth equals assigned prefix length
+    # explicit stack backtracking; stack depth equals assigned prefix length.
+    # The last vertex's candidates are leaves: they are counted, not visited.
+    last = len(order) - 1
+    if last == 0:
+        total = len(candidates(0))
+        return total, nodes
     stack: list[list[int]] = [candidates(0)]
     while stack:
         opts = stack[-1]
@@ -218,10 +226,10 @@ def _count_component(g: Graph, cov: Cover, order: list[int],
             stack.pop()
             continue
         chosen[len(stack) - 1] = opts.pop()
-        if len(stack) == len(order):
-            total += 1
-            continue
-        stack.append(candidates(len(stack)))
+        if len(stack) == last:
+            total += len(candidates(last))
+        else:
+            stack.append(candidates(len(stack)))
     return total, nodes
 
 
@@ -306,12 +314,16 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
              node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1) -> CountReport:
     """Minimum transversal count over all tree-normalized m-fold covers.
 
-    Fixes one BFS spanning tree with identity permutations and enumerates
-    every permutation assignment on the q non-tree edges; normalization
-    loses no covers, so the minimum is the DP color function value at m.
-    Ties are broken toward the lexicographically smallest assignment.
-    The sweep is cut into one chunk per permutation of the first non-tree
-    edge; with `jobs` > 1 the chunks run on up to that many processes,
+    Fixes one BFS spanning tree with identity permutations and sweeps every
+    permutation assignment on the q non-tree edges; normalization loses no
+    covers, so the minimum is the DP color function value at m.  Renaming
+    every fibre by the same permutation conjugates each edge's permutation
+    and keeps the count, so the first two non-tree edges run only over
+    lexicographically smallest orbit representatives ("heads", see
+    `_orbit_heads`), each weighted by its orbit size; `minimizers` is still a
+    count over all (m!)^q assignments.  Ties are broken toward the
+    lexicographically smallest assignment.  The sweep is cut into one chunk
+    per head; with `jobs` > 1 the chunks run on up to that many processes,
     never more than there are chunks or CPUs.
     """
     if m < 1:
@@ -329,8 +341,8 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
             budget=budget,
         )
 
-    heads = [(p,) for p in permutations(range(m))] if q else [()]
-    chunks = [(g, m, free, node_budget, head) for head in heads]
+    heads = _orbit_heads(m, q)
+    chunks = [(g, m, free, node_budget, head) for head, _ in heads]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the executor module costs CLI start-up time
@@ -341,22 +353,72 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
     else:
         results = list(map(_dp_chunk, chunks))
 
-    # chunks are in lexicographic order, so the first strict minimum is the
-    # lexicographically smallest assignment
-    best, best_combo, minimizers = results[0]
-    for value, combo, count in results[1:]:
-        if value < best:
-            best, best_combo, minimizers = value, combo, count
+    # heads are in lexicographic order and the lexicographically smallest
+    # minimizer starts with a head, so the first strict minimum is it
+    best = None
+    for (_, weight), (value, combo, ties) in zip(heads, results):
+        if best is None or value < best:
+            best, best_combo, minimizers = value, combo, weight * ties
         elif value == best:
-            minimizers += count
+            minimizers += weight * ties
     argmin = _assignment_cover(g, m, free, best_combo)
     return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
+
+
+def _partitions(m: int, top: int):
+    """The partitions of m into parts of at most `top`, parts non-increasing."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(min(m, top), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Orbit representatives of the first min(q, 2) edge permutations under
+    simultaneous conjugation, as (head, orbit size) in lexicographic order.
+
+    The first permutation runs over the lexicographically smallest element of
+    each conjugacy class: fixed points first, then cycles in increasing
+    length, each on consecutive indices.  The second runs over the smallest
+    element of each orbit of that head's centralizer.  The smallest
+    assignment of any orbit starts with its head, which keeps the argmin.
+    """
+    if q == 0:
+        return [((), 1)]
+    classes = []
+    for lengths in _partitions(m, m):
+        c: list[int] = []
+        for k in reversed(lengths):
+            start = len(c)
+            c.extend(range(start + 1, start + k))
+            c.append(start)
+        z = math.prod(k ** a * math.factorial(a) for k, a in Counter(lengths).items())
+        classes.append((tuple(c), math.factorial(m) // z))
+    classes.sort()
+    if q == 1:
+        return [((c,), size) for c, size in classes]
+
+    perms = list(permutations(range(m)))
+    heads = []
+    for c, size in classes:
+        centralizer = [p for p in perms if _compose(p, c) == _compose(c, p)]
+        seen: set[tuple[int, ...]] = set()
+        for s in perms:  # lexicographic, so each orbit is met at its smallest element
+            if s in seen:
+                continue
+            orbit = {_compose(p, _compose(s, _invert(p))) for p in centralizer}
+            seen |= orbit
+            heads.append(((c, s), size * len(orbit)))
+    return heads
 
 
 def _dp_chunk(args):
     """Sweep the assignments that start with `head`: (min, argmin, ties)."""
     g, m, free, node_budget, head = args
-    # a tree has nothing to sweep, and its m is not bounded by the cover budget
+    # with every free edge in the head there is nothing left to sweep, and
+    # with q <= 1 the cover budget allows an m too large to list S_m
     perm_list = list(permutations(range(m))) if len(head) < len(free) else []
     best = None
     best_combo = None

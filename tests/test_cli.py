@@ -180,6 +180,19 @@ def test_empty_graph_is_not_connected(capsys, tmp_path, argv):
     assert "graph must be connected" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dpexact", "--m", "3"], ["classify"], ["dpgood"], ["vorder"],
+    ["vorder", "--order", "0,1,2"],
+], ids=" ".join)
+def test_disconnected_graph_is_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "split.txt"
+    path.write_text("3\n0 1\n")
+    code, out, err = run_cli(capsys, *argv, "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert "graph must be connected" in err
+
+
 def test_missing_graph_source_exit_code(capsys):
     code, _, _ = run_cli(capsys, "chromatic")
     assert code == 2
@@ -211,6 +224,8 @@ FIG3B_ORIENTATION = [
     {"edge": 2, "tail": 6, "head": 3}, {"edge": 3, "tail": 0, "head": 3},
     {"edge": 4, "tail": 2, "head": 1},
 ]
+K4_M4 = {"dp_value": "24", "chromatic_value": "24", "argmin": {"m": 4, "perms": {}},
+         "minimizers": 1}
 PINNED = [
     (("girth", "--fixture", "fig1", "--edge", "5"),
      {"value": 3, "witness": [2, 6, 11]}),
@@ -262,6 +277,10 @@ PINNED = [
     (("dpexact", "--fixture", "cycle:4", "--m", "3"),
      {"dp_value": "15", "chromatic_value": "18",
       "argmin": {"m": 3, "perms": {"2": [1, 2, 0]}}, "minimizers": 2}),
+    # recorded from the full (m!)^q sweep, before it ran over orbit heads;
+    # the parallel sweep prints the same bytes
+    (("dpexact", "--fixture", "complete:4", "--m", "4"), K4_M4),
+    (("dpexact", "--fixture", "complete:4", "--m", "4", "--jobs", "2"), K4_M4),
 ]
 
 

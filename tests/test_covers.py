@@ -1,10 +1,12 @@
 import concurrent.futures
+import math
 import os
+from itertools import permutations, product
 
 import pytest
 
 import oracles
-from conftest import random_connected_graph, random_edges
+from conftest import connected_edge_sets, random_connected_graph, random_edges
 
 from dpchroma import (
     BudgetExceededError,
@@ -27,6 +29,8 @@ from dpchroma import (
     sloping_report,
     twisted_cover,
 )
+from dpchroma.covers import _orbit_heads
+from dpchroma.graphs import bfs_tree
 
 
 def random_cover(rng, g, m):
@@ -259,6 +263,77 @@ def test_dp_exact_on_a_tree_lists_no_permutations(monkeypatch):
     assert dp_exact(path_graph(3), 12).value == 12 * 11 * 11
 
 
+def test_dp_exact_on_one_cycle_lists_no_permutations(monkeypatch):
+    # with one free edge the heads come from the partitions of m
+    import dpchroma.covers as covers
+
+    def refuse(*args):
+        raise AssertionError("permutations listed for one free edge")
+
+    monkeypatch.setattr(covers, "permutations", refuse)
+    assert dp_exact(cycle_graph(4), 9).value == (9 - 1) ** 4 - 1
+
+
+def plain_sweep(g, m):
+    """Every assignment on the free edges of the BFS tree from vertex 0, in
+    lexicographic order: (min count, first minimizing perms, minimizers)."""
+    tree = bfs_tree(g, 0)
+    free = [i for i in range(g.m) if not (tree >> i & 1)]
+    best = None
+    for combo in product(list(permutations(range(m))), repeat=len(free)):
+        perms = [tuple(range(m))] * g.m
+        for i, sigma in zip(free, combo):
+            perms[i] = sigma
+        value = count_transversals(g, Cover(g, m, tuple(perms))).value
+        if best is None or value < best:
+            best, argmin, ties = value, tuple(perms), 1
+        elif value == best:
+            ties += 1
+    return best, argmin, ties
+
+
+def test_orbit_sweep_matches_plain_sweep():
+    checked = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            q = len(edges) - n + 1
+            if q > 2:
+                continue
+            g = Graph(n, edges)
+            for m in (2, 3, 4) if n <= 4 else (2, 3):
+                report = dp_exact(g, m)
+                assert (report.value, report.cover.perms, report.minimizers) == plain_sweep(g, m)
+            checked += 1
+    assert checked == 595
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_orbit_heads_weights_and_class_representatives(m):
+    for q in range(4):
+        heads = _orbit_heads(m, q)
+        assert heads == sorted(heads)
+        assert sum(w * math.factorial(m) ** (q - len(h)) for h, w in heads) == math.factorial(m) ** q
+    smallest = {}
+    for p in permutations(range(m)):  # lexicographic, so the first of a type is its smallest
+        smallest.setdefault(cycle_type(p), p)
+    assert [h for (h,), _ in _orbit_heads(m, 1)] == sorted(smallest.values())
+
+
+def cycle_type(p):
+    seen = set()
+    lengths = []
+    for start in range(len(p)):
+        k = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            k += 1
+        if k:
+            lengths.append(k)
+    return tuple(sorted(lengths))
+
+
 def test_dp_exact_c3():
     assert dp_exact(cycle_graph(3), 2).value == 0
     assert dp_exact(cycle_graph(3), 3).value == 6
@@ -325,7 +400,8 @@ def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     g = cycle_graph(4)
-    # (cpus, jobs, m, workers asked for); m! chunks, no pool for one worker
+    # (cpus, jobs, m, workers asked for); one chunk per orbit head (as many
+    # as the partitions of m for one free edge), no pool for one worker
     for cpus, jobs, m, workers in ((3, 64, 3, [3]), (64, 64, 2, [2]),
                                    (8, 2, 3, [2]), (1, 64, 3, []), (8, 1, 3, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
