@@ -117,10 +117,6 @@ def _monomial(k: int) -> Polynomial:
 _CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], Polynomial] = {}
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def _refined_key(n: int, edges: tuple[tuple[int, int], ...]):
     """Relabel vertices by iterated degree refinement for cache lookups.
 
@@ -215,11 +211,7 @@ def chromatic_incl_excl(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Polynomial:
     """
     ne = len(g.edges)
     if ne > cap:
-        raise BudgetExceededError(
-            f"2^{ne} subset terms exceed the cap of 2^{cap}",
-            attempted=2**ne,
-            budget=2**cap,
-        )
+        raise BudgetExceededError("2^|E| subset terms", 2**ne, 2**cap)
     counts = [0] * (g.n + 1)
     for mask in range(1 << ne):
         counts[component_count(g, mask)] += 1 if mask.bit_count() % 2 == 0 else -1

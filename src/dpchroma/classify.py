@@ -2,9 +2,11 @@
 
 Every checker returns a ClassifierVerdict.  A satisfied verdict carries a
 certificate an independent verifier can re-check; a violated verdict carries
-a witness for the failed clause; inconclusive means a search budget ran out.
-The implied membership is always that of a sufficient condition, never an
-exact classification.
+a witness for the failed clause.  A search that runs over its budget raises
+BudgetExceededError, and only `classify` turns that into an inconclusive
+verdict; the one other inconclusive verdict is the quad search's, whose
+candidates prove nothing when none of them fits.  The implied membership is
+always that of a sufficient condition, never an exact classification.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import (
     INFINITE,
     OrientedEdgeSet,
@@ -43,8 +45,6 @@ UNKNOWN = "unknown"
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
 
     Edges of even or infinite girth can never be labeled, so every candidate
     tree must contain them; if they already close a cycle no tree exists and
-    the verdict is violated outright.
+    the verdict is violated outright.  More than `budget` candidate trees
+    raise BudgetExceededError.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -198,28 +199,20 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
         )
 
     stream = spanning_trees(g, budget=budget, forced=forced)
-    trees_tried = 0
     for tree in stream:
-        trees_tried += 1
         cert = _greedy_labeling(g, tree, girths)
         if cert is not None:
             return ClassifierVerdict(
                 "dp-good", SATISFIED, DP_STAR, certificate=cert,
                 detail={
-                    "trees_tried": trees_tried,
+                    "trees_tried": stream.count,
                     "girth_sequence": [int(girths[e]) for e in cert.labeling],
                 },
             )
-    if stream.truncated:
-        return ClassifierVerdict(
-            "dp-good", INCONCLUSIVE, UNKNOWN,
-            detail={"reason": f"tree budget {budget} exhausted",
-                    "trees_tried": trees_tried},
-        )
     return ClassifierVerdict(
         "dp-good", VIOLATED, UNKNOWN,
         detail={"reason": "no spanning tree admits a valid labeling",
-                "trees_tried": trees_tried},
+                "trees_tried": stream.count},
     )
 
 
@@ -301,7 +294,8 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     """Orders where each vertex's earlier neighbors are non-empty and connected.
 
     With an order given it is verified; without one, a subset dynamic program
-    searches for any valid order (complete while 2^n stays within budget).
+    searches for any valid order, and 2^n subsets over `budget` raise
+    BudgetExceededError.
     A satisfied verdict implies DP-good and hence the strict cover class.
     """
     _require_connected(g)
@@ -327,10 +321,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
                                  certificate=tuple(seq))
 
     if (1 << g.n) > budget:
-        return ClassifierVerdict(
-            condition, INCONCLUSIVE, UNKNOWN,
-            detail={"reason": f"2^{g.n} subsets exceed the budget {budget}"},
-        )
+        raise BudgetExceededError("vertex subsets", 1 << g.n, budget)
 
     full = (1 << g.n) - 1
     ok = bytearray(full + 1)
@@ -531,6 +522,7 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET,
 
     Candidates are user-supplied sets, single edges, and stars around a
     vertex; exhausting them proves nothing, so the fallback is inconclusive.
+    More than `budget` candidates raise BudgetExceededError.
     """
     condition = "quad-girth-crossing-set"
     tried = 0
@@ -550,13 +542,9 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET,
                     yield (v,), sub, mask
 
     for v1, v2, mask in candidates():
-        if tried >= budget:
-            return ClassifierVerdict(
-                condition, INCONCLUSIVE, UNKNOWN,
-                detail={"reason": f"candidate budget {budget} exhausted",
-                        "tried": tried},
-            )
         tried += 1
+        if tried > budget:
+            raise BudgetExceededError("quad candidates", tried, budget)
         r = edge_set_girth(g, mask)
         if r.is_finite and int(r.value) == 4:
             return ClassifierVerdict(
@@ -577,8 +565,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
              extra_sets: Sequence[tuple[Sequence[int], Sequence[int], int]] = ()) -> list[ClassifierVerdict]:
     """Run every sufficient-condition check and report all verdicts.
 
-    Budget errors inside a sub-check degrade that verdict to inconclusive;
-    membership is never claimed beyond what a satisfied condition implies.
+    This is the one place where a budget error becomes a verdict: a sub-check
+    that runs over its budget is reported as inconclusive.  Membership is
+    never claimed beyond what a satisfied condition implies.
     """
     _require_connected(g)
     verdicts = []

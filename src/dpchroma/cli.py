@@ -3,7 +3,8 @@
 Every operation is exposed as a subcommand over a graph given either as an
 edge-list file (--graph) or a named fixture (--fixture).  Output is a human
 summary by default or JSON with --format json.  Exit status: 0 on success,
-2 for input errors, 3 when a budget is exceeded.
+2 for input errors, 3 when a budget is exceeded; `classify` alone reports an
+overrun as an inconclusive verdict and exits 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .covers import (
     sloping_report,
     twisted_cover,
 )
-from .errors import BudgetExceededError, GraphParseError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 from .girth import OrientedEdgeSet, check_balance, edge_girth, edge_set_girth
 from .graphs import fixture, parse_graph
 
@@ -277,7 +278,8 @@ _COMMANDS = {
 _BUDGET_HELP = {
     "covers": "cap on (m!)^q cover assignments",
     "cycles": "cap on enumerated cycles",
-    "trees": "cap on enumerated spanning trees / search states",
+    "trees": "cap on spanning trees (dpgood, classify), vertex subsets (vorder, "
+             "classify) and quad crossing candidates (classify)",
 }
 
 
@@ -290,6 +292,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *budgets):
+        def budget(text):
+            value = int(text)
+            if value < 1:
+                raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+            return value
+
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", help="path to an edge-list file")
         src.add_argument("--fixture",
@@ -297,7 +305,7 @@ def _build_parser():
                               "complete_multipartite:a,b,..., fig1, fig3b")
         p.add_argument("--format", choices=("text", "json"), default="text")
         for kind in budgets:
-            p.add_argument(f"--budget-{kind}", type=int, default=10**6,
+            p.add_argument(f"--budget-{kind}", type=budget, default=DEFAULT_BUDGET,
                            help=_BUDGET_HELP[kind])
 
     p = sub.add_parser("chromatic", help="chromatic polynomial")

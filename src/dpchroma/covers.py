@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Mapping, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import OrientedEdgeSet
 from .graphs import DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected, bfs_tree, mask_indices
 
 DEFAULT_NODE_BUDGET = 10**7
-DEFAULT_COVER_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,7 @@ def _count_component(g: Graph, cov: Cover, order: list[int],
         opts = [x for x in range(m) if x not in banned]
         nodes += len(opts)
         if nodes > node_budget:
-            raise BudgetExceededError(f"more than {node_budget} transversal search nodes",
-                                      attempted=nodes, budget=node_budget)
+            raise BudgetExceededError("transversal search nodes", nodes, node_budget)
         return opts
 
     # explicit stack backtracking; stack depth equals assigned prefix length.
@@ -284,11 +282,7 @@ def count_incl_excl(g: Graph, cov: Cover, cap: int = DEFAULT_SUBSET_CAP) -> Coun
     """Transversal count as the alternating sum over edge subsets."""
     ne = len(g.edges)
     if ne > cap:
-        raise BudgetExceededError(
-            f"2^{ne} subset terms exceed the cap of 2^{cap}",
-            attempted=2**ne,
-            budget=2**cap,
-        )
+        raise BudgetExceededError("2^|E| subset terms", 2**ne, 2**cap)
     total = 0
     for mask in range(1 << ne):
         term = matched_selection_count(g, cov, mask)
@@ -310,7 +304,7 @@ def _assignment_cover(g: Graph, m: int, free: list[int], combo) -> Cover:
     return Cover(g, m, tuple(perms))
 
 
-def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
+def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
              node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1) -> CountReport:
     """Minimum transversal count over all tree-normalized m-fold covers.
 
@@ -335,11 +329,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_COVER_BUDGET,
     q = len(free)
     space = math.factorial(m) ** q
     if space > budget:
-        raise BudgetExceededError(
-            f"(m!)^q = {space} covers exceed the budget of {budget}",
-            attempted=space,
-            budget=budget,
-        )
+        raise BudgetExceededError("(m!)^q covers", space, budget)
 
     heads = _orbit_heads(m, q)
     chunks = [(g, m, free, node_budget, head) for head, _ in heads]

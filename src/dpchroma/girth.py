@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .errors import DEFAULT_BUDGET
 from .graphs import Cycle, Graph, _bfs_path, _mask_adj, enumerate_cycles, mask_indices
 
 INFINITE = math.inf
@@ -137,7 +138,7 @@ def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     return GirthResult(len(best), Cycle.from_vertices(g, best))
 
 
-def shortest_odd_cycles(g: Graph, e0: int, budget: int = 10**6) -> list[Cycle]:
+def shortest_odd_cycles(g: Graph, e0: int, budget: int = DEFAULT_BUDGET) -> list[Cycle]:
     """Every shortest cycle meeting e0 oddly, by enumeration; desk scale only."""
     r = edge_set_girth(g, e0)
     if not r.is_finite:
@@ -152,7 +153,7 @@ def shortest_odd_cycles(g: Graph, e0: int, budget: int = 10**6) -> list[Cycle]:
 
 
 def check_balance(g: Graph, estar: OrientedEdgeSet, bound: int,
-                  cycle_budget: int = 10**6) -> BalanceVerdict:
+                  cycle_budget: int = DEFAULT_BUDGET) -> BalanceVerdict:
     """Is the orientation balanced on every cycle shorter than `bound`?
 
     Balanced on C: the intersection with the oriented set is empty, or it is

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, GraphParseError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 
-DEFAULT_CYCLE_BUDGET = 10**6
-DEFAULT_TREE_BUDGET = 10**6
 DEFAULT_SUBSET_CAP = 24  # largest |E| whose 2^|E| subset sums are attempted
 
 
@@ -448,7 +446,7 @@ def non_bridge_edges(g: Graph, mask: int) -> int:
     return mask
 
 
-def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_CYCLE_BUDGET) -> list[Cycle]:
+def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_BUDGET) -> list[Cycle]:
     """All simple cycles of length <= max_len, each once, in canonical form.
 
     Raises BudgetExceededError if more than `budget` cycles would be listed.
@@ -469,12 +467,9 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_CYCLE_BUDGET)
         for w in adj[last]:
             if w == first and len(path) >= 3:
                 if path[1] < path[-1]:
-                    if len(out) >= budget:
-                        raise BudgetExceededError(
-                            f"more than {budget} cycles",
-                            attempted=len(out) + 1, budget=budget,
-                        )
                     out.append(tuple(path))
+                    if len(out) > budget:
+                        raise BudgetExceededError("cycles", len(out), budget)
             elif not closing_only and w > first and not seen[w]:
                 seen[w] = True
                 path.append(w)
@@ -493,12 +488,11 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_CYCLE_BUDGET)
 class SpanningTreeStream:
     """Single-consumer stream of spanning trees (edge masks).
 
-    Yields at most `budget` trees; `truncated` is set once iteration stops
-    early because more trees exist.
+    `count` is the number of trees yielded so far.  Yields at most `budget`
+    trees; reaching tree budget + 1 raises BudgetExceededError.
     """
 
     def __init__(self, g: Graph, budget: int, forced: int = 0):
-        self.truncated = False
         self.count = 0
         self._gen = self._run(g, budget, forced)
 
@@ -506,12 +500,9 @@ class SpanningTreeStream:
         return self._gen
 
     def _run(self, g: Graph, budget: int, forced: int):
-        inner = _tree_rec(g, forced)
-        for tree in inner:
-            if self.count >= budget:
-                self.truncated = True
-                inner.close()
-                return
+        for tree in _tree_rec(g, forced):
+            if self.count + 1 > budget:
+                raise BudgetExceededError("spanning trees", self.count + 1, budget)
             self.count += 1
             yield tree
 
@@ -557,7 +548,7 @@ def _tree_rec(g: Graph, forced: int):
     return rec(list(range(n)), 0, 0, n - 1)
 
 
-def spanning_trees(g: Graph, budget: int = DEFAULT_TREE_BUDGET, forced: int = 0) -> SpanningTreeStream:
+def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0) -> SpanningTreeStream:
     """Stream the distinct spanning trees of a connected graph.
 
     `forced` is an edge mask every yielded tree must contain; if those edges

@@ -8,6 +8,7 @@ from conftest import connected_edge_sets, random_connected_graph
 from dpchroma import (
     DP_LESS,
     DP_STAR,
+    BudgetExceededError,
     Cycle,
     DpGoodCertificate,
     Graph,
@@ -98,8 +99,13 @@ def test_fig1_is_dp_good_with_expected_girths():
 
 
 def test_dp_good_budget_returns_inconclusive():
-    verdict = check_dp_good(fig1_graph(), budget=2)
+    # the checker raises; classify is the one place that reports the overrun
+    with pytest.raises(BudgetExceededError) as err:
+        check_dp_good(fig1_graph(), budget=2)
+    assert err.value.counter == "spanning trees"
+    verdict = {v.condition: v for v in classify(fig1_graph(), budget=2)}["dp-good"]
     assert verdict.status == "inconclusive"
+    assert "spanning trees" in verdict.detail["reason"]
 
 
 def test_dp_good_requires_connected():

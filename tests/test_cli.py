@@ -159,6 +159,12 @@ def test_budget_exit_code(capsys):
     (["chromatic", "--fixture", "cycle:4", "--budget-trees", "5"], 2),
     (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7",
       "--budget-cycles", "1"], 3),
+    (["dpexact", "--fixture", "cycle:4", "--m", "3", "--budget-covers", "-1"], 2),
+    (["classify", "--fixture", "cycle:5", "--budget-trees", "-1"], 2),
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7",
+      "--budget-cycles", "0"], 2),
+    (["dpgood", "--fixture", "fig1", "--budget-trees", "2"], 3),
+    (["vorder", "--fixture", "fig1", "--budget-trees", "100"], 3),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     m0 = tmp_path / "m0.json"

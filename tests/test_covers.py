@@ -15,6 +15,8 @@ from dpchroma import (
     OrientedEdgeSet,
     build_cover,
     canonical_cover,
+    check_dp_good,
+    check_vertex_order,
     chromatic_incl_excl,
     chromatic_polynomial,
     complete_graph,
@@ -26,7 +28,9 @@ from dpchroma import (
     fig1_graph,
     matched_selection_count,
     path_graph,
+    search_quad_crossing,
     sloping_report,
+    spanning_trees,
     twisted_cover,
 )
 from dpchroma.covers import _orbit_heads
@@ -208,12 +212,20 @@ def test_node_budget_counts_every_search_node():
     lambda: count_incl_excl(complete_graph(5), canonical_cover(complete_graph(5), 3), cap=5),
     lambda: chromatic_incl_excl(complete_graph(5), cap=5),
     lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
+    lambda: list(spanning_trees(complete_graph(4), budget=5)),
+    lambda: check_dp_good(fig1_graph(), budget=2),
+    lambda: check_vertex_order(fig1_graph(), budget=100),
+    lambda: search_quad_crossing(fig1_graph(), budget=3),
 ], ids=["dp_exact", "count_transversals", "count_incl_excl", "chromatic_incl_excl",
-        "enumerate_cycles"])
+        "enumerate_cycles", "spanning_trees", "check_dp_good", "check_vertex_order",
+        "search_quad_crossing"])
 def test_budget_error_reports_progress(run):
     with pytest.raises(BudgetExceededError) as err:
         run()
     assert err.value.attempted > err.value.budget
+    assert err.value.counter
+    assert err.value.counter in str(err.value)
+    assert str(err.value.budget) in str(err.value)
 
 
 def test_count_budget_error():

@@ -228,12 +228,17 @@ def test_spanning_trees_are_trees(rng):
 def test_spanning_trees_truncation_flag():
     g = complete_graph(4)
     stream = spanning_trees(g, budget=5)
-    got = list(stream)
-    assert len(got) == 5
-    assert stream.truncated
+    trees = iter(stream)
+    got = [next(trees) for _ in range(5)]
+    assert len(set(got)) == 5
+    assert stream.count == 5
+    with pytest.raises(BudgetExceededError) as err:
+        next(trees)
+    assert (err.value.counter, err.value.attempted, err.value.budget) == ("spanning trees", 6, 5)
+    assert stream.count == 5
     full = spanning_trees(g, budget=16)
     assert len(list(full)) == 16
-    assert not full.truncated
+    assert full.count == 16
 
 
 def test_spanning_trees_forced_edges():
