@@ -4,8 +4,9 @@ Covers and transversal counting
 
 A full m-fold cover assigns a permutation to every edge; a transversal
 picks one fibre index per vertex avoiding every matched pair.  The count
-can be obtained by backtracking or by inclusion-exclusion over edge
-subsets, and tree normalization never changes it.
+can be obtained by a backtracking search that reuses the count below each
+value of its frontier, or by inclusion-exclusion over edge subsets, and
+tree normalization never changes it.
 """
 
 from dpchroma import (

@@ -325,13 +325,13 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
 
     full = (1 << g.n) - 1
     ok = bytearray(full + 1)
-    choice = [0] * (full + 1)
     for v in range(g.n):
         ok[1 << v] = 1
     conn_memo: dict[int, bool] = {}
-    for mask in range(1, full + 1):
-        if ok[mask] or mask.bit_count() < 2:
-            continue
+
+    def last_vertex(mask: int) -> int:
+        """The lowest v whose removal leaves an `ok` subset with a non-empty,
+        connected back-neighbourhood of v, or -1."""
         rest = mask
         while rest:
             low = rest & -rest
@@ -348,19 +348,23 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
                 hit = _mask_connected(nbr, back)
                 conn_memo[back] = hit
             if hit:
-                ok[mask] = 1
-                choice[mask] = v
-                break
+                return v
+        return -1
+
+    for mask in range(1, full + 1):
+        if mask.bit_count() > 1 and last_vertex(mask) >= 0:
+            ok[mask] = 1
     if not ok[full]:
         return ClassifierVerdict(
             condition, VIOLATED, UNKNOWN,
             detail={"reason": "no vertex order satisfies the condition "
                               "(exhaustive over all orders)"},
         )
+    # walk back from the full set, taking the vertex the forward loop took
     seq = []
     mask = full
     while mask:
-        v = choice[mask] if mask.bit_count() > 1 else (mask.bit_length() - 1)
+        v = last_vertex(mask) if mask.bit_count() > 1 else (mask.bit_length() - 1)
         seq.append(v)
         mask ^= 1 << v
     seq.reverse()

@@ -3,6 +3,10 @@
 A cover assigns each edge (u, v), u < v, a permutation sigma of range(m):
 cover vertex (u, i) is matched to (v, sigma(i)).  A transversal picks one
 index per vertex and is counted when no edge's matched pair is picked.
+`count_transversals` counts them by one backtracking search memoized on its
+frontier (the placed vertices with an unplaced neighbour), so its cost
+follows the width of the graph rather than the size of the count;
+`count_incl_excl` is the second route, an alternating sum over edge subsets.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
 which is the full cover space up to renaming of list vertices.  It counts one
 cover per orbit of the first two non-tree edges under simultaneous
@@ -184,72 +188,134 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
 # ---------------------------------------------------------------------------
 # counting
 
-def _count_component(g: Graph, cov: Cover, order: list[int],
-                     nodes: int, node_budget: int) -> tuple[int, int]:
-    """Transversals of the component searched in `order`, and the node count
-    `nodes` plus the nodes this search generated."""
-    m = cov.m
-    pos = {v: k for k, v in enumerate(order)}
-    # constraints[k]: for vertex order[k], pairs (earlier position, forbidden
-    # map f) meaning choice x at the earlier vertex forbids f[x] here
-    constraints: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
-    for k, v in enumerate(order):
-        for w, i in g._incidence[v]:
-            if pos[w] < k:
-                constraints[k].append((pos[w], _along(g, cov.perms, i, w)))
+def _search_plan(g: Graph):
+    """The graph's half of the transversal search, as
+    (order, back, keys, stored, closed), each list indexed by position k:
 
-    chosen = [0] * len(order)
-    total = 0
+    * `order`: greedy min-frontier: each step places, among the unplaced
+      vertices next to a placed one (any unplaced vertex when there are
+      none), one that leaves the fewest placed vertices with an unplaced
+      neighbour, then one with the most placed neighbours, then the lowest;
+    * `back[k]`: (earlier position, edge index) for each edge from order[k]
+      back into the prefix;
+    * `keys[k]`: the frontier before order[k] is placed, the positions whose
+      values are all that the rest of the search reads;
+    * `stored[k]`: the frontier dropped a placed vertex when order[k - 1]
+      was placed, so two prefixes can share the key at k;
+    * `closed[k]`: order[k] has no later neighbour, so each of its
+      candidates has the same count below it.
+    """
+    n = g.n
+    left = [g.degree(v) for v in range(n)]  # unplaced neighbours
+    pos = [-1] * n
+    order: list[int] = []
+    closed: list[bool] = []
+    keys: list[tuple[int, ...]] = [()]
+    stored = [False]
+    frontier: list[int] = []
+    near: set[int] = set()  # unplaced vertices next to a placed one
+    for _ in range(n):
+        best = None
+        for v in near or (v for v in range(n) if pos[v] < 0):
+            placed = [w for w in g.adj[v] if pos[w] >= 0]
+            drops = sum(1 for w in placed if left[w] == 1)
+            rank = (len(frontier) - drops + (left[v] > 0), -len(placed), v)
+            if best is None or rank < best:
+                best = rank
+        v = best[2]
+        pos[v] = len(order)
+        order.append(v)
+        closed.append(left[v] == 0)
+        for w in g.adj[v]:
+            left[w] -= 1
+            if pos[w] < 0:
+                near.add(w)
+        near.discard(v)
+        kept = [w for w in frontier if left[w] > 0]
+        stored.append(len(kept) < len(frontier))
+        frontier = kept + [v] if left[v] > 0 else kept
+        keys.append(tuple(pos[w] for w in frontier))
+    back = [[(pos[w], i) for w, i in g._incidence[v] if pos[w] < k]
+            for k, v in enumerate(order)]
+    return order, back, keys[:n], stored[:n], closed
 
-    def candidates(k: int) -> list[int]:
-        # every candidate becomes a search node, so it is charged here
-        nonlocal nodes
-        banned = {f[chosen[j]] for j, f in constraints[k]}
-        opts = [x for x in range(m) if x not in banned]
-        nodes += len(opts)
-        if nodes > node_budget:
-            raise BudgetExceededError("transversal search nodes", nodes, node_budget)
-        return opts
 
-    # explicit stack backtracking; stack depth equals assigned prefix length.
-    # The last vertex's candidates are leaves: they are counted, not visited.
-    last = len(order) - 1
-    if last == 0:
-        total = len(candidates(0))
-        return total, nodes
-    stack: list[list[int]] = [candidates(0)]
-    while stack:
-        opts = stack[-1]
-        if not opts:
-            stack.pop()
-            continue
-        chosen[len(stack) - 1] = opts.pop()
-        if len(stack) == last:
-            total += len(candidates(last))
+def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
+    """Transversals of `cov` by the search that `plan` lays out.
+
+    Every candidate value is a search node, charged when generated; more
+    than `node_budget` of them raise BudgetExceededError.  A memo hit
+    generates none, and each stored count is one new node's, so the budget
+    also bounds the memo.
+    """
+    order, back, keys, stored, closed = plan
+    n, m = len(order), cov.m
+    # maps[k]: (earlier position j, f) meaning value x at j forbids f[x] at k
+    maps = [[(j, _along(g, cov.perms, i, order[j])) for j, i in b] for b in back]
+    memo: list[Optional[dict]] = [{} if s else None for s in stored]
+    chosen = [0] * n
+    rest: list[list[int]] = [[] for _ in range(n)]  # candidates still to try
+    acc = [0] * n  # completions so far, or a closed position's candidate count
+    at_key: list[Optional[tuple[int, ...]]] = [None] * n
+    nodes = 0
+    k = 0
+    while True:
+        # a new node at depth k: the prefix chosen[:k]
+        value = None
+        if k == n:
+            value = 1
+        elif memo[k] is not None:
+            at_key[k] = tuple([chosen[j] for j in keys[k]])
+            value = memo[k].get(at_key[k])
+        if value is None:
+            banned = {f[chosen[j]] for j, f in maps[k]}
+            opts = [x for x in range(m) if x not in banned]
+            nodes += len(opts)
+            if nodes > node_budget:
+                raise BudgetExceededError("transversal search nodes", nodes, node_budget)
+            if opts:
+                if closed[k]:
+                    acc[k] = len(opts)
+                else:
+                    acc[k] = 0
+                    chosen[k] = opts.pop()
+                    rest[k] = opts
+                k += 1
+                continue
+            value = 0
+        # hand the count of the node at depth k up to its ancestors
+        while k:
+            k -= 1
+            if closed[k]:
+                value *= acc[k]
+            else:
+                acc[k] += value
+                if rest[k]:
+                    chosen[k] = rest[k].pop()
+                    k += 1
+                    break
+                value = acc[k]
+            if memo[k] is not None:
+                memo[k][at_key[k]] = value
         else:
-            stack.append(candidates(len(stack)))
-    return total, nodes
+            return value
 
 
 def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
-    """Exact transversal count by pruned backtracking, component by component,
-    each searched in BFS order from its highest-degree vertex.  Raises
-    BudgetExceededError once the search generates more than `node_budget` nodes."""
-    roots = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    orders: list[list[int]] = []
-    for v, p, _ in _bfs_forest(g, g.full_mask(), roots):
-        if p < 0:
-            orders.append([])
-        orders[-1].append(v)
-    orders.sort(key=min)
-    total = 1
-    nodes = 0
-    for order in orders:
-        count, nodes = _count_component(g, cov, order, nodes, node_budget)
-        total *= count
-        if total == 0:
-            break
-    return CountReport(total, "backtracking")
+    """Exact transversal count by backtracking memoized on its frontier.
+
+    The search places the vertices in a greedy min-frontier order (see
+    `_search_plan`); the count below a prefix depends only on the values of
+    its frontier, the placed vertices with an unplaced neighbour, and is
+    stored under (depth, those values) wherever the frontier has just
+    dropped a vertex.  An empty frontier makes the rest a constant, so
+    components multiply, and a vertex with no later neighbour multiplies by
+    its number of candidates instead of visiting them.  The search costs
+    about n * m^(w+1) for frontier width w, not the size of the count.
+    Raises BudgetExceededError once it generates more than `node_budget`
+    nodes; memo hits generate none.
+    """
+    return CountReport(_count(g, _search_plan(g), cov, node_budget), "backtracking")
 
 
 def matched_selection_count(g: Graph, cov: Cover, edge_mask: int) -> int:
@@ -316,9 +382,10 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     lexicographically smallest orbit representatives ("heads", see
     `_orbit_heads`), each weighted by its orbit size; `minimizers` is still a
     count over all (m!)^q assignments.  Ties are broken toward the
-    lexicographically smallest assignment.  The sweep is cut into one chunk
-    per head; with `jobs` > 1 the chunks run on up to that many processes,
-    never more than there are chunks or CPUs.
+    lexicographically smallest assignment.  The search plan of each count
+    depends on the graph alone, so it is built once per sweep.  The sweep is
+    cut into one chunk per head; with `jobs` > 1 the chunks run on up to
+    that many processes, never more than there are chunks or CPUs.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -332,7 +399,8 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
         raise BudgetExceededError("(m!)^q covers", space, budget)
 
     heads = _orbit_heads(m, q)
-    chunks = [(g, m, free, node_budget, head) for head, _ in heads]
+    plan = _search_plan(g)
+    chunks = [(g, plan, m, free, node_budget, head) for head, _ in heads]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the executor module costs CLI start-up time
@@ -406,7 +474,7 @@ def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]
 
 def _dp_chunk(args):
     """Sweep the assignments that start with `head`: (min, argmin, ties)."""
-    g, m, free, node_budget, head = args
+    g, plan, m, free, node_budget, head = args
     # with every free edge in the head there is nothing left to sweep, and
     # with q <= 1 the cover budget allows an m too large to list S_m
     perm_list = list(permutations(range(m))) if len(head) < len(free) else []
@@ -415,7 +483,7 @@ def _dp_chunk(args):
     minimizers = 0
     for rest in product(perm_list, repeat=len(free) - len(head)):
         combo = head + rest
-        value = count_transversals(g, _assignment_cover(g, m, free, combo), node_budget).value
+        value = _count(g, plan, _assignment_cover(g, m, free, combo), node_budget)
         if best is None or value < best:
             best = value
             best_combo = combo

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 
 DEFAULT_SUBSET_CAP = 24  # largest |E| whose 2^|E| subset sums are attempted
+MAX_VERTICES = 10_000  # largest vertex count parse_graph accepts
 
 
 class Graph:
@@ -160,7 +161,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: first data line n, then one "u v" per line.
 
     Lines starting with '#' are comments.  Pairs are normalized to u < v and
-    de-duplicated keeping first-occurrence order.
+    de-duplicated keeping first-occurrence order.  A vertex count above
+    MAX_VERTICES, far beyond what any exact route can use, is rejected.
     """
     n = None
     edges: list[tuple[int, int]] = []
@@ -176,6 +178,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"expected vertex count at line {lineno}, got {line!r}")
             if n < 0:
                 raise GraphParseError(f"negative vertex count at line {lineno}")
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"vertex count {n} at line {lineno} is above "
+                                      f"the limit of {MAX_VERTICES}")
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -59,6 +59,12 @@ def test_twist(capsys):
     assert "= 9" in out and "P(G, 3) = 6" in out
 
 
+def test_twist_on_a_long_cycle(capsys):
+    # 2^n - (-1)^n transversals on the n-cycle with one 3-shift
+    data = run_json(capsys, "twist", "--fixture", "cycle:40", "--estar", "0>1", "--m", "3")
+    assert data["count"] == str(2**40 - 1) == "1099511627775"
+
+
 def test_girth_and_setgirth(capsys):
     data = run_json(capsys, "girth", "--fixture", "complete:4", "--edge", "0")
     assert data["value"] == 3
@@ -165,11 +171,14 @@ def test_budget_exit_code(capsys):
       "--budget-cycles", "0"], 2),
     (["dpgood", "--fixture", "fig1", "--budget-trees", "2"], 3),
     (["vorder", "--fixture", "fig1", "--budget-trees", "100"], 3),
+    (["chromatic", "--graph", "{huge}", "--at", "3"], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     m0 = tmp_path / "m0.json"
     m0.write_text(json.dumps({"m": 0}))
-    code, out, _ = run_cli(capsys, *(a.format(m0=m0) for a in argv))
+    huge = tmp_path / "huge.txt"
+    huge.write_text("100000000\n0 1\n")
+    code, out, _ = run_cli(capsys, *(a.format(m0=m0, huge=huge) for a in argv))
     assert code == expected
     assert out == ""
 

@@ -174,14 +174,38 @@ def test_canonical_selection_counts_match_component_power(rng):
 
 
 def test_counting_methods_agree_on_random_covers(rng):
-    for _ in range(120):
-        n = rng.randint(2, 6)
-        g = Graph(n, random_edges(rng, n, rng.uniform(0.3, 0.8)))
-        m = rng.randint(1, 3)
+    # besides 120 graphs on 2-6 vertices, some disconnected: n = 1, edgeless
+    # graphs, m = 1, and sparse 7-9 vertex graphs, whose search frontier
+    # drops vertices so that stored counts are reused
+    shapes = [(rng.randint(2, 6), rng.uniform(0.3, 0.8), rng.randint(1, 3))
+              for _ in range(120)]
+    shapes += [(1, 0.0, 1), (1, 0.0, 3), (4, 0.0, 2), (4, 0.9, 1)]
+    shapes += [(rng.randint(7, 9), 0.25, rng.randint(2, 3)) for _ in range(20)]
+    for n, p, m in shapes:
+        g = Graph(n, random_edges(rng, n, p))
         cov, _ = random_cover(rng, g, m)
         direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
         assert count_transversals(g, cov).value == direct
         assert count_incl_excl(g, cov).value == direct
+
+
+def test_frontier_search_reuses_counts_on_a_long_path():
+    # the plain search would visit 3 * 2^39 leaves; the memo keeps one
+    # count per value of the frontier's single vertex
+    g = path_graph(40)
+    assert count_transversals(g, canonical_cover(g, 3), node_budget=1000).value == 3 * 2**39
+
+
+def test_frontier_search_stores_nothing_on_a_complete_graph():
+    # no vertex of K7 leaves the frontier before the last one is placed, so
+    # every one of the sum of 7!/(7-k)! nodes is generated once
+    g = complete_graph(7)
+    budget = sum(math.factorial(7) // math.factorial(7 - k) for k in range(1, 8))
+    assert budget == 13699
+    assert count_transversals(g, canonical_cover(g, 7), node_budget=budget).value == 5040
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, canonical_cover(g, 7), node_budget=budget - 1)
+    assert (err.value.attempted, err.value.budget) == (13699, 13698)
 
 
 def test_matched_selection_count_oracle(rng):

@@ -20,6 +20,7 @@ from dpchroma import (
     path_graph,
     spanning_trees,
 )
+from dpchroma.graphs import MAX_VERTICES
 
 
 def mask_of(indices):
@@ -60,6 +61,12 @@ def test_parse_rejects_bad_lines():
         parse_graph("3\n0 7")
     with pytest.raises(GraphParseError):
         parse_graph("")
+
+
+def test_parse_caps_the_vertex_count():
+    assert parse_graph(f"{MAX_VERTICES}\n0 1").n == MAX_VERTICES
+    with pytest.raises(GraphParseError, match="vertex count 100000000 at line 2"):
+        parse_graph("# huge\n100000000\n0 1")
 
 
 def test_graph_rejects_duplicates_and_loops():
