@@ -210,11 +210,14 @@ def _search_plan(g: Graph):
     pos = [-1] * n
     order: list[int] = []
     closed: list[bool] = []
-    keys: list[tuple[int, ...]] = [()]
-    stored = [False]
+    keys: list[tuple[int, ...]] = []
+    stored: list[bool] = []
     frontier: list[int] = []
+    dropped = False
     near: set[int] = set()  # unplaced vertices next to a placed one
     for _ in range(n):
+        keys.append(tuple(pos[w] for w in frontier))
+        stored.append(dropped)
         best = None
         for v in near or (v for v in range(n) if pos[v] < 0):
             placed = [w for w in g.adj[v] if pos[w] >= 0]
@@ -232,12 +235,11 @@ def _search_plan(g: Graph):
                 near.add(w)
         near.discard(v)
         kept = [w for w in frontier if left[w] > 0]
-        stored.append(len(kept) < len(frontier))
+        dropped = len(kept) < len(frontier)
         frontier = kept + [v] if left[v] > 0 else kept
-        keys.append(tuple(pos[w] for w in frontier))
     back = [[(pos[w], i) for w, i in g._incidence[v] if pos[w] < k]
             for k, v in enumerate(order)]
-    return order, back, keys[:n], stored[:n], closed
+    return order, back, keys, stored, closed
 
 
 def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:

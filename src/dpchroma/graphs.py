@@ -162,7 +162,7 @@ def parse_graph(text: str) -> Graph:
 
     Lines starting with '#' are comments.  Pairs are normalized to u < v and
     de-duplicated keeping first-occurrence order.  A vertex count above
-    MAX_VERTICES, far beyond what any exact route can use, is rejected.
+    MAX_VERTICES is rejected before anything of that size is built.
     """
     n = None
     edges: list[tuple[int, int]] = []
