@@ -59,10 +59,11 @@ def test_twist(capsys):
     assert "= 9" in out and "P(G, 3) = 6" in out
 
 
-def test_twist_on_a_long_cycle(capsys):
+@pytest.mark.parametrize("n", [4, 5, 6, 40])
+def test_twist_on_a_cycle_with_one_shift(capsys, n):
     # 2^n - (-1)^n transversals on the n-cycle with one 3-shift
-    data = run_json(capsys, "twist", "--fixture", "cycle:40", "--estar", "0>1", "--m", "3")
-    assert data["count"] == str(2**40 - 1) == "1099511627775"
+    data = run_json(capsys, "twist", "--fixture", f"cycle:{n}", "--estar", "0>1", "--m", "3")
+    assert data["count"] == str(2**n - (-1)**n)  # 1099511627775 at n = 40
 
 
 def test_girth_and_setgirth(capsys):
