@@ -3,11 +3,13 @@ Chromatic polynomials, two independent ways
 ===========================================
 
 Build graphs from fixtures or edge-list text, compute the chromatic
-polynomial by deletion-contraction, and cross-check it against the
-alternating sum over edge subsets.
+polynomial as a product over the graph's blocks (each 2-connected block
+counted by a search over set partitions of its frontier), and cross-check
+it against the alternating sum over edge subsets.
 """
 
 from dpchroma import (
+    Polynomial,
     chromatic_incl_excl,
     chromatic_polynomial,
     complete_graph,
@@ -57,7 +59,12 @@ for name, g in [("C4", c4), ("K4", k4), ("house", house)]:
     print(f"{name}: both routes give {direct.format()}")
 
 ###############################################################################
-# Deletion-contraction in action: P(G) = P(G - e) - P(G / e).
+# Blocks multiply: two triangles sharing a vertex give P(K3)^2 / m.
+
+bowtie = parse_graph("5\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4")
+triangle = chromatic_polynomial(complete_graph(3))
+assert chromatic_polynomial(bowtie) * Polynomial.x() == triangle * triangle
+print(f"\nP(bowtie, m) = {chromatic_polynomial(bowtie).format()}")
 
 g = cycle_graph(5)
 print(f"\nP(C5, m) = {chromatic_polynomial(g).format()}")

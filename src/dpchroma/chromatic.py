@@ -1,8 +1,11 @@
 """Exact chromatic polynomials.
 
-Two independent routes are provided: deletion-contraction
-(`chromatic_polynomial`) and the alternating sum over edge subsets
-(`chromatic_incl_excl`).  They must agree; tests lean on that.
+Two independent routes are provided.  `chromatic_polynomial` multiplies
+over the blocks of the graph and counts each 2-connected block by a search
+over set partitions of its frontier, along the vertex order of
+`graphs._search_plan`, so its cost follows the width of each block rather
+than its cycle space.  `chromatic_incl_excl` is the alternating sum over
+edge subsets.  They must agree; tests lean on that.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import DEFAULT_SUBSET_CAP, Graph, _bridge_mask, _components, component_count
+from .graphs import DEFAULT_SUBSET_CAP, Graph, _blocks, _search_plan, component_count
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,6 @@ class Polynomial:
         return self + Polynomial(tuple(-c for c in other.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -77,26 +78,17 @@ class Polynomial:
         return value
 
     def format(self, var: str = "m") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            if c:
+                mag = "" if abs(c) == 1 and k else str(abs(c)) + ("*" if k else "")
+                power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+                terms.append(("- " if c < 0 else "+ ") + mag + power)
+        if not terms:
+            return "0"
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -106,102 +98,68 @@ class Polynomial:
         return Polynomial(tuple(int(c) for c in data))
 
 
-def _monomial(k: int) -> Polynomial:
-    return Polynomial((0,) * k + (1,))
-
-
-# cache keyed by a refinement-relabeled edge tuple; dict equality compares
-# the full structure, so a hash collision can never produce a wrong hit.
-# concurrent insertion is safe: values for equal keys are equal and single
-# dict assignments are atomic under the interpreter lock
-_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], Polynomial] = {}
-
-
-def _refined_key(n: int, edges: tuple[tuple[int, int], ...]):
-    """Relabel vertices by iterated degree refinement for cache lookups.
-
-    Isomorphic graphs often (not always) map to the same key; equal keys
-    always mean isomorphic graphs, which is what correctness needs.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    colors = [len(a) for a in adj]
-    for _ in range(n):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    relabeled = tuple(
-        sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges)
-    )
-    return (n, relabeled)
-
-
-def _contract(n: int, edges: tuple[tuple[int, int], ...], e: tuple[int, int]):
-    """Merge v into u, dropping loops and parallel copies (simple convention)."""
-    u, v = e
-
-    def remap(x: int) -> int:
-        if x == v:
-            x = u
-        return x - 1 if x > v else x
-
-    out = set()
-    for a, b in edges:
-        if (a, b) == e:
-            continue
-        ra, rb = remap(a), remap(b)
-        if ra == rb:
-            continue
-        out.add((ra, rb) if ra < rb else (rb, ra))
-    return n - 1, tuple(sorted(out))
-
-
-def _chrom(n: int, edges: tuple[tuple[int, int], ...]) -> Polynomial:
-    if not edges:
-        return _monomial(n)
-
-    comps = _components(n, edges)
-    if len(comps) > 1:
-        result = Polynomial.one()
-        for comp in comps:
-            pos = {v: i for i, v in enumerate(comp)}
-            sub = tuple(
-                sorted((pos[u], pos[v]) for u, v in edges if u in pos and v in pos)
-            )
-            result = result * _chrom(len(comp), sub)
-        return result
-
-    if len(edges) == n - 1:
-        # tree: m (m-1)^(n-1)
-        return Polynomial.x() * (Polynomial.x() - Polynomial.one()) ** (n - 1)
-
-    key = _refined_key(n, edges)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    bridges = _bridge_mask(n, edges)
-    pick = next(i for i in range(len(edges)) if not bridges >> i & 1)
-    e = edges[pick]
-    deleted = edges[:pick] + edges[pick + 1:]
-    cn, cedges = _contract(n, edges, e)
-    result = _chrom(n, deleted) - _chrom(cn, cedges)
-    _CACHE[key] = result
-    return result
-
-
 def chromatic_polynomial(g: Graph) -> Polynomial:
-    """P(G, m) by deletion-contraction with memoized subproblems."""
-    return _chrom(g.n, g.edges)
+    """P(G, m) = m^c(G) times P(B)/m over the blocks B of G.
+
+    c(G) is the number of components.  A bridge gives the factor m - 1 and
+    every other block is counted by `_block_quotient`.
+    """
+    result = Polynomial.one()
+    bridges = 0
+    for block in _blocks(g.n, g.edges):
+        if len(block) == 1:
+            bridges += 1
+        else:
+            result = result * _block_quotient(g, block)
+    # (m - 1)^bridges, top coefficient down: C(b, i - 1) = C(b, i) i / (b - i + 1)
+    coeffs = [1]
+    for i in range(bridges, 0, -1):
+        coeffs.append(-coeffs[-1] * i // (bridges - i + 1))
+    result = result * Polynomial(tuple(reversed(coeffs)))
+    return Polynomial((0,) * component_count(g, g.full_mask()) + result.coeffs)
+
+
+def _block_quotient(g: Graph, block: list[int]) -> Polynomial:
+    """P(B)/m for the block B of g whose edge indices are `block`.
+
+    The search places B's vertices in the order of `_search_plan` and keeps
+    one state per set partition of the frontier into colour classes,
+    labelled in first-use order along the frontier.  A state's value is the
+    number of proper colourings of the placed vertices that induce its
+    partition, as coefficients ascending in m.  A placed vertex joins a
+    frontier class it has no edge to, or takes one of the m - k colours on
+    none of the k frontier classes.  A colour used only off the frontier
+    needs no state: no later vertex is adjacent to it.
+    """
+    vertices = sorted({v for i in block for v in g.edges[i]})
+    rename = {v: k for k, v in enumerate(vertices)}
+    sub = Graph(len(vertices), [(rename[g.edges[i][0]], rename[g.edges[i][1]]) for i in block])
+    order, back, keys, _, _ = _search_plan(sub)
+    n = len(order)
+    # values are n + 1 coefficients ascending in m; degrees stay at most n
+    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
+    for k, (frontier, after) in enumerate(zip(keys, keys[1:] + [()])):
+        # index in (frontier labels + the new vertex's label) of each position
+        at = {j: i for i, j in enumerate(frontier + (k,))}
+        nbrs = [at[j] for j, _ in back[k]]
+        kept = [at[j] for j in after]
+        out: dict[tuple[int, ...], list[int]] = {}
+        for labels, value in states.items():
+            used = max(labels) + 1 if labels else 0
+            banned = {labels[i] for i in nbrs}
+            for c in range(used + 1):
+                if c in banned:
+                    continue
+                # a colour on no frontier class (c == used) has m - used choices
+                ways = value if c < used else [y - used * x for x, y in zip(value, [0] + value)]
+                ext = labels + (c,)
+                first: dict[int, int] = {}
+                key = tuple([first.setdefault(ext[i], len(first)) for i in kept])
+                prev = out.get(key)
+                out[key] = ways if prev is None else [x + y for x, y in zip(prev, ways)]
+        states = out
+    (value,) = states.values()
+    return Polynomial(tuple(value[1:]))  # B has a vertex, so m divides P(B)
 
 
 def chromatic_incl_excl(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Polynomial:

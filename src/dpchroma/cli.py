@@ -65,9 +65,7 @@ def _edge_tokens(g, text, directed):
             if not (0 <= i < len(g.edges)):
                 raise ValueError(f"edge index {i} out of range")
             out.append((i, g.edges[i][0]))
-    if not directed:
-        return [i for i, _ in out]
-    return out
+    return out if directed else [i for i, _ in out]
 
 
 def _oriented(g, text):
@@ -369,6 +367,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    # exact counts are printed in full, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,7 +24,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected, bfs_tree, mask_indices
+from .graphs import (DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected, _search_plan,
+                     bfs_tree, mask_indices)
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -187,60 +188,6 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
 
 # ---------------------------------------------------------------------------
 # counting
-
-def _search_plan(g: Graph):
-    """The graph's half of the transversal search, as
-    (order, back, keys, stored, closed), each list indexed by position k:
-
-    * `order`: greedy min-frontier: each step places, among the unplaced
-      vertices next to a placed one (any unplaced vertex when there are
-      none), one that leaves the fewest placed vertices with an unplaced
-      neighbour, then one with the most placed neighbours, then the lowest;
-    * `back[k]`: (earlier position, edge index) for each edge from order[k]
-      back into the prefix;
-    * `keys[k]`: the frontier before order[k] is placed, the positions whose
-      values are all that the rest of the search reads;
-    * `stored[k]`: the frontier dropped a placed vertex when order[k - 1]
-      was placed, so two prefixes can share the key at k;
-    * `closed[k]`: order[k] has no later neighbour, so each of its
-      candidates has the same count below it.
-    """
-    n = g.n
-    left = [g.degree(v) for v in range(n)]  # unplaced neighbours
-    pos = [-1] * n
-    order: list[int] = []
-    closed: list[bool] = []
-    keys: list[tuple[int, ...]] = []
-    stored: list[bool] = []
-    frontier: list[int] = []
-    dropped = False
-    near: set[int] = set()  # unplaced vertices next to a placed one
-    for _ in range(n):
-        keys.append(tuple(pos[w] for w in frontier))
-        stored.append(dropped)
-        best = None
-        for v in near or (v for v in range(n) if pos[v] < 0):
-            placed = [w for w in g.adj[v] if pos[w] >= 0]
-            drops = sum(1 for w in placed if left[w] == 1)
-            rank = (len(frontier) - drops + (left[v] > 0), -len(placed), v)
-            if best is None or rank < best:
-                best = rank
-        v = best[2]
-        pos[v] = len(order)
-        order.append(v)
-        closed.append(left[v] == 0)
-        for w in g.adj[v]:
-            left[w] -= 1
-            if pos[w] < 0:
-                near.add(w)
-        near.discard(v)
-        kept = [w for w in frontier if left[w] > 0]
-        dropped = len(kept) < len(frontier)
-        frontier = kept + [v] if left[v] > 0 else kept
-    back = [[(pos[w], i) for w, i in g._incidence[v] if pos[w] < k]
-            for k, v in enumerate(order)]
-    return order, back, keys, stored, closed
-
 
 def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
     """Transversals of `cov` by the search that `plan` lays out.

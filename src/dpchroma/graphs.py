@@ -9,21 +9,23 @@ The package's graph primitives live here, once each, and work on plain
 vertex counts, pair lists and neighbour lists so that every module can use
 them:
 
-* `_find`, `_union` and `_components`: union-find, its merge loop and the
-  components it yields;
-* `_bridge_mask`: the lowpoint DFS that finds bridges;
+* `_find` and `_union`: union-find and its merge loop;
+* `_blocks`: the lowpoint DFS that splits a graph into its blocks, whose
+  one-edge blocks are its bridges;
 * `_mask_adj` and `_bfs_path`: ascending neighbour lists of an edge subset
   and the BFS shortest path over such lists, whose neighbour order fixes
   every witness cycle the package reports;
 * `Graph._incidence` and `_bfs_forest`: ascending (neighbour, edge index)
   pairs per vertex, built once per graph, and the one BFS forest walk;
+* `_search_plan`: the greedy min-frontier vertex order and its frontiers,
+  which both exact counts (transversals and chromatic polynomials) walk;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
@@ -225,17 +227,10 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            for u in range(bounds[a], bounds[a + 1]):
-                for v in range(bounds[b], bounds[b + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+    bounds = [0, *accumulate(sizes)]
+    edges = [(u, v) for a, b in combinations(range(len(sizes)), 2)
+             for u in range(bounds[a], bounds[a + 1]) for v in range(bounds[b], bounds[b + 1])]
+    return Graph(bounds[-1], edges)
 
 
 # 14 vertices, 21 edges: outer 5-cycle, an inner 5-cycle sharing the edge
@@ -274,18 +269,27 @@ def fig3b_graph() -> Graph:
     return Graph(10, _FIG3B_EDGES)
 
 
+def _capped(n: int) -> int:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices is above the limit of {MAX_VERTICES}")
+    return n
+
+
 def fixture(name: str) -> Graph:
-    """Resolve a fixture name like "cycle:4" or "fig1" to a Graph."""
+    """Resolve a fixture name like "cycle:4" or "fig1" to a Graph.
+
+    A family member with more than MAX_VERTICES vertices is rejected before
+    anything of that size is built.
+    """
     base, _, arg = name.partition(":")
+    families = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph}
     try:
-        if base == "cycle":
-            return cycle_graph(int(arg))
-        if base == "path":
-            return path_graph(int(arg))
-        if base == "complete":
-            return complete_graph(int(arg))
+        if base in families:
+            return families[base](_capped(int(arg)))
         if base == "complete_multipartite":
-            return complete_multipartite(int(s) for s in arg.split(","))
+            sizes = [int(s) for s in arg.split(",")]
+            _capped(sum(sizes))
+            return complete_multipartite(sizes)
         if base == "fig1" and not arg:
             return fig1_graph()
         if base == "fig3b" and not arg:
@@ -317,19 +321,10 @@ def _union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
     return merges
 
 
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Vertex sets of the components of ({0..n-1}, pairs), each ascending,
-    ordered by smallest vertex."""
-    parent = list(range(n))
-    _union(parent, pairs)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(_find(parent, v), []).append(v)
-    return list(groups.values())
-
-
-def _bridge_mask(n: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """Bitmask over the positions of `pairs` of the bridges of ({0..n-1}, pairs)."""
+def _blocks(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The blocks of ({0..n-1}, pairs), each as the positions of its edges in
+    `pairs`.  A block is a maximal 2-connected subgraph or a bridge, so every
+    edge lies in exactly one block and the bridges are the one-edge blocks."""
     sub: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         sub[u].append((v, i))
@@ -337,37 +332,41 @@ def _bridge_mask(n: int, pairs: Sequence[tuple[int, int]]) -> int:
 
     disc = [-1] * n
     low = [0] * n
-    bridges = 0
     timer = 0
+    edges: list[int] = []  # edges met but not yet closed into a block
+    blocks: list[list[int]] = []
 
-    # iterative lowpoint DFS; parallel edges cannot occur in a simple graph
+    # iterative lowpoint DFS; parallel edges cannot occur in a simple graph.
+    # A frame is (vertex, tree edge in, iterator, len(edges) before that edge).
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack = [(root, -1, iter(sub[root]))]
+        stack = [(root, -1, iter(sub[root]), 0)]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
+            v, pedge, it, mark = stack[-1]
             for w, i in it:
                 if i == pedge:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, i, iter(sub[w])))
-                    advanced = True
+                    stack.append((w, i, iter(sub[w]), len(edges)))
+                    edges.append(i)
                     break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
+                if disc[w] < disc[v]:  # a back edge, met first from below
+                    edges.append(i)
+                    low[v] = min(low[v], disc[w])
+            else:  # every edge at v is done
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges |= 1 << pedge
-    return bridges
+                    if low[v] >= disc[u]:  # u separates v's subtree
+                        blocks.append(edges[mark:])
+                        del edges[mark:]
+    return blocks
 
 
 def _mask_adj(g: Graph, mask: int) -> list[list[int]]:
@@ -437,6 +436,62 @@ def _bfs_forest(g: Graph, mask: int, roots: Iterable[int]) -> list[tuple[int, in
     return walk
 
 
+def _search_plan(g: Graph):
+    """The vertex order that the frontier searches of `covers` and
+    `chromatic` walk, as (order, back, keys, stored, closed), each list
+    indexed by position k.  The frontier is the set of placed vertices that
+    still have an unplaced neighbour.
+
+    * `order`: greedy min-frontier: each step places, among the unplaced
+      vertices next to a placed one (any unplaced vertex when there are
+      none), one that leaves the fewest placed vertices with an unplaced
+      neighbour, then one with the most placed neighbours, then the lowest;
+    * `back[k]`: (earlier position, edge index) for each edge from order[k]
+      back into the prefix;
+    * `keys[k]`: the frontier before order[k] is placed, as ascending
+      positions: all of the prefix that the rest of a search reads;
+    * `stored[k]`: the frontier dropped a placed vertex when order[k - 1]
+      was placed, so two prefixes can share the key at k;
+    * `closed[k]`: order[k] has no later neighbour, so each of its
+      candidates has the same count below it.
+    """
+    n = g.n
+    left = [g.degree(v) for v in range(n)]  # unplaced neighbours
+    pos = [-1] * n
+    order: list[int] = []
+    closed: list[bool] = []
+    keys: list[tuple[int, ...]] = []
+    stored: list[bool] = []
+    frontier: list[int] = []
+    dropped = False
+    near: set[int] = set()  # unplaced vertices next to a placed one
+    for _ in range(n):
+        keys.append(tuple(pos[w] for w in frontier))
+        stored.append(dropped)
+        best = None
+        for v in near or (v for v in range(n) if pos[v] < 0):
+            placed = [w for w in g.adj[v] if pos[w] >= 0]
+            drops = sum(1 for w in placed if left[w] == 1)
+            rank = (len(frontier) - drops + (left[v] > 0), -len(placed), v)
+            if best is None or rank < best:
+                best = rank
+        v = best[2]
+        pos[v] = len(order)
+        order.append(v)
+        closed.append(left[v] == 0)
+        for w in g.adj[v]:
+            left[w] -= 1
+            if pos[w] < 0:
+                near.add(w)
+        near.discard(v)
+        kept = [w for w in frontier if left[w] > 0]
+        dropped = len(kept) < len(frontier)
+        frontier = kept + [v] if left[v] > 0 else kept
+    back = [[(pos[w], i) for w, i in g._incidence[v] if pos[w] < k]
+            for k, v in enumerate(order)]
+    return order, back, keys, stored, closed
+
+
 def component_count(g: Graph, mask: int) -> int:
     """Components of the spanning subgraph with edge set `mask`."""
     return g.n - _union(list(range(g.n)), (g.edges[i] for i in mask_indices(mask)))
@@ -445,9 +500,9 @@ def component_count(g: Graph, mask: int) -> int:
 def non_bridge_edges(g: Graph, mask: int) -> int:
     """Edges of `mask` that lie on a cycle of the spanning subgraph."""
     indices = list(mask_indices(mask))
-    bridges = _bridge_mask(g.n, [g.edges[i] for i in indices])
-    for k in mask_indices(bridges):
-        mask ^= 1 << indices[k]
+    for block in _blocks(g.n, [g.edges[i] for i in indices]):
+        if len(block) == 1:
+            mask ^= 1 << indices[block[0]]
     return mask
 
 
@@ -463,12 +518,8 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_BUDGET) -> li
     seen = [False] * g.n
 
     def extend(path: list[int]) -> None:
-        if len(path) == max_len:
-            closing_only = True
-        else:
-            closing_only = False
-        last = path[-1]
-        first = path[0]
+        closing_only = len(path) == max_len
+        last, first = path[-1], path[0]
         for w in adj[last]:
             if w == first and len(path) >= 3:
                 if path[1] < path[-1]:

@@ -52,7 +52,7 @@ def _connected_graphs_with_small_excess(max_n, max_q):
 
 
 def test_criterion_1_chromatic_oracle_equivalence():
-    with criterion(1, "deletion-contraction equals subset sum on 200 random graphs"):
+    with criterion(1, "block product equals subset sum on 200 random graphs"):
         start = time.time()
         rng = random.Random(101)
         done = 0

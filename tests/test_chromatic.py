@@ -77,19 +77,69 @@ def test_incl_excl_cap():
         chromatic_incl_excl(complete_graph(8), cap=24)
 
 
+def shaped_graphs(rng, count):
+    """`count` seeded graphs of at most 8 vertices and 14 edges, cycling
+    through shapes that exercise the block product: no vertex, one vertex,
+    isolated vertices, trees, blocks glued at cut vertices, and random
+    connected and sparse graphs."""
+    out = [Graph(0, []), Graph(1, [])]
+    shapes = ["isolated", "tree", "glued", "connected", "sparse"]
+    while len(out) < count:
+        shape = shapes[len(out) % len(shapes)]
+        if shape == "isolated":
+            n = rng.randint(2, 8)
+            edges = random_edges(rng, n - 2, 0.6)  # the last two stay isolated
+        elif shape == "tree":
+            n = rng.randint(2, 8)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        elif shape == "glued":
+            # two connected graphs sharing one vertex, plus a pendant edge
+            a = random_connected_graph(rng, 2, 4)
+            b = random_connected_graph(rng, 2, 4)
+            shift = a.n - 1
+            n = a.n + b.n
+            edges = list(a.edges) + [(u + shift, v + shift) for u, v in b.edges]
+            edges.append((rng.randrange(n - 1), n - 1))
+        elif shape == "connected":
+            g = random_connected_graph(rng, 3, 6)
+            n, edges = g.n, list(g.edges)
+        else:
+            n = rng.randint(3, 8)
+            edges = random_edges(rng, n, 0.25)
+        relabel = list(range(n))
+        rng.shuffle(relabel)
+        out.append(Graph(n, [(relabel[u], relabel[v]) for u, v in edges]))
+    return out
+
+
 def test_two_routes_agree_on_random_graphs(rng):
-    for _ in range(60):
-        g = random_connected_graph(rng)
+    for g in shaped_graphs(rng, 80):
         assert chromatic_polynomial(g) == chromatic_incl_excl(g)
 
 
 def test_matches_brute_force_coloring_counts(rng):
-    for _ in range(25):
-        n = rng.randint(1, 7)
-        g = Graph(n, random_edges(rng, n, 0.4))
+    for g in shaped_graphs(rng, 40):
         p = chromatic_polynomial(g)
         for m in range(0, 4):
-            assert p(m) == oracles.color_count(n, list(g.edges), m)
+            assert p(m) == oracles.color_count(g.n, list(g.edges), m)
+
+
+def test_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    graphs = []
+    while len(graphs) < 20:
+        n = rng.randint(1, 8)
+        edges = random_edges(rng, n, rng.uniform(0.2, 0.6))
+        if len(edges) <= 12:  # networkx takes seconds on 8 vertices, 16 edges
+            graphs.append(Graph(n, edges))
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        expected = sympy.Poly(nx.chromatic_polynomial(h), sympy.Symbol("x"))
+        coeffs = tuple(int(c) for c in reversed(expected.all_coeffs()))
+        assert chromatic_polynomial(g).coeffs == coeffs
 
 
 def test_disconnected_is_component_product(rng):
@@ -139,3 +189,24 @@ def test_tree_closed_form():
     p = chromatic_polynomial(path_graph(5))
     m = Polynomial.x()
     assert p == m * (m - Polynomial.one()) ** 4
+
+
+def test_closed_forms_of_large_graphs():
+    m = Polynomial.x()
+    one = Polynomial.one()
+    # the cycle C_1000: (m-1)^1000 + (m-1)
+    assert chromatic_polynomial(cycle_graph(1000)) == (m - one) ** 1000 + (m - one)
+    # the wheel with 30 rim vertices: m((m-2)^30 + (m-2))
+    rim = [(i, i % 30 + 1) for i in range(1, 31)]
+    wheel = Graph(31, [(0, i) for i in range(1, 31)] + rim)
+    two = Polynomial((2,))
+    assert chromatic_polynomial(wheel) == m * ((m - two) ** 30 + (m - two))
+    # a depth-7 binary tree (127 vertices, 64 leaves) with a triangle on each
+    # leaf: m(m-1)^126 ((m-1)(m-2))^64
+    edges = [((v - 1) // 2, v) for v in range(1, 127)]
+    for k, leaf in enumerate(range(63, 127)):
+        a, b = 127 + 2 * k, 128 + 2 * k
+        edges += [(leaf, a), (leaf, b), (a, b)]
+    tree = Graph(255, edges)
+    expected = m * (m - one) ** 126 * ((m - one) * (m - two)) ** 64
+    assert chromatic_polynomial(tree) == expected

@@ -52,6 +52,15 @@ def test_dpexact_json_cover_reverifies(capsys):
     assert count_transversals(g, rebuilt).value == 15
 
 
+def test_chromatic_prints_integers_of_any_length(capsys, tmp_path):
+    path = tmp_path / "edge.txt"
+    path.write_text("10000\n0 1\n")
+    data = run_json(capsys, "chromatic", "--graph", str(path), "--at", "3")
+    # P = m^9999 (m - 1); main lifted this process's limit on decimal digits
+    assert int(data["evaluations"]["3"]) == 2 * 3**9999
+    assert Polynomial.from_json(data["polynomial"])(2) == 2**9999
+
+
 def test_twist(capsys):
     code, out, _ = run_cli(capsys, "twist", "--fixture", "cycle:3",
                            "--estar", "0>1", "--m", "3")
@@ -173,6 +182,8 @@ def test_budget_exit_code(capsys):
     (["dpgood", "--fixture", "fig1", "--budget-trees", "2"], 3),
     (["vorder", "--fixture", "fig1", "--budget-trees", "100"], 3),
     (["chromatic", "--graph", "{huge}", "--at", "3"], 2),
+    (["chromatic", "--fixture", "cycle:100000"], 2),
+    (["chromatic", "--fixture", "complete:100000"], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     m0 = tmp_path / "m0.json"

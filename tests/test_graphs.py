@@ -20,7 +20,7 @@ from dpchroma import (
     path_graph,
     spanning_trees,
 )
-from dpchroma.graphs import MAX_VERTICES
+from dpchroma.graphs import MAX_VERTICES, _blocks
 
 
 def mask_of(indices):
@@ -89,6 +89,12 @@ def test_fixture_names():
     assert fixture("fig3b").n == 10 and fixture("fig3b").m == 22
     with pytest.raises(ValueError):
         fixture("petersen")
+    # sizes are capped before anything is built
+    assert fixture(f"path:{MAX_VERTICES}").n == MAX_VERTICES
+    for name in [f"cycle:{MAX_VERTICES + 1}", "complete:100000",
+                 f"complete_multipartite:{MAX_VERTICES},1"]:
+        with pytest.raises(ValueError, match=f"above the limit of {MAX_VERTICES}"):
+            fixture(name)
 
 
 def test_fig1_shape():
@@ -150,6 +156,33 @@ def test_bridge_removal_changes_components_one_by_one(rng):
         for i in range(g.m):
             if bridges >> i & 1:
                 assert component_count(g, mask ^ (1 << i)) == base + 1
+
+
+def test_blocks_against_oracle(rng):
+    for _ in range(120):
+        n = rng.randint(0, 8)
+        edges = random_edges(rng, n, rng.uniform(0.15, 0.7))
+        blocks = _blocks(n, edges)
+        # every edge lies in exactly one block
+        assert sorted(i for b in blocks for i in b) == list(range(len(edges)))
+        # the one-edge blocks are the bridges
+        bridges = sorted(b[0] for b in blocks if len(b) == 1)
+        assert bridges == oracles.bridges(n, edges, range(len(edges)))
+        spans = [{v for i in b for v in edges[i]} for b in blocks]
+        for b, verts in zip(blocks, spans):
+            if len(b) == 1:
+                continue
+            # 2-connected: connected, and still connected without any vertex
+            pairs = [edges[i] for i in b]
+            for cut in [None, *verts]:
+                rest = sorted(verts - {cut})
+                pos = {v: k for k, v in enumerate(rest)}
+                sub = [(pos[u], pos[v]) for u, v in pairs if cut not in (u, v)]
+                assert oracles.is_connected(len(rest), sub)
+        # maximal: two 2-connected blocks sharing two vertices would be one
+        for a in range(len(spans)):
+            for c in range(a + 1, len(spans)):
+                assert len(spans[a] & spans[c]) <= 1
 
 
 # ---------------------------------------------------------------------------
