@@ -7,6 +7,9 @@ BudgetExceededError, and only `classify` turns that into an inconclusive
 verdict; the one other inconclusive verdict is the quad search's, whose
 candidates prove nothing when none of them fits.  The implied membership is
 always that of a sufficient condition, never an exact classification.
+
+The crossing-edge-set check is the balanced-orientation check plus one test
+on each shorter cycle, with the same set-girth gate and certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Optional, Sequence
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import (
     INFINITE,
+    GirthResult,
     OrientedEdgeSet,
+    _crossings,
     check_balance,
     edge_girth,
     edge_set_girth,
@@ -375,36 +380,49 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
 # ---------------------------------------------------------------------------
 # even set-girth with balanced orientation, and crossing edge sets
 
+def _set_girth_gate(g: Graph, condition: str, mask: int):
+    """(edge_set_girth(g, mask), violated verdict or None): the first clause
+    of both DP< checks fails when that girth is infinite or odd."""
+    r = edge_set_girth(g, mask)
+    if not r.is_finite:
+        return r, ClassifierVerdict(
+            condition, VIOLATED, UNKNOWN,
+            detail={"reason": "no cycle meets the edge set an odd number of times"},
+        )
+    if int(r.value) % 2 == 1:
+        return r, ClassifierVerdict(
+            condition, VIOLATED, UNKNOWN, witness=r.witness,
+            detail={"reason": "set girth is odd", "set_girth": int(r.value)},
+        )
+    return r, None
+
+
+def _dp_less(g: Graph, condition: str, r: GirthResult, oriented: OrientedEdgeSet, **extra):
+    """The satisfied DP< verdict: set girth, its witness and the orientation."""
+    return ClassifierVerdict(
+        condition, SATISFIED, DP_LESS,
+        certificate={"set_girth": int(r.value), "girth_witness": r.witness,
+                     "orientation": oriented.to_json(g), **extra},
+    )
+
+
 def check_balanced_orientation(g: Graph, estar: OrientedEdgeSet,
                                cycle_budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Even set-girth plus an orientation balanced on every shorter cycle."""
     condition = "balanced-orientation"
     if estar.edges == 0:
         raise ValueError("the oriented edge set must be non-empty")
-    r = edge_set_girth(g, estar.edges)
-    if not r.is_finite:
-        return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN,
-            detail={"reason": "no cycle meets the edge set an odd number of times"},
-        )
-    r0 = int(r.value)
-    if r0 % 2 == 1:
-        return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN, witness=r.witness,
-            detail={"reason": "set girth is odd", "set_girth": r0},
-        )
-    bal = check_balance(g, estar, r0, cycle_budget=cycle_budget)
+    r, failed = _set_girth_gate(g, condition, estar.edges)
+    if failed:
+        return failed
+    bal = check_balance(g, estar, int(r.value), cycle_budget=cycle_budget)
     if not bal.balanced:
         return ClassifierVerdict(
             condition, VIOLATED, UNKNOWN, witness=bal.witness,
             detail={"reason": "orientation unbalanced on a short cycle",
-                    "set_girth": r0},
+                    "set_girth": int(r.value)},
         )
-    return ClassifierVerdict(
-        condition, SATISFIED, DP_LESS,
-        certificate={"set_girth": r0, "girth_witness": r.witness,
-                     "orientation": estar.to_json(g)},
-    )
+    return _dp_less(g, condition, r, estar)
 
 
 def crossing_edges(g: Graph, v1: Sequence[int], v2: Sequence[int]) -> int:
@@ -422,9 +440,11 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
     """Edge set between two vertex classes, even set-girth, and no short
     cycle leaving a cross-class path when its crossing edges are removed.
 
-    Orienting every edge from the first class to the second turns a
-    satisfied instance into a balanced orientation, so this delegates its
-    guarantee to that condition.
+    This is `check_balanced_orientation` on E* oriented from the first class
+    to the second, with one test on each shorter cycle: it fails when two
+    consecutive E* edges along it are entered from the same class, since the
+    stretch between them joins the two classes.  Otherwise their directions
+    alternate, which is balance, so the certificate is the same.
     """
     condition = "crossing-edge-set"
     s1, s2 = set(v1), set(v2)
@@ -435,66 +455,29 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
         estar = cross
     if estar & ~cross:
         raise ValueError("the edge set must lie between the two classes")
-
-    r = edge_set_girth(g, estar)
-    if not r.is_finite:
-        return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN,
-            detail={"reason": "no cycle meets the edge set an odd number of times"},
-        )
-    r0 = int(r.value)
-    if r0 % 2 == 1:
-        return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN, witness=r.witness,
-            detail={"reason": "set girth is odd", "set_girth": r0},
-        )
-
-    if r0 - 1 >= 3:
-        for cyc in enumerate_cycles(g, r0 - 1, budget=cycle_budget):
-            arcs = _arcs_outside(g, cyc, estar)
-            if arcs is None:
-                continue
-            for x, y in arcs:
-                if (x in s1 and y in s2) or (x in s2 and y in s1):
-                    return ClassifierVerdict(
-                        condition, VIOLATED, UNKNOWN, witness=cyc,
-                        detail={"reason": "a short cycle minus the crossing "
-                                          "edges leaves a cross-class path",
-                                "path_endpoints": [x, y], "set_girth": r0},
-                    )
-
     tails = {}
     for i in mask_indices(estar):
         u, v = g.edges[i]
         tails[i] = u if u in s1 else v
     oriented = OrientedEdgeSet.from_tails(g, tails)
-    return ClassifierVerdict(
-        condition, SATISFIED, DP_LESS,
-        certificate={"set_girth": r0, "girth_witness": r.witness,
-                     "orientation": oriented.to_json(g),
-                     "v1": sorted(s1), "v2": sorted(s2)},
-    )
 
-
-def _arcs_outside(g: Graph, cyc: Cycle, estar: int):
-    """Endpoint pairs of the components of the cycle minus the edge set.
-
-    Returns None when the cycle misses the edge set entirely.
-    """
-    vs = cyc.vertices
-    k = len(vs)
-    cuts = []
-    for pos in range(k):
-        i = g.edge_index(vs[pos], vs[(pos + 1) % k])
-        if estar >> i & 1:
-            cuts.append(pos)
-    if not cuts:
-        return None
-    arcs = []
-    for a, b in zip(cuts, cuts[1:] + [cuts[0] + k]):
-        # the arc runs from position a+1 to position b (inclusive)
-        arcs.append((vs[(a + 1) % k], vs[b % k]))
-    return arcs
+    r, failed = _set_girth_gate(g, condition, estar)
+    if failed:
+        return failed
+    # an even set girth is at least 4, so there are shorter cycles to check
+    for cyc in enumerate_cycles(g, int(r.value) - 1, budget=cycle_budget):
+        hits = _crossings(g, cyc, estar)
+        for (i, a), (_, b) in zip(hits, hits[1:] + hits[:1]):
+            if (a in s1) == (b in s1):
+                u, v = g.edges[i]
+                return ClassifierVerdict(
+                    condition, VIOLATED, UNKNOWN, witness=cyc,
+                    detail={"reason": "a short cycle minus the crossing "
+                                      "edges leaves a cross-class path",
+                            "path_endpoints": [v if a == u else u, b],
+                            "set_girth": int(r.value)},
+                )
+    return _dp_less(g, condition, r, oriented, v1=sorted(s1), v2=sorted(s2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -28,6 +28,9 @@ from .graphs import (DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected,
                      bfs_tree, mask_indices)
 
 DEFAULT_NODE_BUDGET = 10**7
+# largest fold count accepted: one edge alone takes m^2 search nodes, so no
+# count with an edge finishes above m of about 3,200 under the default budget
+MAX_FOLD = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,20 @@ class CountReport:
         return out
 
 
+def _check_fold(m: int, least: int = 1) -> None:
+    """Reject a fold count below `least` or above MAX_FOLD, before anything
+    of size m is built."""
+    if m < least:
+        raise ValueError(f"m must be >= {least}")
+    if m > MAX_FOLD:
+        raise ValueError(f"m = {m} is above the limit of {MAX_FOLD}")
+
+
 def _assigned_perms(g: Graph, m: int,
                     assignment: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
     """One permutation per edge, identity where `assignment` (keys: edge indices
     or their strings) gives none; raises ValueError on any invalid input."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_fold(m)
     ident = tuple(range(m))
     perms = [ident] * len(g.edges)
     for key, seq in dict(assignment).items():
@@ -178,8 +189,7 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
     An edge directed t -> h matches index q at t with q+1 (mod m) at h; the
     sloping set of the result is exactly the oriented edge set.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _check_fold(m, least=2)
     up = tuple((q + 1) % m for q in range(m))
     down = tuple((q - 1) % m for q in range(m))
     shifts = {i: up if t == g.edges[i][0] else down for i, t in estar.tails}
@@ -336,14 +346,19 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     cut into one chunk per head; with `jobs` > 1 the chunks run on up to
     that many processes, never more than there are chunks or CPUs.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_fold(m)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
-    space = math.factorial(m) ** q
+    # (m!)^q factor by factor, stopping once it is over the budget and 2^64:
+    # in full it can have millions of digits
+    space = 1
+    for k in chain.from_iterable([range(2, m + 1)] * q):
+        space *= k
+        if space > max(budget, 2**64):
+            break
     if space > budget:
         raise BudgetExceededError("(m!)^q covers", space, budget)
 

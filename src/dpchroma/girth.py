@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import DEFAULT_BUDGET
-from .graphs import Cycle, Graph, _bfs_path, _mask_adj, enumerate_cycles, mask_indices
+from .graphs import Cycle, Graph, _bfs_path, _mask_adj, enumerate_cycles
 
 INFINITE = math.inf
 
@@ -115,12 +115,6 @@ def _parity_cover(g: Graph, e0: int) -> list[list[int]]:
     return cover
 
 
-def parity_distance(g: Graph, e0: int, v: int, start_parity: int = 0) -> float:
-    """Double-cover distance from (v, start_parity) to (v, 1-start_parity)."""
-    path = _bfs_path(_parity_cover(g, e0), 2 * v + start_parity, 2 * v + 1 - start_parity)
-    return INFINITE if path is None else len(path) - 1
-
-
 def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     """Shortest cycle with odd |E(C) & E0|, via the parity double cover."""
     cover = _parity_cover(g, e0)
@@ -138,27 +132,34 @@ def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     return GirthResult(len(best), Cycle.from_vertices(g, best))
 
 
+def _crossings(g: Graph, cyc: Cycle, mask: int) -> list[tuple[int, int]]:
+    """The edges of `mask` on the cycle in traversal order, each as
+    (edge index, the vertex the walk enters it from)."""
+    vs = cyc.vertices
+    out = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        i = g.edge_index(a, b)
+        if mask >> i & 1:
+            out.append((i, a))
+    return out
+
+
 def shortest_odd_cycles(g: Graph, e0: int, budget: int = DEFAULT_BUDGET) -> list[Cycle]:
     """Every shortest cycle meeting e0 oddly, by enumeration; desk scale only."""
     r = edge_set_girth(g, e0)
     if not r.is_finite:
         return []
-    e0_set = set(mask_indices(e0))
-    out = []
-    for cyc in enumerate_cycles(g, int(r.value), budget=budget):
-        hits = sum(1 for p in cyc.edge_pairs() if g.edge_index(*p) in e0_set)
-        if len(cyc) == r.value and hits % 2 == 1:
-            out.append(cyc)
-    return out
+    return [cyc for cyc in enumerate_cycles(g, int(r.value), budget=budget)
+            if len(cyc) == r.value and len(_crossings(g, cyc, e0)) % 2 == 1]
 
 
 def check_balance(g: Graph, estar: OrientedEdgeSet, bound: int,
                   cycle_budget: int = DEFAULT_BUDGET) -> BalanceVerdict:
     """Is the orientation balanced on every cycle shorter than `bound`?
 
-    Balanced on C: the intersection with the oriented set is empty, or it is
-    even with exactly half of its edges agreeing with C's traversal order.
-    Odd intersections are unbalanced outright.
+    Balanced on C: exactly half of C's edges in the oriented set agree with
+    C's traversal order, so an empty intersection is balanced and an odd one
+    is unbalanced outright.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
@@ -166,17 +167,7 @@ def check_balance(g: Graph, estar: OrientedEdgeSet, bound: int,
         return BalanceVerdict(True, None)
     tails = dict(estar.tails)
     for cyc in enumerate_cycles(g, bound - 1, budget=cycle_budget):
-        vs = cyc.vertices
-        member = []
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            i = g.edge_index(a, b)
-            if estar.edges >> i & 1:
-                member.append((i, a))
-        if not member:
-            continue
-        if len(member) % 2 == 1:
-            return BalanceVerdict(False, cyc)
-        along = sum(1 for i, start in member if tails[i] == start)
-        if along * 2 != len(member):
+        hits = _crossings(g, cyc, estar.edges)
+        if 2 * sum(tails[i] == a for i, a in hits) != len(hits):
             return BalanceVerdict(False, cyc)
     return BalanceVerdict(True, None)

@@ -175,6 +175,30 @@ def edge_set_girth(n, edges, e0):
     return (None, None) if best is None else (len(best), best)
 
 
+def crossing_set_holds(n, edges, v1, v2, e0):
+    """The crossing-edge-set condition for e0 between classes v1 and v2.
+
+    The set girth must be finite and even, and on every shorter cycle each
+    arc left by deleting the e0 edges (from the vertex after one e0 edge to
+    the vertex before the next) must start and end in the same class.
+    """
+    r0, _ = edge_set_girth(n, edges, e0)
+    if r0 is None or r0 % 2 == 1:
+        return False
+    index = {e: i for i, e in enumerate(edges)}
+    side = {v: 1 for v in v1} | {v: 2 for v in v2}
+    for cyc in all_cycles(n, edges, r0 - 1):
+        k = len(cyc)
+        cuts = [p for p in range(k)
+                if index[tuple(sorted((cyc[p], cyc[(p + 1) % k])))] in e0]
+        if not cuts:
+            continue
+        for a, b in zip(cuts, cuts[1:] + [cuts[0] + k]):
+            if side[cyc[(a + 1) % k]] != side[cyc[b % k]]:
+                return False
+    return True
+
+
 def cycle_graph(n):
     return n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 

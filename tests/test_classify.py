@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from dpchroma import (
     dp_exact,
     fig1_graph,
     fig3b_graph,
+    mask_indices,
     path_graph,
     scan_even_girth,
     twisted_cover,
@@ -389,6 +391,54 @@ def test_crossing_satisfied_implies_balanced_orientation(rng):
         v2 = [v for v in range(g.n) if v not in v1 and rng.random() < 0.5]
         if v1 and v2:
             implication_holds(g, v1, v2)
+
+
+def _core_with_handle(rng):
+    """A connected bipartite graph and its two classes: a random core on 4-6
+    vertices plus a path of new vertices (the handle) between two core
+    vertices, and one edge of the handle."""
+    k = rng.randint(4, 6)
+    side = [0, 1] + [rng.randrange(2) for _ in range(k - 2)]
+    edges = {(0, 1)}
+    for v in range(2, k):
+        edges.add((rng.choice([u for u in range(v) if side[u] != side[v]]), v))
+    edges |= {(u, v) for u in range(k) for v in range(u + 1, k)
+              if side[u] != side[v] and rng.random() < 0.6}
+    x, y = rng.sample(range(k), 2)
+    inner = rng.randint(2, 5)
+    if inner % 2 == (side[x] != side[y]):  # the handle has inner + 1 edges
+        inner += 1
+    path = [x, *range(k, k + inner), y]
+    side += [side[x] ^ (j & 1) for j in range(1, inner + 1)]
+    edges |= {(min(p), max(p)) for p in zip(path, path[1:])}
+    g = Graph(k + inner, sorted(edges))
+    classes = [[v for v in range(g.n) if side[v] == c] for c in (0, 1)]
+    j = rng.randrange(inner + 1)
+    return g, classes, g.edge_index(path[j], path[j + 1])
+
+
+def test_crossing_edge_set_matches_brute_force_arcs(rng):
+    # E* is the edge cut of a random vertex set with one handle edge toggled,
+    # so every cycle avoiding that edge meets E* evenly and the set girth is
+    # at least the handle's: the shorter cycles then reach the cross-class
+    # test, which random class splits almost never do
+    reasons = Counter()
+    for _ in range(400):
+        g, (v1, v2), handle = _core_with_handle(rng)
+        if rng.random() < 0.5:
+            v1, v2 = v2, v1
+        s = {v for v in range(g.n) if rng.random() < 0.5}
+        estar = 1 << handle
+        for i, (u, v) in enumerate(g.edges):
+            estar ^= ((u in s) != (v in s)) << i
+        if estar == 0:
+            continue
+        verdict = check_crossing_edge_set(g, v1, v2, estar)
+        e0 = set(mask_indices(estar))
+        assert verdict.satisfied == oracles.crossing_set_holds(g.n, list(g.edges), v1, v2, e0)
+        reasons[verdict.detail.get("reason")] += 1
+    assert reasons[None] >= 50
+    assert reasons["a short cycle minus the crossing edges leaves a cross-class path"] >= 40
 
 
 def test_twist_beats_chromatic_on_balanced_fixtures():

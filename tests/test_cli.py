@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -184,15 +185,33 @@ def test_budget_exit_code(capsys):
     (["chromatic", "--graph", "{huge}", "--at", "3"], 2),
     (["chromatic", "--fixture", "cycle:100000"], 2),
     (["chromatic", "--fixture", "complete:100000"], 2),
+    # fold counts above MAX_FOLD, rejected before a cover of that size is built
+    (["twist", "--fixture", "cycle:4", "--estar", "0>1", "--m", "200000"], 2),
+    (["dpcount", "--fixture", "cycle:4", "--cover", "{m_big}"], 2),
+    (["dpexact", "--fixture", "cycle:4", "--m", "200000"], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     m0 = tmp_path / "m0.json"
     m0.write_text(json.dumps({"m": 0}))
+    m_big = tmp_path / "m_big.json"
+    m_big.write_text(json.dumps({"m": 200000}))
     huge = tmp_path / "huge.txt"
     huge.write_text("100000000\n0 1\n")
-    code, out, _ = run_cli(capsys, *(a.format(m0=m0, huge=huge) for a in argv))
+    code, out, _ = run_cli(capsys, *(a.format(m0=m0, m_big=m_big, huge=huge) for a in argv))
     assert code == expected
     assert out == ""
+
+
+def test_cover_budget_is_checked_before_the_cover_space_is_built(capsys):
+    # (100000!)^1 has 456,574 digits; the check stops multiplying once the
+    # product is past the budget and 2^64, and prints only that far
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dpexact", "--fixture", "cycle:4", "--m", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded: (m!)^q covers" in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,5 +333,41 @@ PINNED = [
 @pytest.mark.parametrize("argv, expected", PINNED, ids=[a[0] for a, _ in PINNED])
 def test_pinned_json_output(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+
+
+# a 4-cycle 0-1-2-3 plus a 5-edge path 0-4-5-6-7-1: the edge sets below meet
+# the 4-cycle twice and the 6-cycle through the path once, so the set girth
+# is 6 and the 4-cycle decides; recorded before the two DP< checks shared
+# one cycle walk
+SQUARE_WITH_HANDLE = "8\n0 1\n1 2\n2 3\n0 3\n0 4\n4 5\n5 6\n6 7\n1 7\n"
+PINNED_SQUARE = [
+    (("cor5", "--v1", "0,2", "--v2", "1,3", "--estar", "0-1,2-3"),
+     {"condition": "crossing-edge-set", "status": "violated", "implied": "unknown",
+      "note": NOTE, "certificate": None, "witness": [0, 1, 2, 3],
+      "detail": {"reason": "a short cycle minus the crossing edges leaves a "
+                           "cross-class path",
+                 "path_endpoints": [1, 2], "set_girth": 6}}),
+    (("thm5", "--estar", "0>1,2>3"),
+     {"condition": "balanced-orientation", "status": "violated", "implied": "unknown",
+      "note": NOTE, "certificate": None, "witness": [0, 1, 2, 3],
+      "detail": {"reason": "orientation unbalanced on a short cycle", "set_girth": 6}}),
+    (("thm5", "--estar", "0>1,3>2"),
+     {"condition": "balanced-orientation", "status": "satisfied", "implied": "DP<",
+      "note": NOTE,
+      "certificate": {"set_girth": 6, "girth_witness": [0, 1, 7, 6, 5, 4],
+                      "orientation": [{"edge": 0, "tail": 0, "head": 1},
+                                      {"edge": 2, "tail": 3, "head": 2}]},
+      "witness": None, "detail": {}}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_SQUARE,
+                         ids=[" ".join(a) for a, _ in PINNED_SQUARE])
+def test_pinned_json_on_a_square_with_a_handle(capsys, tmp_path, argv, expected):
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE_WITH_HANDLE)
+    code, out, err = run_cli(capsys, *argv, "--graph", str(path), "--format", "json")
     assert code == 0, err
     assert out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"

@@ -33,7 +33,7 @@ from dpchroma import (
     spanning_trees,
     twisted_cover,
 )
-from dpchroma.covers import _orbit_heads
+from dpchroma.covers import MAX_FOLD, _orbit_heads
 from dpchroma.graphs import bfs_tree
 
 
@@ -400,6 +400,16 @@ def test_dp_exact_budget_error():
     with pytest.raises(BudgetExceededError) as err:
         dp_exact(g, 3, budget=10)
     assert err.value.attempted == 6 ** 3
+
+
+def test_fold_counts_above_the_cap_are_rejected():
+    g = cycle_graph(4)
+    est = OrientedEdgeSet.from_pairs(g, [(0, 1)])
+    for build in (lambda m: twisted_cover(g, est, m),
+                  lambda m: Cover.from_json(g, {"m": m}),
+                  lambda m: dp_exact(g, m)):
+        with pytest.raises(ValueError, match=f"above the limit of {MAX_FOLD}"):
+            build(MAX_FOLD + 1)
 
 
 def test_dp_exact_disconnected_error():

@@ -14,7 +14,6 @@ from dpchroma import (
     edge_set_girth,
     path_graph,
 )
-from dpchroma.girth import parity_distance
 
 
 def test_edge_girth_examples():
@@ -84,17 +83,6 @@ def test_singleton_set_girth_equals_edge_girth(rng):
         g = Graph(n, random_edges(rng, n, 0.5))
         for i in range(g.m):
             assert edge_set_girth(g, 1 << i).value == edge_girth(g, i).value
-
-
-def test_parity_distance_symmetric(rng):
-    for _ in range(30):
-        n = rng.randint(3, 6)
-        g = Graph(n, random_edges(rng, n, 0.6))
-        if g.m == 0:
-            continue
-        mask = rng.randrange(1, 1 << g.m)
-        for v in range(n):
-            assert parity_distance(g, mask, v, 0) == parity_distance(g, mask, v, 1)
 
 
 # ---------------------------------------------------------------------------
