@@ -352,8 +352,9 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
-    # (m!)^q factor by factor, stopping once it is over the budget and 2^64:
-    # in full it can have millions of digits
+    # (m!)^q factor by factor: a sweep below 2^64 reports its exact size, a
+    # larger one the product once past the budget, since in full it can have
+    # millions of digits
     space = 1
     for k in chain.from_iterable([range(2, m + 1)] * q):
         space *= k
