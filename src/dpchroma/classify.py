@@ -450,6 +450,8 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
     s1, s2 = set(v1), set(v2)
     if s1 & s2:
         raise ValueError("the vertex classes must be disjoint")
+    if not s1 | s2 <= set(range(g.n)):
+        raise ValueError(f"the vertex classes must lie in 0..{g.n - 1}")
     cross = crossing_edges(g, v1, v2)
     if estar is None:
         estar = cross

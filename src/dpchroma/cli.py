@@ -45,8 +45,10 @@ def _load_graph(args):
     return fixture(args.fixture)
 
 
-def _edge_tokens(g, text, directed):
-    """Parse a comma-separated edge list: indices, "u-v", or "u>v" tokens."""
+def _edge_tokens(g, text):
+    """Parse a comma-separated edge list of indices, "u-v" or "u>v" tokens
+    into (tail, head) pairs; the tail of an undirected edge is its smaller
+    endpoint."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -54,23 +56,21 @@ def _edge_tokens(g, text, directed):
             continue
         if ">" in tok:
             t, h = tok.split(">")
-            t, h = int(t), int(h)
-            out.append((g.edge_index(t, h), t))
+            out.append((int(t), int(h)))
         elif "-" in tok:
-            u, v = tok.split("-")
-            i = g.edge_index(int(u), int(v))
-            out.append((i, g.edges[i][0]))
+            u, v = sorted(map(int, tok.split("-")))
+            out.append((u, v))
         else:
             i = int(tok)
             if not (0 <= i < len(g.edges)):
                 raise ValueError(f"edge index {i} out of range")
-            out.append((i, g.edges[i][0]))
-    return out if directed else [i for i, _ in out]
+            out.append(g.edges[i])
+    return out
 
 
 def _oriented(g, text):
-    pairs = _edge_tokens(g, text, directed=True)
-    return OrientedEdgeSet.from_tails(g, dict(pairs))
+    """An oriented edge set; an edge named twice, in any form, is an error."""
+    return OrientedEdgeSet.from_pairs(g, _edge_tokens(g, text))
 
 
 def _vertices(text):
@@ -169,10 +169,7 @@ def _cmd_girth(args):
 
 def _cmd_setgirth(args):
     g = _load_graph(args)
-    mask = 0
-    for i in _edge_tokens(g, args.edges, directed=False):
-        mask |= 1 << i
-    r = edge_set_girth(g, mask)
+    r = edge_set_girth(g, g.edge_mask(_edge_tokens(g, args.edges)))
     value = int(r.value) if r.is_finite else "infinity"
     lines = [f"set girth: {value}"]
     if r.witness:
@@ -233,11 +230,7 @@ def _cmd_thm5(args):
 
 def _cmd_cor5(args):
     g = _load_graph(args)
-    estar = None
-    if args.estar:
-        estar = 0
-        for i in _edge_tokens(g, args.estar, directed=False):
-            estar |= 1 << i
+    estar = g.edge_mask(_edge_tokens(g, args.estar)) if args.estar else None
     verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar,
                                       cycle_budget=args.budget_cycles)
     _emit(args, _verdict_lines(verdict), verdict.to_json())

@@ -8,9 +8,8 @@ frontier (the placed vertices with an unplaced neighbour), so its cost
 follows the width of the graph rather than the size of the count;
 `count_incl_excl` is the second route, an alternating sum over edge subsets.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
-which is the full cover space up to renaming of list vertices.  It counts one
-cover per orbit of the first two non-tree edges under simultaneous
-conjugation, weighted by the orbit size.
+which is the full cover space up to renaming of list vertices, counting one
+cover per orbit under simultaneous conjugation, weighted by the orbit size.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -53,9 +52,14 @@ class Cover:
         }
 
     @staticmethod
-    def from_json(g: Graph, data: dict) -> "Cover":
-        m = int(data["m"])
-        return Cover(g, m, tuple(_assigned_perms(g, m, data.get("perms", {}))))
+    def from_json(g: Graph, data) -> "Cover":
+        """Read {"m": m, "perms": {edge index: [images]}} with integer m and
+        images; raises ValueError on any other shape."""
+        perms = data.get("perms", {}) if isinstance(data, dict) else None
+        if not (isinstance(perms, dict) and type(data.get("m")) is int
+                and all(isinstance(p, list) for p in perms.values())):
+            raise ValueError('a cover is {"m": integer, "perms": {edge index: [integers]}}')
+        return Cover(g, data["m"], tuple(_assigned_perms(g, data["m"], perms)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,8 @@ def _assigned_perms(g: Graph, m: int,
         i = int(key)
         if not (0 <= i < len(g.edges)):
             raise ValueError(f"permutation for unknown edge index {i}")
-        p = tuple(int(x) for x in seq)
-        if tuple(sorted(p)) != ident:
+        p = tuple(seq)
+        if not all(type(x) is int for x in p) or tuple(sorted(p)) != ident:
             raise ValueError(f"not a permutation of range({m}): {seq!r}")
         perms[i] = p
     return perms
@@ -333,18 +337,17 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
              node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1) -> CountReport:
     """Minimum transversal count over all tree-normalized m-fold covers.
 
-    Fixes one BFS spanning tree with identity permutations and sweeps every
-    permutation assignment on the q non-tree edges; normalization loses no
+    Fixes one BFS spanning tree with identity permutations and sweeps the
+    permutation assignments on the q non-tree edges; normalization loses no
     covers, so the minimum is the DP color function value at m.  Renaming
     every fibre by the same permutation conjugates each edge's permutation
-    and keeps the count, so the first two non-tree edges run only over
-    lexicographically smallest orbit representatives ("heads", see
-    `_orbit_heads`), each weighted by its orbit size; `minimizers` is still a
-    count over all (m!)^q assignments.  Ties are broken toward the
-    lexicographically smallest assignment.  The search plan of each count
-    depends on the graph alone, so it is built once per sweep.  The sweep is
-    cut into one chunk per head; with `jobs` > 1 the chunks run on up to
-    that many processes, never more than there are chunks or CPUs.
+    and keeps the count, so one assignment per orbit is counted, weighted by
+    the orbit size: the first free edge runs over conjugacy class heads
+    (`_orbit_heads`), the others over stabilizer orbits (`_orbit_walk`).
+    `minimizers` still counts all (m!)^q assignments, and ties go to the
+    lexicographically smallest.  The search plan is built once per sweep.
+    The sweep has one chunk per head; with `jobs` > 1 the chunks run on up
+    to that many processes, never more than there are chunks or CPUs.
     """
     _check_fold(m)
     if jobs < 1:
@@ -378,14 +381,22 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
 
     # heads are in lexicographic order and the lexicographically smallest
     # minimizer starts with a head, so the first strict minimum is it
-    best = None
-    for (_, weight), (value, combo, ties) in zip(heads, results):
-        if best is None or value < best:
-            best, best_combo, minimizers = value, combo, weight * ties
-        elif value == best:
-            minimizers += weight * ties
+    best, best_combo, minimizers = _least(
+        (value, combo, weight * ties) for (_, weight), (value, combo, ties) in zip(heads, results))
     argmin = _assignment_cover(g, m, free, best_combo)
     return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
+
+
+def _least(results):
+    """The least value of (value, assignment, weight) triples, with the first
+    assignment that reaches it and the summed weight of all that do."""
+    best = None
+    for value, combo, weight in results:
+        if best is None or value < best[0]:
+            best = [value, combo, weight]
+        elif value == best[0]:
+            best[2] += weight
+    return best
 
 
 def _partitions(m: int, top: int):
@@ -399,13 +410,11 @@ def _partitions(m: int, top: int):
 
 
 def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Orbit representatives of the first min(q, 2) edge permutations under
-    simultaneous conjugation, as (head, orbit size) in lexicographic order.
+    """The smallest element of each conjugacy class of S_m, as ((head,),
+    class size) in lexicographic order, or [((), 1)] for q = 0 free edges.
 
-    The first permutation runs over the lexicographically smallest element of
-    each conjugacy class: fixed points first, then cycles in increasing
-    length, each on consecutive indices.  The second runs over the smallest
-    element of each orbit of that head's centralizer.  The smallest
+    It puts the fixed points first, then the cycles in increasing length,
+    each on consecutive indices, so S_m is never listed.  The smallest
     assignment of any orbit starts with its head, which keeps the argmin.
     """
     if q == 0:
@@ -418,41 +427,42 @@ def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]
             c.extend(range(start + 1, start + k))
             c.append(start)
         z = math.prod(k ** a * math.factorial(a) for k, a in Counter(lengths).items())
-        classes.append((tuple(c), math.factorial(m) // z))
-    classes.sort()
-    if q == 1:
-        return [((c,), size) for c, size in classes]
+        classes.append(((tuple(c),), math.factorial(m) // z))
+    return sorted(classes)
 
-    perms = list(permutations(range(m)))
-    heads = []
-    for c, size in classes:
-        centralizer = [p for p in perms if _compose(p, c) == _compose(c, p)]
+
+def _orbit_walk(perms, head, depth):
+    """The smallest assignment of each orbit of `depth` permutations from
+    `perms` (S_m, lexicographic) that start with `head`, as (assignment,
+    weight) in lexicographic order.  Each further edge takes the smallest
+    element of each orbit of the stabilizer of the choices so far (the
+    permutations commuting with all of them), weighted by the orbit size.
+    """
+    group = [p for p in perms if all(_compose(p, c) == _compose(c, p) for c in head)]
+    stack = [(head, 1, group)]  # (assignment, weight, stabilizer), smallest on top
+    while stack:
+        chosen, weight, group = stack.pop()
+        if len(chosen) == depth:
+            yield chosen, weight
+            continue
+        last = len(chosen) + 1 == depth  # a leaf needs no stabilizer
         seen: set[tuple[int, ...]] = set()
+        children = []
         for s in perms:  # lexicographic, so each orbit is met at its smallest element
-            if s in seen:
-                continue
-            orbit = {_compose(p, _compose(s, _invert(p))) for p in centralizer}
-            seen |= orbit
-            heads.append(((c, s), size * len(orbit)))
-    return heads
+            if s not in seen:
+                orbit = {_compose(p, _compose(s, _invert(p))) for p in group}
+                seen |= orbit
+                stab = None if last else [p for p in group if _compose(p, s) == _compose(s, p)]
+                children.append((chosen + (s,), weight * len(orbit), stab))
+        stack.extend(reversed(children))
 
 
 def _dp_chunk(args):
-    """Sweep the assignments that start with `head`: (min, argmin, ties)."""
+    """Count one assignment per orbit that starts with `head`: (min, argmin,
+    ties), ties weighted by orbit size over the size of the head's class."""
     g, plan, m, free, node_budget, head = args
-    # with every free edge in the head there is nothing left to sweep, and
-    # with q <= 1 the cover budget allows an m too large to list S_m
-    perm_list = list(permutations(range(m))) if len(head) < len(free) else []
-    best = None
-    best_combo = None
-    minimizers = 0
-    for rest in product(perm_list, repeat=len(free) - len(head)):
-        combo = head + rest
-        value = _count(g, plan, _assignment_cover(g, m, free, combo), node_budget)
-        if best is None or value < best:
-            best = value
-            best_combo = combo
-            minimizers = 1
-        elif value == best:
-            minimizers += 1
-    return best, best_combo, minimizers
+    # with q <= 1 the walk has nothing to choose, and the cover budget allows
+    # an m too large to list S_m
+    perms = list(permutations(range(m))) if len(head) < len(free) else []
+    return _least((_count(g, plan, _assignment_cover(g, m, free, combo), node_budget), combo, weight)
+                  for combo, weight in _orbit_walk(perms, head, len(free)))

@@ -167,6 +167,17 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+BAD_COVERS = {
+    "perms_list": {"m": 3, "perms": [1, 2]},
+    "perm_not_list": {"m": 3, "perms": {"0": 5}},
+    "not_object": [],
+    "m_null": {"m": None},
+    "m_float": {"m": 3.7},
+    "m_bool": {"m": True},
+    "image_float": {"m": 3, "perms": {"0": [0, 2.9, 1]}},
+}
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["dpexact", "--fixture", "complete:3", "--m", "-2"], 2),
     (["dpexact", "--fixture", "complete:3", "--m", "0"], 2),
@@ -189,15 +200,23 @@ def test_budget_exit_code(capsys):
     (["twist", "--fixture", "cycle:4", "--estar", "0>1", "--m", "200000"], 2),
     (["dpcount", "--fixture", "cycle:4", "--cover", "{m_big}"], 2),
     (["dpexact", "--fixture", "cycle:4", "--m", "200000"], 2),
+    # cover files that are not {"m": integer, "perms": {edge index: [integers]}}
+    *[(["dpcount", "--fixture", "complete:3", "--cover", f"{{{name}}}"], 2) for name in BAD_COVERS],
+    # a vertex class outside the graph, and an edge oriented twice
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7,99"], 2),
+    (["twist", "--fixture", "cycle:4", "--estar", "0>1,1>0", "--m", "3"], 2),
+    (["thm5", "--fixture", "cycle:4", "--estar", "0-1,0>1"], 2),
+    (["balance", "--fixture", "cycle:4", "--estar", "0,1>0", "--bound", "4"], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
-    m0 = tmp_path / "m0.json"
-    m0.write_text(json.dumps({"m": 0}))
-    m_big = tmp_path / "m_big.json"
-    m_big.write_text(json.dumps({"m": 200000}))
-    huge = tmp_path / "huge.txt"
-    huge.write_text("100000000\n0 1\n")
-    code, out, _ = run_cli(capsys, *(a.format(m0=m0, m_big=m_big, huge=huge) for a in argv))
+    files = {"m0": json.dumps({"m": 0}), "m_big": json.dumps({"m": 200000}),
+             "huge": "100000000\n0 1\n"}
+    files.update({name: json.dumps(data) for name, data in BAD_COVERS.items()})
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == expected
     assert out == ""
 

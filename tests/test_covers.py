@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import os
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -329,18 +331,51 @@ def plain_sweep(g, m):
 
 
 def test_orbit_sweep_matches_plain_sweep():
-    checked = 0
+    # fold counts per number q of free edges; q >= 3 reaches the stabilizer
+    # orbits past the second free edge
+    checked = Counter()
     for n in range(1, 6):
         for edges in connected_edge_sets(n):
             q = len(edges) - n + 1
-            if q > 2:
+            if q <= 2:
+                folds = (2, 3, 4) if n <= 4 else (2, 3)
+            else:
+                folds = {3: (2, 3), 4: (2,)}.get(q, ())
+            if not folds:
                 continue
             g = Graph(n, edges)
-            for m in (2, 3, 4) if n <= 4 else (2, 3):
+            for m in folds:
                 report = dp_exact(g, m)
                 assert (report.value, report.cover.perms, report.minimizers) == plain_sweep(g, m)
-            checked += 1
-    assert checked == 595
+            checked[q] += 1
+    assert checked[0] + checked[1] + checked[2] == 595
+    assert (checked[3], checked[4]) == (121, 45)
+
+
+@pytest.mark.parametrize("g, m, orbits", [
+    (path_graph(4), 3, 1), (cycle_graph(4), 4, 5), (complete_graph(4), 2, 8),
+    (complete_graph(4), 3, 49), (complete_graph(4), 4, 681), (complete_graph(5), 3, 8051),
+])
+def test_one_count_per_orbit(monkeypatch, g, m, orbits):
+    # the orbits of q-tuples under simultaneous conjugation number
+    # sum over cycle types of z^(q - 1), z the centralizer order (Burnside)
+    import dpchroma.covers as covers
+
+    q = g.m - g.n + 1
+    types = Counter(cycle_type(p) for p in permutations(range(m)))
+    z = [math.factorial(m) // size for size in types.values()]
+    assert sum(Fraction(c) ** (q - 1) for c in z) == orbits
+    calls = []
+    count = covers._count
+    monkeypatch.setattr(covers, "_count", lambda *args: calls.append(1) or count(*args))
+    dp_exact(g, m)
+    assert len(calls) == orbits
+
+
+def test_dp_exact_with_one_fold_and_many_free_edges():
+    # 1,711 free edges: the walk goes that many edges deep without recursing
+    report = dp_exact(complete_graph(60), 1)
+    assert (report.value, report.minimizers) == (0, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
