@@ -139,21 +139,23 @@ def _girth_values(g: Graph) -> list[float]:
     return [edge_girth(g, i).value for i in range(len(g.edges))]
 
 
-def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
+def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[int]):
     """Try to order the non-tree edges of one spanning tree.
 
-    Edges are placed in non-decreasing girth order; an edge can be placed
-    once some shortest cycle through it lies inside the tree plus the edges
-    placed before it.  Placing any currently placeable edge of minimal girth
-    is safe: available cycles only gain edges, so a placeable edge stays
-    placeable and a valid ordering can always be rearranged to start with it.
+    `labelable` lists every edge of odd finite girth sorted by (girth,
+    index), and the tree holds every other edge, so the non-tree edges are
+    those of `labelable` outside it.  They are placed in that girth order; an
+    edge can be placed once some shortest cycle through it lies inside the
+    tree plus the edges placed before it.  Placing any currently placeable
+    edge of minimal girth is safe: available cycles only gain edges, so a
+    placeable edge stays placeable and a valid ordering can always be
+    rearranged to start with it.  Only the BFS paths are kept while placing;
+    the witness cycles are built from them once every edge is placed.
     """
-    free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     adj = _mask_adj(g, tree)
-
-    pending = sorted(free, key=lambda i: (girths[i], i))
+    pending = [i for i in labelable if not tree >> i & 1]
     labeling: list[int] = []
-    cycles: list[Cycle] = []
+    paths: list[list[int]] = []
     while pending:
         girth_now = girths[pending[0]]
         placed = None
@@ -170,12 +172,13 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float]):
             return None
         e, path = placed
         labeling.append(e)
-        cycles.append(Cycle.from_vertices(g, path))
+        paths.append(path)
         u, v = g.edges[e]
         insort(adj[u], v)
         insort(adj[v], u)
         pending.remove(e)
-    return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
+    cycles = tuple(Cycle.from_vertices(g, path) for path in paths)
+    return DpGoodCertificate(tree, tuple(labeling), cycles)
 
 
 def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
@@ -203,9 +206,11 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
             },
         )
 
+    labelable = sorted((i for i in range(len(girths)) if not forced >> i & 1),
+                       key=lambda i: (girths[i], i))
     stream = spanning_trees(g, budget=budget, forced=forced)
     for tree in stream:
-        cert = _greedy_labeling(g, tree, girths)
+        cert = _greedy_labeling(g, tree, girths, labelable)
         if cert is not None:
             return ClassifierVerdict(
                 "dp-good", SATISFIED, DP_STAR, certificate=cert,
@@ -505,20 +510,17 @@ def scan_even_girth(g: Graph) -> ClassifierVerdict:
     )
 
 
-def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET,
-                         extra_sets: Sequence[tuple[Sequence[int], Sequence[int], int]] = ()) -> ClassifierVerdict:
+def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Bounded search for a crossing edge set of set-girth exactly four.
 
-    Candidates are user-supplied sets, single edges, and stars around a
-    vertex; exhausting them proves nothing, so the fallback is inconclusive.
+    Candidates are single edges and stars around a vertex; exhausting them
+    proves nothing, so the fallback is inconclusive.
     More than `budget` candidates raise BudgetExceededError.
     """
     condition = "quad-girth-crossing-set"
     tried = 0
 
     def candidates():
-        for v1, v2, mask in extra_sets:
-            yield tuple(v1), tuple(v2), mask
         for i, (u, v) in enumerate(g.edges):
             yield (u,), (v,), 1 << i
         for v in range(g.n):
@@ -550,8 +552,7 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET,
     )
 
 
-def classify(g: Graph, budget: int = DEFAULT_BUDGET,
-             extra_sets: Sequence[tuple[Sequence[int], Sequence[int], int]] = ()) -> list[ClassifierVerdict]:
+def classify(g: Graph, budget: int = DEFAULT_BUDGET) -> list[ClassifierVerdict]:
     """Run every sufficient-condition check and report all verdicts.
 
     This is the one place where a budget error becomes a verdict: a sub-check
@@ -564,7 +565,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
         ("even-girth-edge", lambda: scan_even_girth(g)),
         ("dp-good", lambda: check_dp_good(g, budget=budget)),
         ("connected-back-neighborhood-order", lambda: check_vertex_order(g, budget=budget)),
-        ("quad-girth-crossing-set", lambda: search_quad_crossing(g, budget=budget, extra_sets=extra_sets)),
+        ("quad-girth-crossing-set", lambda: search_quad_crossing(g, budget=budget)),
     ]
     for name, run in checks:
         try:

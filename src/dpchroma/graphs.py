@@ -516,92 +516,80 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_BUDGET) -> li
     out: list[tuple[int, ...]] = []
     adj = g.adj
     seen = [False] * g.n
-
-    def extend(path: list[int]) -> None:
-        closing_only = len(path) == max_len
-        last, first = path[-1], path[0]
-        for w in adj[last]:
-            if w == first and len(path) >= 3:
-                if path[1] < path[-1]:
-                    out.append(tuple(path))
-                    if len(out) > budget:
-                        raise BudgetExceededError("cycles", len(out), budget)
-            elif not closing_only and w > first and not seen[w]:
-                seen[w] = True
-                path.append(w)
-                extend(path)
-                path.pop()
-                seen[w] = False
-
+    # a path from its smallest vertex s, with one neighbour iterator per
+    # vertex on it; each cycle is kept in the direction with path[1] < path[-1]
     for s in range(g.n):
         seen[s] = True
-        extend([s])
-        seen[s] = False
+        path = [s]
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        out.append(tuple(path))
+                        if len(out) > budget:
+                            raise BudgetExceededError("cycles", len(out), budget)
+                elif w > s and not seen[w] and len(path) < max_len:
+                    seen[w] = True
+                    path.append(w)
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                seen[path.pop()] = False
     out.sort(key=lambda c: (len(c), c))
     return [Cycle(c) for c in out]
 
 
 class SpanningTreeStream:
-    """Single-consumer stream of spanning trees (edge masks).
+    """Single-consumer stream of the spanning trees (edge masks) that hold
+    every edge of `forced`, empty if those edges close a cycle.
 
-    `count` is the number of trees yielded so far.  Yields at most `budget`
-    trees; reaching tree budget + 1 raises BudgetExceededError.
+    Trees come in descending order of their indicator vectors, edge 0 most
+    significant: the walk merges the forced edges first, then decides the
+    other edges in index order, taking each one before leaving it out, and
+    leaves an edge out only while the later edges can still join every
+    component.  `count` is the number of trees yielded so far.  Yields at
+    most `budget` trees; reaching tree budget + 1 raises BudgetExceededError.
     """
 
     def __init__(self, g: Graph, budget: int, forced: int = 0):
         self.count = 0
-        self._gen = self._run(g, budget, forced)
+        self._gen = self._walk(g, budget, forced)
 
     def __iter__(self):
         return self._gen
 
-    def _run(self, g: Graph, budget: int, forced: int):
-        for tree in _tree_rec(g, forced):
+    def _walk(self, g: Graph, budget: int, forced: int):
+        edges = g.edges
+        parent = list(range(g.n))
+        if _union(parent, (edges[i] for i in mask_indices(forced))) < forced.bit_count():
+            return
+        free = [i for i in range(len(edges)) if not forced >> i & 1]
+        # a frame (k, parent, tree, need): free[:k] is decided, `tree` holds
+        # the edges taken, and `need` more edges join the components of parent.
+        # Once free[k:] can join them, taking or skipping free[k] keeps that
+        # true, so the inner loop reaches need == 0 before free runs out.
+        stack =[(0, parent, forced, g.n - 1 - forced.bit_count())]
+        while stack:
+            k, parent, tree, need = stack.pop()
+            if _union(parent.copy(), (edges[i] for i in free[k:])) < need:
+                continue
+            while need:
+                i = free[k]
+                k += 1
+                u, v = edges[i]
+                ru, rv = _find(parent, u), _find(parent, v)
+                if ru != rv:
+                    stack.append((k, parent, tree, need))  # i left out, walked later
+                    parent = parent.copy()
+                    parent[ru] = rv
+                    tree |= 1 << i
+                    need -= 1
             if self.count + 1 > budget:
                 raise BudgetExceededError("spanning trees", self.count + 1, budget)
             self.count += 1
             yield tree
-
-
-def _tree_rec(g: Graph, forced: int):
-    n = g.n
-    edges = g.edges
-    ne = len(edges)
-
-    def connectable(parent: list[int], idx: int) -> bool:
-        # can the remaining edges edges[idx:] still make parent one component?
-        p = parent.copy()
-        comps = len({_find(p, v) for v in range(n)})
-        for j in range(idx, ne):
-            u, v = edges[j]
-            ru, rv = _find(p, u), _find(p, v)
-            if ru != rv:
-                p[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
-
-    def rec(parent: list[int], idx: int, chosen: int, need: int):
-        if need == 0:
-            if forced >> idx == 0:  # no forced edge may be left out
-                yield chosen
-            return
-        if ne - idx < need:
-            return
-        u, v = edges[idx]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            if not forced >> idx & 1:
-                yield from rec(parent, idx + 1, chosen, need)
-            return
-        p2 = parent.copy()
-        p2[ru] = rv
-        yield from rec(p2, idx + 1, chosen | (1 << idx), need - 1)
-        if not forced >> idx & 1 and connectable(parent, idx + 1):
-            yield from rec(parent, idx + 1, chosen, need)
-
-    return rec(list(range(n)), 0, 0, n - 1)
 
 
 def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0) -> SpanningTreeStream:

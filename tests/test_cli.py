@@ -221,6 +221,32 @@ def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     assert out == ""
 
 
+# inputs on a thousand-vertex path or cycle, far below MAX_VERTICES, whose
+# tree walk or cycle enumeration must not grow the interpreter's stack
+LONG = [
+    (["dpgood", "--fixture", "path:1100"],
+     {"status": "satisfied", "certificate.labeling": []}),
+    (["dpgood", "--fixture", "cycle:1101"],
+     {"status": "satisfied", "detail.trees_tried": 1}),
+    (["thm5", "--fixture", "cycle:1100", "--estar", "0>1"],
+     {"status": "satisfied", "certificate.set_girth": 1100}),
+    (["cor5", "--fixture", "cycle:1100", "--v1", "0", "--v2", "1"],
+     {"status": "satisfied", "certificate.set_girth": 1100}),
+    (["balance", "--fixture", "cycle:1100", "--estar", "0>1", "--bound", "1101"],
+     {"balanced": False}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", LONG, ids=[" ".join(a[:3]) for a, _ in LONG])
+def test_long_path_and_cycle_verdicts(capsys, argv, expected):
+    data = run_json(capsys, *argv)
+    for key, value in expected.items():
+        got = data
+        for part in key.split("."):
+            got = got[part]
+        assert got == value, key
+
+
 def test_cover_budget_is_checked_before_the_cover_space_is_built(capsys):
     # (100000!)^1 has 456,574 digits; the check stops multiplying once the
     # product is past the budget and 2^64, and prints only that far

@@ -289,6 +289,23 @@ def test_spanning_trees_forced_edges():
     assert len(trees) == 8  # half of K4's 16 trees contain a fixed edge
 
 
+def test_spanning_trees_order_with_forced_edges(rng):
+    # descending indicator vectors, edge 0 most significant: check_dp_good's
+    # trees_tried and its pinned certificates depend on this order
+    closing = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            g = Graph(n, edges)
+            trees = oracles.spanning_tree_sets(n, list(edges))
+            for _ in range(2):
+                forced = {i for i in range(g.m) if rng.random() < 0.3}
+                want = sorted((t for t in trees if forced <= t),
+                              key=lambda t: [i in t for i in range(g.m)], reverse=True)
+                closing += not want
+                assert list(spanning_trees(g, forced=mask_of(forced))) == [mask_of(t) for t in want]
+    assert closing > 0  # some forced sets close a cycle, so their stream is empty
+
+
 def test_spanning_trees_disconnected_error():
     with pytest.raises(ValueError):
         spanning_trees(Graph(4, [(0, 1), (2, 3)]))
