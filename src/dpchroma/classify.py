@@ -32,6 +32,7 @@ from .girth import (
 from .graphs import (
     Cycle,
     Graph,
+    _bfs_forest,
     _bfs_path,
     _mask_adj,
     _require_connected,
@@ -139,46 +140,90 @@ def _girth_values(g: Graph) -> list[float]:
     return [edge_girth(g, i).value for i in range(len(g.edges))]
 
 
-def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[int]):
+def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, int, int]]]:
+    """The arcs of every shortest u-v path of G - e, for e = uv of finite
+    girth, in girth - 1 layers.
+
+    With d_u and d_v the distances in G - e, an arc x->y of an edge xy lies
+    on such a path exactly when d_u(x) + 1 + d_v(y) = girth - 1, and it goes
+    to layer d_u(x) as (bit of x, bit of y, bit of the edge).
+    """
+    u, v = g.edges[e]
+    rest = g.full_mask() ^ 1 << e
+    dist = []
+    for root in (u, v):
+        d = [g.n] * g.n
+        d[root] = 0
+        for w, parent, _ in _bfs_forest(g, rest, [root])[1:]:
+            d[w] = d[parent] + 1
+        dist.append(d)
+    du, dv = dist
+    layers: list[list[tuple[int, int, int]]] = [[] for _ in range(girth - 1)]
+    for i in mask_indices(rest):
+        a, b = g.edges[i]
+        for x, y in ((a, b), (b, a)):
+            if du[x] + 1 + dv[y] == girth - 1:
+                layers[du[x]].append((1 << x, 1 << y, 1 << i))
+    return layers
+
+
+def _closes_cycle(layers: list[list[tuple[int, int, int]]], available: int) -> bool:
+    """Whether some shortest cycle through the edge of `layers` has all its
+    other edges in the edge mask `available`: a walk from u that keeps, layer
+    by layer, the heads of the available arcs leaving a reached vertex."""
+    reach = layers[0][0][0]  # every arc of layer 0 leaves u
+    for layer in layers:
+        nxt = 0
+        for x, y, edge in layer:
+            if reach & x and available & edge:
+                nxt |= y
+        if not nxt:
+            return False
+        reach = nxt
+    return True
+
+
+def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[int],
+                     layers: list[Optional[list]]):
     """Try to order the non-tree edges of one spanning tree.
 
     `labelable` lists every edge of odd finite girth sorted by (girth,
     index), and the tree holds every other edge, so the non-tree edges are
     those of `labelable` outside it.  They are placed in that girth order; an
     edge can be placed once some shortest cycle through it lies inside the
-    tree plus the edges placed before it.  Placing any currently placeable
-    edge of minimal girth is safe: available cycles only gain edges, so a
-    placeable edge stays placeable and a valid ordering can always be
-    rearranged to start with it.  Only the BFS paths are kept while placing;
-    the witness cycles are built from them once every edge is placed.
+    tree plus the edges placed before it, which `_closes_cycle` decides on
+    `layers[e]`, built the first time e is tested in any tree.  Placing
+    any currently placeable edge of minimal girth is safe: available cycles
+    only gain edges, so a placeable edge stays placeable and a valid ordering
+    can always be rearranged to start with it.  Once every edge is placed,
+    each witness cycle closes a BFS path over the tree plus the edges placed
+    before its edge.
     """
-    adj = _mask_adj(g, tree)
+    available = tree
     pending = [i for i in labelable if not tree >> i & 1]
     labeling: list[int] = []
-    paths: list[list[int]] = []
     while pending:
         girth_now = girths[pending[0]]
-        placed = None
         for e in pending:
             if girths[e] != girth_now:
+                return None
+            if layers[e] is None:
+                layers[e] = _shortest_path_layers(g, e, int(girths[e]))
+            if _closes_cycle(layers[e], available):
                 break
-            u, v = g.edges[e]
-            target = int(girths[e]) - 1
-            path = _bfs_path(adj, u, v, target)
-            if path is not None and len(path) - 1 == target:
-                placed = (e, path)
-                break
-        if placed is None:
+        else:
             return None
-        e, path = placed
         labeling.append(e)
-        paths.append(path)
+        available |= 1 << e
+        pending.remove(e)
+    adj = _mask_adj(g, tree)
+    cycles = []
+    for e in labeling:
         u, v = g.edges[e]
+        cycles.append(Cycle.from_vertices(g, _bfs_path(adj, u, v, int(girths[e]) - 1)))
         insort(adj[u], v)
         insort(adj[v], u)
-        pending.remove(e)
-    cycles = tuple(Cycle.from_vertices(g, path) for path in paths)
-    return DpGoodCertificate(tree, tuple(labeling), cycles)
+    return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
 
 
 def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
@@ -188,6 +233,13 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     tree must contain them; if they already close a cycle no tree exists and
     the verdict is violated outright.  More than `budget` candidate trees
     raise BudgetExceededError.
+
+    `detail["trees_tried"]` counts the candidate trees, streamed in
+    descending order of their indicator vectors: for a satisfied verdict it
+    is the 1-based position of the certified tree in that stream, for a
+    violated one with no witness cycle the number of spanning trees that
+    contain every edge of even or infinite girth.  The benchmark's answer
+    checks (`bench/checks.py`) pin both meanings.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -208,9 +260,10 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
 
     labelable = sorted((i for i in range(len(girths)) if not forced >> i & 1),
                        key=lambda i: (girths[i], i))
+    layers: list[Optional[list]] = [None] * len(g.edges)
     stream = spanning_trees(g, budget=budget, forced=forced)
     for tree in stream:
-        cert = _greedy_labeling(g, tree, girths, labelable)
+        cert = _greedy_labeling(g, tree, girths, labelable, layers)
         if cert is not None:
             return ClassifierVerdict(
                 "dp-good", SATISFIED, DP_STAR, certificate=cert,

@@ -6,6 +6,7 @@ imports from dpchroma: these are the reference implementations the fast
 code is checked against.
 """
 
+from bisect import insort
 from itertools import combinations, permutations, product
 
 
@@ -197,6 +198,102 @@ def crossing_set_holds(n, edges, v1, v2, e0):
             if side[cyc[(a + 1) % k]] != side[cyc[b % k]]:
                 return False
     return True
+
+
+def sorted_adjacency(n, edges, subset):
+    """Ascending neighbour lists of the edges with indices in subset."""
+    adj = [[] for _ in range(n)]
+    for i in subset:
+        u, v = edges[i]
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
+
+
+def bfs_path(adj, u, v, limit=None):
+    """A shortest u-v path trying neighbours in list order, or None if v is
+    not within limit edges of u."""
+    parent = {u: u}
+    frontier = [u]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                if w in parent:
+                    continue
+                parent[w] = x
+                if w == v:
+                    path = [v]
+                    while x != u:
+                        path.append(x)
+                        x = parent[x]
+                    path.append(u)
+                    return path[::-1]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def canonical_cycle(path):
+    """The cycle through path's vertices from its smallest vertex, in the
+    direction with the smaller second vertex."""
+    k = path.index(min(path))
+    rot = path[k:] + path[:k]
+    return rot if rot[1] < rot[-1] else rot[:1] + rot[:0:-1]
+
+
+def edge_girths(n, edges):
+    """Shortest cycle length through each edge, None for a bridge."""
+    out = []
+    for e, (u, v) in enumerate(edges):
+        rest = [i for i in range(len(edges)) if i != e]
+        path = bfs_path(sorted_adjacency(n, edges, rest), u, v)
+        out.append(None if path is None else len(path))
+    return out
+
+
+def dp_good_labeling(n, edges, girths, tree):
+    """The greedy DP-good labeling of one spanning tree (a set of edge
+    indices), as certificate JSON, or None.
+
+    The edges of odd girth outside the tree are placed in (girth, index)
+    order, each as the first of the least pending girth whose endpoints a
+    BFS over the tree plus the edges placed so far joins by a path of
+    girth - 1 edges; that path closes its witness cycle.
+    """
+    labelable = sorted((i for i, x in enumerate(girths) if x is not None and x % 2),
+                       key=lambda i: (girths[i], i))
+    adj = sorted_adjacency(n, edges, tree)
+    pending = [i for i in labelable if i not in tree]
+    labeling = []
+    paths = []
+    while pending:
+        girth_now = girths[pending[0]]
+        placed = None
+        for e in pending:
+            if girths[e] != girth_now:
+                break
+            u, v = edges[e]
+            target = girths[e] - 1
+            path = bfs_path(adj, u, v, target)
+            if path is not None and len(path) - 1 == target:
+                placed = (e, path)
+                break
+        if placed is None:
+            return None
+        e, path = placed
+        labeling.append(e)
+        paths.append(path)
+        u, v = edges[e]
+        insort(adj[u], v)
+        insort(adj[v], u)
+        pending.remove(e)
+    return {"tree": sorted(tree), "labeling": labeling,
+            "cycles": [canonical_cycle(path) for path in paths]}
 
 
 def cycle_graph(n):

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -34,7 +35,14 @@ from dpchroma import (
     twisted_cover,
     verify_dp_good_certificate,
 )
-from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2
+from dpchroma.classify import (
+    _closes_cycle,
+    _girth_values,
+    _greedy_labeling,
+    _shortest_path_layers,
+)
+from dpchroma.girth import INFINITE
+from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2, spanning_trees
 
 
 def mask_of(indices):
@@ -124,6 +132,96 @@ def test_emitted_certificates_always_verify(rng):
             seen_satisfied += 1
             assert verify_dp_good_certificate(g, verdict.certificate)
     assert seen_satisfied > 0
+
+
+# ---------------------------------------------------------------------------
+# the per-tree labeling against the BFS greedy of tests/oracles.py
+
+def assert_labelings_match(g, trees):
+    """The library's labeling of each tree mask equals the oracle's; returns
+    how many trees were compared and how many of them were labeled."""
+    edges = list(g.edges)
+    oracle_girths = oracles.edge_girths(g.n, edges)
+    girths = _girth_values(g)
+    assert [None if x == INFINITE else x for x in girths] == oracle_girths
+    labelable = sorted((i for i, x in enumerate(girths) if x != INFINITE and int(x) % 2),
+                       key=lambda i: (girths[i], i))
+    layers = [None] * len(edges)
+    compared = labeled = 0
+    for tree in trees:
+        cert = _greedy_labeling(g, tree, girths, labelable, layers)
+        got = None if cert is None else cert.to_json()
+        assert got == oracles.dp_good_labeling(g.n, edges, oracle_girths,
+                                               set(mask_indices(tree))), tree
+        compared += 1
+        labeled += got is not None
+    return compared, labeled
+
+
+def unlabelable_mask(g):
+    """The edges of even or infinite girth, which every candidate tree holds."""
+    mask = 0
+    for i, x in enumerate(oracles.edge_girths(g.n, list(g.edges))):
+        if x is None or x % 2 == 0:
+            mask |= 1 << i
+    return mask
+
+
+def test_labeling_matches_oracle_on_every_fig1_tree():
+    g = fig1_graph()
+    trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
+    compared, labeled = assert_labelings_match(g, trees)
+    assert compared == 10854 and labeled > 0
+
+
+def test_labeling_matches_oracle_on_fig3b_trees():
+    g = fig3b_graph()
+    trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
+    assert assert_labelings_match(g, islice(trees, 3000)) == (3000, 0)
+
+
+def test_labeling_matches_oracle_on_small_graphs():
+    labeled = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            g = Graph(n, edges)
+            forced = set(mask_indices(unlabelable_mask(g)))
+            trees = [sum(1 << i for i in tree)
+                     for tree in oracles.spanning_tree_sets(n, list(edges))
+                     if forced <= tree]
+            labeled += assert_labelings_match(g, trees)[1]
+    assert labeled > 0
+
+
+def test_labeling_matches_oracle_on_seeded_graphs(rng):
+    labeled = 0
+    for _ in range(30):
+        g = random_connected_graph(rng, lo=6, hi=9)
+        trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
+        labeled += assert_labelings_match(g, islice(trees, 200))[1]
+    assert labeled > 0
+
+
+def test_shortest_path_walk_follows_reached_vertices():
+    # edge 0 = uv has girth 5: its shortest cycles close the u-v paths
+    # u a m b v, u a m d v, u c m b v and u c m d v, which meet at m
+    u, v, a, b, c, d, m = range(7)
+    g = Graph(7, [(u, v), (u, a), (a, m), (m, b), (b, v),
+                  (u, c), (c, m), (m, d), (d, v)])
+    layers = _shortest_path_layers(g, 0, 5)
+
+    def available(*pairs):
+        return sum(1 << g.edge_index(x, y) for x, y in pairs)
+
+    # switching from the path through a and b to the one through c and d at m
+    switch = available((u, a), (a, m), (m, d), (d, v))
+    # every layer has an available arc, but a-m is missing, so nothing from u
+    # reaches m
+    broken = available((u, a), (c, m), (m, b), (b, v))
+    for mask, placeable in ((switch, True), (broken, False)):
+        assert _closes_cycle(layers, mask) is placeable
+        adj = oracles.sorted_adjacency(g.n, list(g.edges), mask_indices(mask))
+        assert (oracles.bfs_path(adj, u, v, 4) is not None) is placeable
 
 
 # ---------------------------------------------------------------------------
