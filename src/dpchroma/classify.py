@@ -184,7 +184,7 @@ def _closes_cycle(layers: list[list[tuple[int, int, int]]], available: int) -> b
 
 
 def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[int],
-                     layers: list[Optional[list]]):
+                     layers: list[Optional[tuple]]):
     """Try to order the non-tree edges of one spanning tree.
 
     `labelable` lists every edge of odd finite girth sorted by (girth,
@@ -192,25 +192,35 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[i
     those of `labelable` outside it.  They are placed in that girth order; an
     edge can be placed once some shortest cycle through it lies inside the
     tree plus the edges placed before it, which `_closes_cycle` decides on
-    `layers[e]`, built the first time e is tested in any tree.  Placing
-    any currently placeable edge of minimal girth is safe: available cycles
-    only gain edges, so a placeable edge stays placeable and a valid ordering
-    can always be rearranged to start with it.  Once every edge is placed,
+    the arcs of `layers[e]`, built with the mask of their edges the first
+    time e is tested in any tree.  That test reads the available edges only
+    through this mask, so an edge that failed is not tested again in the
+    same tree until an edge of its mask is placed.  Placing any currently
+    placeable edge of minimal girth is safe: available cycles only gain
+    edges, so a placeable edge stays placeable and a valid ordering can
+    always be rearranged to start with it.  Once every edge is placed,
     each witness cycle closes a BFS path over the tree plus the edges placed
     before its edge.
     """
     available = tree
     pending = [i for i in labelable if not tree >> i & 1]
     labeling: list[int] = []
+    failed: list[Optional[int]] = [None] * len(layers)  # available & layer edges at a failure
     while pending:
         girth_now = girths[pending[0]]
         for e in pending:
             if girths[e] != girth_now:
                 return None
             if layers[e] is None:
-                layers[e] = _shortest_path_layers(g, e, int(girths[e]))
-            if _closes_cycle(layers[e], available):
+                arcs = _shortest_path_layers(g, e, int(girths[e]))
+                layers[e] = (arcs, sum({edge for layer in arcs for _, _, edge in layer}))
+            arcs, layer_edges = layers[e]
+            seen = available & layer_edges
+            if failed[e] == seen:
+                continue
+            if _closes_cycle(arcs, available):
                 break
+            failed[e] = seen
         else:
             return None
         labeling.append(e)
@@ -260,7 +270,7 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
 
     labelable = sorted((i for i in range(len(girths)) if not forced >> i & 1),
                        key=lambda i: (girths[i], i))
-    layers: list[Optional[list]] = [None] * len(g.edges)
+    layers: list[Optional[tuple]] = [None] * len(g.edges)
     stream = spanning_trees(g, budget=budget, forced=forced)
     for tree in stream:
         cert = _greedy_labeling(g, tree, girths, labelable, layers)

@@ -10,6 +10,7 @@ overrun as an inconclusive verdict and exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -274,7 +275,11 @@ _BUDGET_HELP = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parsing reads it without changing it, and help and errors go to the
+    `sys.stdout` and `sys.stderr` of the moment they are printed."""
     parser = argparse.ArgumentParser(
         prog="dp-chroma",
         description="Chromatic polynomials, cover counts and coloring "
@@ -360,6 +365,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status.
+
+    It may be called any number of times in one process; each call parses
+    its own arguments into a fresh namespace.  The parser is built on the
+    first call and reused by every later one.
+    """
     # exact counts are printed in full, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)

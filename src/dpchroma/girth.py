@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import DEFAULT_BUDGET
-from .graphs import Cycle, Graph, _bfs_path, _mask_adj, enumerate_cycles
+from .graphs import Cycle, Graph, _bfs_path, enumerate_cycles
 
 INFINITE = math.inf
 
@@ -95,7 +95,11 @@ class BalanceVerdict:
 def edge_girth(g: Graph, e: int) -> GirthResult:
     """Length of a shortest cycle through edge e; INFINITE for a bridge."""
     u, v = g.edges[e]
-    path = _bfs_path(_mask_adj(g, g.full_mask() ^ 1 << e), u, v)
+    # a BFS from u could use uv only as its first step, so dropping v from
+    # u's list alone searches G - e
+    adj = list(g.adj)
+    adj[u] = [w for w in adj[u] if w != v]
+    path = _bfs_path(adj, u, v)
     if path is None:
         return GirthResult(INFINITE, None)
     return GirthResult(len(path), Cycle.from_vertices(g, path))

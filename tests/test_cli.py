@@ -6,7 +6,7 @@ import time
 import pytest
 
 from dpchroma import Cover, DpGoodCertificate, Polynomial, verify_dp_good_certificate
-from dpchroma.cli import main
+from dpchroma.cli import _build_parser, main
 from dpchroma.graphs import fixture
 
 
@@ -293,6 +293,29 @@ def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "classify", "--fixture", "complete:4", "--format", "json")
     second = run_cli(capsys, "classify", "--fixture", "complete:4", "--format", "json")
     assert first == second
+
+
+def test_repeated_calls_in_one_process_stay_independent(capsys):
+    data = run_json(capsys, "chromatic", "--fixture", "cycle:4", "--at", "4")
+    assert data["evaluations"] == {"4": "84"}
+    # the --at list of the call before does not carry over
+    data = run_json(capsys, "chromatic", "--fixture", "cycle:4")
+    assert data["evaluations"] == {}
+    code, out, err = run_cli(capsys, "dpexact", "--fixture", "cycle:4", "--m", "x")
+    assert code == 2 and out == "" and "invalid int value: 'x'" in err
+    data = run_json(capsys, "dpexact", "--fixture", "cycle:4", "--m", "3")
+    assert data["dp_value"] == "15" and data["chromatic_value"] == "18"
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "chromatic", "--help")
+        assert code == 0 and out.startswith("usage: dp-chroma chromatic")
+
+
+def test_parser_is_built_once_per_process(capsys):
+    for argv in (["chromatic", "--fixture", "path:3"], ["girth", "--fixture", "cycle:5",
+                                                       "--edge", "1"], ["nope"]):
+        main(argv)
+    capsys.readouterr()
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point():

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import random_edges
+from conftest import random_connected_graph, random_edges
 
 from dpchroma import (
     INFINITE,
@@ -12,6 +12,8 @@ from dpchroma import (
     cycle_graph,
     edge_girth,
     edge_set_girth,
+    fig1_graph,
+    fig3b_graph,
     path_graph,
 )
 
@@ -33,6 +35,23 @@ def test_edge_girth_witness_is_shortest_cycle_through_edge():
     r = edge_girth(k4, k4.edge_index(0, 1))
     assert len(r.witness) == 3
     assert (0, 1) in r.witness.edge_pairs()
+
+
+def test_edge_girth_matches_bfs_over_g_minus_e(rng):
+    # value and witness equal a BFS over freshly sorted lists of G - e
+    graphs = [fig1_graph(), fig3b_graph()]
+    graphs += [random_connected_graph(rng, lo=6, hi=10) for _ in range(40)]
+    for g in graphs:
+        edges = list(g.edges)
+        for e, (u, v) in enumerate(edges):
+            rest = [i for i in range(len(edges)) if i != e]
+            path = oracles.bfs_path(oracles.sorted_adjacency(g.n, edges, rest), u, v)
+            r = edge_girth(g, e)
+            if path is None:
+                assert r.value == INFINITE and r.witness is None
+            else:
+                assert r.value == len(path)
+                assert r.witness.to_json() == oracles.canonical_cycle(path)
 
 
 def test_edge_set_girth_examples():
