@@ -106,7 +106,7 @@ def chromatic_polynomial(g: Graph) -> Polynomial:
     """
     result = Polynomial.one()
     bridges = 0
-    for block in _blocks(g.n, g.edges):
+    for block in _blocks(g, g.full_mask()):
         if len(block) == 1:
             bridges += 1
         else:

@@ -14,7 +14,6 @@ on each shorter cycle, with the same set-girth gate and certificate.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -34,7 +33,6 @@ from .graphs import (
     Graph,
     _bfs_forest,
     _bfs_path,
-    _mask_adj,
     _require_connected,
     component_count,
     enumerate_cycles,
@@ -132,12 +130,15 @@ def _subgraph_cycle(g: Graph, mask: int) -> Optional[Cycle]:
     start_edge = next(mask_indices(cyclic))
     u, v = g.edges[start_edge]
     # shortest u-v path avoiding the edge itself, within the cyclic part
-    path = _bfs_path(_mask_adj(g, cyclic ^ 1 << start_edge), u, v)
+    path = _bfs_path(g._incidence, cyclic ^ 1 << start_edge, u, v)
     return Cycle.from_vertices(g, path)
 
 
 def _girth_values(g: Graph) -> list[float]:
-    return [edge_girth(g, i).value for i in range(len(g.edges))]
+    """The `edge_girth` value of every edge, without building its witness."""
+    full = g.full_mask()
+    paths = (_bfs_path(g._incidence, full ^ 1 << i, u, v) for i, (u, v) in enumerate(g.edges))
+    return [INFINITE if path is None else len(path) for path in paths]
 
 
 def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, int, int]]]:
@@ -226,13 +227,13 @@ def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[i
         labeling.append(e)
         available |= 1 << e
         pending.remove(e)
-    adj = _mask_adj(g, tree)
+    available = tree
     cycles = []
     for e in labeling:
         u, v = g.edges[e]
-        cycles.append(Cycle.from_vertices(g, _bfs_path(adj, u, v, int(girths[e]) - 1)))
-        insort(adj[u], v)
-        insort(adj[v], u)
+        path = _bfs_path(g._incidence, available, u, v, int(girths[e]) - 1)
+        cycles.append(Cycle.from_vertices(g, path))
+        available |= 1 << e
     return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
 
 
@@ -556,20 +557,19 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
 def scan_even_girth(g: Graph) -> ClassifierVerdict:
     """An edge of even girth is already sufficient for the strict class."""
     condition = "even-girth-edge"
-    girth_list = []
-    for i in range(len(g.edges)):
-        r = edge_girth(g, i)
-        girth_list.append(int(r.value) if r.is_finite else "infinity")
-        if r.is_finite and int(r.value) % 2 == 0:
+    girths = _girth_values(g)
+    for i, value in enumerate(girths):
+        if value != INFINITE and value % 2 == 0:
             return ClassifierVerdict(
                 condition, SATISFIED, DP_LESS,
-                certificate={"edge": i, "girth": int(r.value),
-                             "witness": r.witness},
+                certificate={"edge": i, "girth": value,
+                             "witness": edge_girth(g, i).witness},
             )
     return ClassifierVerdict(
         condition, VIOLATED, UNKNOWN,
         detail={"reason": "every edge has odd or infinite girth",
-                "edge_girths": girth_list},
+                "edge_girths": [value if value != INFINITE else "infinity"
+                                for value in girths]},
     )
 
 
@@ -586,14 +586,10 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
     def candidates():
         for i, (u, v) in enumerate(g.edges):
             yield (u,), (v,), 1 << i
-        for v in range(g.n):
-            nbrs = g.adj[v]
-            for size in range(2, len(nbrs) + 1):
-                for sub in combinations(nbrs, size):
-                    mask = 0
-                    for w in sub:
-                        mask |= 1 << g.edge_index(v, w)
-                    yield (v,), sub, mask
+        for v, pairs in enumerate(g._incidence):
+            for size in range(2, len(pairs) + 1):
+                for sub in combinations(pairs, size):
+                    yield (v,), tuple(w for w, _ in sub), sum(1 << i for _, i in sub)
 
     for v1, v2, mask in candidates():
         tried += 1

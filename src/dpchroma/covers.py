@@ -110,14 +110,19 @@ def _check_fold(m: int, least: int = 1) -> None:
 def _assigned_perms(g: Graph, m: int,
                     assignment: Mapping[int, Sequence[int]]) -> list[tuple[int, ...]]:
     """One permutation per edge, identity where `assignment` (keys: edge indices
-    or their strings) gives none; raises ValueError on any invalid input."""
+    or their strings) gives none; raises ValueError on any invalid input,
+    two keys naming one edge (such as "1" and "01") included."""
     _check_fold(m)
     ident = tuple(range(m))
     perms = [ident] * len(g.edges)
+    given: set[int] = set()
     for key, seq in dict(assignment).items():
         i = int(key)
         if not (0 <= i < len(g.edges)):
             raise ValueError(f"permutation for unknown edge index {i}")
+        if i in given:
+            raise ValueError(f"two permutations for edge index {i}")
+        given.add(i)
         p = tuple(seq)
         if not all(type(x) is int for x in p) or tuple(sorted(p)) != ident:
             raise ValueError(f"not a permutation of range({m}): {seq!r}")

@@ -95,27 +95,24 @@ class BalanceVerdict:
 def edge_girth(g: Graph, e: int) -> GirthResult:
     """Length of a shortest cycle through edge e; INFINITE for a bridge."""
     u, v = g.edges[e]
-    # a BFS from u could use uv only as its first step, so dropping v from
-    # u's list alone searches G - e
-    adj = list(g.adj)
-    adj[u] = [w for w in adj[u] if w != v]
-    path = _bfs_path(adj, u, v)
+    path = _bfs_path(g._incidence, g.full_mask() ^ 1 << e, u, v)
     if path is None:
         return GirthResult(INFINITE, None)
     return GirthResult(len(path), Cycle.from_vertices(g, path))
 
 
-def _parity_cover(g: Graph, e0: int) -> list[list[int]]:
-    """Ascending neighbour lists of the parity double cover of (g, e0).
+def _parity_cover(g: Graph, e0: int) -> list[list[tuple[int, int]]]:
+    """Incidence lists of the parity double cover of (g, e0), ascending by
+    neighbour, each lift keeping the index of its edge in g.
 
     Node 2v+p stands for (v, p); an edge of e0 joins the two layers.
     """
-    cover: list[list[int]] = [[] for _ in range(2 * g.n)]
-    for v in range(g.n):
-        for w in g.adj[v]:
-            flip = e0 >> g.edge_index(v, w) & 1
-            cover[2 * v].append(2 * w + flip)
-            cover[2 * v + 1].append(2 * w + 1 - flip)
+    cover: list[list[tuple[int, int]]] = [[] for _ in range(2 * g.n)]
+    for v, pairs in enumerate(g._incidence):
+        for w, i in pairs:
+            flip = e0 >> i & 1
+            cover[2 * v].append((2 * w + flip, i))
+            cover[2 * v + 1].append((2 * w + 1 - flip, i))
     return cover
 
 
@@ -125,7 +122,7 @@ def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     best: Optional[list[int]] = None
     for s in range(g.n):
         limit = None if best is None else len(best) - 1
-        path = _bfs_path(cover, 2 * s, 2 * s + 1, limit)
+        path = _bfs_path(cover, g.full_mask(), 2 * s, 2 * s + 1, limit)
         if path is not None:
             best = [node >> 1 for node in path[:-1]]  # closed walk, s once
     if best is None:

@@ -5,18 +5,18 @@ u < v; the position of a pair in that tuple is the edge's index, stable
 for the lifetime of the graph.  Edge subsets are plain int bitmasks over
 those indices.
 
-The package's graph primitives live here, once each, and work on plain
-vertex counts, pair lists and neighbour lists so that every module can use
-them:
+The package's graph primitives live here, once each.  A subgraph is
+always the graph's own incidence lists read under an edge mask; no module
+builds neighbour lists of an edge subset:
 
+* `Graph._incidence`: ascending (neighbour, edge index) pairs per vertex,
+  built once per graph;
 * `_find` and `_union`: union-find and its merge loop;
-* `_blocks`: the lowpoint DFS that splits a graph into its blocks, whose
+* `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
-* `_mask_adj` and `_bfs_path`: ascending neighbour lists of an edge subset
-  and the BFS shortest path over such lists, whose neighbour order fixes
+* `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
+  over incidence lists under a mask; the ascending neighbour order fixes
   every witness cycle the package reports;
-* `Graph._incidence` and `_bfs_forest`: ascending (neighbour, edge index)
-  pairs per vertex, built once per graph, and the one BFS forest walk;
 * `_search_plan`: the greedy min-frontier vertex order and its frontiers,
   which both exact counts (transversals and chromatic polynomials) walk;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
@@ -321,38 +321,35 @@ def _union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
     return merges
 
 
-def _blocks(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The blocks of ({0..n-1}, pairs), each as the positions of its edges in
-    `pairs`.  A block is a maximal 2-connected subgraph or a bridge, so every
-    edge lies in exactly one block and the bridges are the one-edge blocks."""
-    sub: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        sub[u].append((v, i))
-        sub[v].append((u, i))
-
-    disc = [-1] * n
-    low = [0] * n
+def _blocks(g: Graph, mask: int) -> list[list[int]]:
+    """The blocks of the spanning subgraph with edge set `mask`, each as the
+    indices of its edges.  A block is a maximal 2-connected subgraph or a
+    bridge, so every edge of `mask` lies in exactly one block and the
+    bridges are the one-edge blocks."""
+    incidence = g._incidence
+    disc = [-1] * g.n
+    low = [0] * g.n
     timer = 0
     edges: list[int] = []  # edges met but not yet closed into a block
     blocks: list[list[int]] = []
 
     # iterative lowpoint DFS; parallel edges cannot occur in a simple graph.
     # A frame is (vertex, tree edge in, iterator, len(edges) before that edge).
-    for root in range(n):
+    for root in range(g.n):
         if disc[root] != -1:
             continue
-        stack = [(root, -1, iter(sub[root]), 0)]
+        stack = [(root, -1, iter(incidence[root]), 0)]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
             v, pedge, it, mark = stack[-1]
             for w, i in it:
-                if i == pedge:
+                if i == pedge or not mask >> i & 1:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, i, iter(sub[w]), len(edges)))
+                    stack.append((w, i, iter(incidence[w]), len(edges)))
                     edges.append(i)
                     break
                 if disc[w] < disc[v]:  # a back edge, met first from below
@@ -369,24 +366,14 @@ def _blocks(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     return blocks
 
 
-def _mask_adj(g: Graph, mask: int) -> list[list[int]]:
-    """Ascending neighbour lists of the spanning subgraph with edge set `mask`."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i in mask_indices(mask):
-        u, v = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
-    return adj
-
-
-def _bfs_path(adj: Sequence[Sequence[int]], u: int, v: int,
+def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int, v: int,
               limit: Optional[int] = None) -> Optional[list[int]]:
-    """A shortest u-v path (u != v) as its vertex list from u to v.
+    """A shortest u-v path (u != v) over the edges of `mask`, as its vertex
+    list from u to v.
 
-    Neighbours are tried in list order, so ascending lists give the same
-    path every time.  Returns None if v is not within `limit` edges of u.
+    `incidence` holds (neighbour, edge index) pairs per vertex, tried in
+    list order, so ascending lists give the same path every time.  Returns
+    None if v is not within `limit` edges of u.
     """
     parent = {u: u}
     frontier = [u]
@@ -395,8 +382,8 @@ def _bfs_path(adj: Sequence[Sequence[int]], u: int, v: int,
         depth += 1
         nxt = []
         for x in frontier:
-            for w in adj[x]:
-                if w in parent:
+            for w, i in incidence[x]:
+                if w in parent or not mask >> i & 1:
                     continue
                 parent[w] = x
                 if w == v:
@@ -499,10 +486,9 @@ def component_count(g: Graph, mask: int) -> int:
 
 def non_bridge_edges(g: Graph, mask: int) -> int:
     """Edges of `mask` that lie on a cycle of the spanning subgraph."""
-    indices = list(mask_indices(mask))
-    for block in _blocks(g.n, [g.edges[i] for i in indices]):
+    for block in _blocks(g, mask):
         if len(block) == 1:
-            mask ^= 1 << indices[block[0]]
+            mask ^= 1 << block[0]
     return mask
 
 

@@ -176,6 +176,29 @@ def edge_set_girth(n, edges, e0):
     return (None, None) if best is None else (len(best), best)
 
 
+def set_girth_witness(n, edges, e0):
+    """The shortest cycle meeting e0 (edge index set) oddly that a BFS over
+    the parity double cover finds first, or None: node 2v+p stands for
+    (v, p), e0 edges join the layers, neighbours are tried ascending, and
+    for s = 0, 1, ... a (s, 0)-(s, 1) path replaces the best so far only
+    when it is shorter."""
+    cover = [[] for _ in range(2 * n)]
+    for i, (u, v) in enumerate(edges):
+        flip = 1 if i in e0 else 0
+        for a, b in ((u, v), (v, u)):
+            cover[2 * a].append(2 * b + flip)
+            cover[2 * a + 1].append(2 * b + 1 - flip)
+    for nbrs in cover:
+        nbrs.sort()
+    best = None
+    for s in range(n):
+        limit = None if best is None else len(best) - 1
+        path = bfs_path(cover, 2 * s, 2 * s + 1, limit)
+        if path is not None:
+            best = [node >> 1 for node in path[:-1]]
+    return None if best is None else canonical_cycle(best)
+
+
 def crossing_set_holds(n, edges, v1, v2, e0):
     """The crossing-edge-set condition for e0 between classes v1 and v2.
 

@@ -207,10 +207,13 @@ BAD_COVERS = {
     (["twist", "--fixture", "cycle:4", "--estar", "0>1,1>0", "--m", "3"], 2),
     (["thm5", "--fixture", "cycle:4", "--estar", "0-1,0>1"], 2),
     (["balance", "--fixture", "cycle:4", "--estar", "0,1>0", "--bound", "4"], 2),
+    # a cover file whose keys "1" and "01" both name edge 1
+    (["dpcount", "--fixture", "cycle:3", "--cover", "{edge_twice}"], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     files = {"m0": json.dumps({"m": 0}), "m_big": json.dumps({"m": 200000}),
-             "huge": "100000000\n0 1\n"}
+             "huge": "100000000\n0 1\n",
+             "edge_twice": json.dumps({"m": 3, "perms": {"1": [1, 2, 0], "01": [0, 1, 2]}})}
     files.update({name: json.dumps(data) for name, data in BAD_COVERS.items()})
     paths = {}
     for name, text in files.items():

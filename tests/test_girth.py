@@ -96,6 +96,18 @@ def test_edge_set_girth_matches_oracle(rng):
             assert got.value == expected
 
 
+def test_edge_set_girth_witness_matches_parity_cover_bfs(rng):
+    graphs = [(fig1_graph(), 30), (fig3b_graph(), 30)]
+    graphs += [(random_connected_graph(rng, 3, 9), 3) for _ in range(60)]
+    for g, draws in graphs:
+        for _ in range(draws):
+            mask = rng.randrange(1, 1 << g.m)
+            sub = {i for i in range(g.m) if mask >> i & 1}
+            r = edge_set_girth(g, mask)
+            expected = oracles.set_girth_witness(g.n, list(g.edges), sub)
+            assert (list(r.witness.vertices) if r.witness else None) == expected
+
+
 def test_singleton_set_girth_equals_edge_girth(rng):
     for _ in range(40):
         n = rng.randint(3, 7)

@@ -162,27 +162,31 @@ def test_blocks_against_oracle(rng):
     for _ in range(120):
         n = rng.randint(0, 8)
         edges = random_edges(rng, n, rng.uniform(0.15, 0.7))
-        blocks = _blocks(n, edges)
-        # every edge lies in exactly one block
-        assert sorted(i for b in blocks for i in b) == list(range(len(edges)))
-        # the one-edge blocks are the bridges
-        bridges = sorted(b[0] for b in blocks if len(b) == 1)
-        assert bridges == oracles.bridges(n, edges, range(len(edges)))
-        spans = [{v for i in b for v in edges[i]} for b in blocks]
-        for b, verts in zip(blocks, spans):
-            if len(b) == 1:
-                continue
-            # 2-connected: connected, and still connected without any vertex
-            pairs = [edges[i] for i in b]
-            for cut in [None, *verts]:
-                rest = sorted(verts - {cut})
-                pos = {v: k for k, v in enumerate(rest)}
-                sub = [(pos[u], pos[v]) for u, v in pairs if cut not in (u, v)]
-                assert oracles.is_connected(len(rest), sub)
-        # maximal: two 2-connected blocks sharing two vertices would be one
-        for a in range(len(spans)):
-            for c in range(a + 1, len(spans)):
-                assert len(spans[a] & spans[c]) <= 1
+        g = Graph(n, edges)
+        # the whole edge set, then a random subset of it
+        for mask in (g.full_mask(), rng.randrange(1 << g.m)):
+            subset = [i for i in range(g.m) if mask >> i & 1]
+            blocks = _blocks(g, mask)
+            # every edge of the subset lies in exactly one block
+            assert sorted(i for b in blocks for i in b) == subset
+            # the one-edge blocks are the bridges
+            bridges = sorted(b[0] for b in blocks if len(b) == 1)
+            assert bridges == oracles.bridges(n, edges, subset)
+            spans = [{v for i in b for v in edges[i]} for b in blocks]
+            for b, verts in zip(blocks, spans):
+                if len(b) == 1:
+                    continue
+                # 2-connected: connected, and still connected without any vertex
+                pairs = [edges[i] for i in b]
+                for cut in [None, *verts]:
+                    rest = sorted(verts - {cut})
+                    pos = {v: k for k, v in enumerate(rest)}
+                    sub = [(pos[u], pos[v]) for u, v in pairs if cut not in (u, v)]
+                    assert oracles.is_connected(len(rest), sub)
+            # maximal: two 2-connected blocks sharing two vertices would be one
+            for a in range(len(spans)):
+                for c in range(a + 1, len(spans)):
+                    assert len(spans[a] & spans[c]) <= 1
 
 
 # ---------------------------------------------------------------------------
