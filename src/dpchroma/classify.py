@@ -15,8 +15,9 @@ on each shorter cycle, with the same set-girth gate and certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import (
@@ -134,11 +135,15 @@ def _subgraph_cycle(g: Graph, mask: int) -> Optional[Cycle]:
     return Cycle.from_vertices(g, path)
 
 
-def _girth_values(g: Graph) -> list[float]:
-    """The `edge_girth` value of every edge, without building its witness."""
+@lru_cache(maxsize=1)
+def _girth_values(g: Graph) -> tuple[float, ...]:
+    """The `edge_girth` value of every edge, without building its witness.
+
+    The last graph's values are kept, so the checks `classify` runs on one
+    graph compute them once."""
     full = g.full_mask()
     paths = (_bfs_path(g._incidence, full ^ 1 << i, u, v) for i, (u, v) in enumerate(g.edges))
-    return [INFINITE if path is None else len(path) for path in paths]
+    return tuple(INFINITE if path is None else len(path) for path in paths)
 
 
 def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, int, int]]]:
@@ -184,44 +189,115 @@ def _closes_cycle(layers: list[list[tuple[int, int, int]]], available: int) -> b
     return True
 
 
-def _greedy_labeling(g: Graph, tree: int, girths: list[float], labelable: list[int],
-                     layers: list[Optional[tuple]]):
-    """Try to order the non-tree edges of one spanning tree.
+class _Closure:
+    """The DP-good closure of the edges a spanning-tree walk has taken.
 
-    `labelable` lists every edge of odd finite girth sorted by (girth,
-    index), and the tree holds every other edge, so the non-tree edges are
-    those of `labelable` outside it.  They are placed in that girth order; an
-    edge can be placed once some shortest cycle through it lies inside the
-    tree plus the edges placed before it, which `_closes_cycle` decides on
-    the arcs of `layers[e]`, built with the mask of their edges the first
-    time e is tested in any tree.  That test reads the available edges only
-    through this mask, so an edge that failed is not tested again in the
-    same tree until an edge of its mask is placed.  Placing any currently
-    placeable edge of minimal girth is safe: available cycles only gain
-    edges, so a placeable edge stays placeable and a valid ordering can
-    always be rearranged to start with it.  Once every edge is placed,
-    each witness cycle closes a BFS path over the tree plus the edges placed
-    before its edge.
+    An edge e of odd girth g joins the closure once some shortest cycle
+    through it lies in the edges taken, the edges joined and every edge of
+    girth < g.  Every edge of a g-cycle has girth at most g, so a tree is
+    DP-good exactly when its closure is all of E: the joined edges, in
+    girth order and in the order they joined, are a valid labeling.  The
+    closure only grows with the edges taken, and it does not depend on the
+    order in which edges are tested, so each frame of the walk carries the
+    closure of its own prefix.
+
+    A value is (closure mask, mask of the edges that had layers when it was
+    last brought up to date).  Layers are built only for the edges a tree's
+    closure has not reached (`full`).  A taken or joined edge x is passed on
+    only to the edges of its girth whose layers contain x (`_users[x]`), and
+    a value older than some layers first tests their edges (`_settle`).
+    """
+
+    def __init__(self, g: Graph, girths: Sequence[float], forced: int):
+        self._g = g
+        self._girths = girths
+        self.start = (forced, 0)
+        self._full = g.full_mask()
+        self._arcs: list[Optional[list]] = [None] * len(girths)
+        self._layered = 0  # edges with layers
+        self._users = [0] * len(girths)
+        of_girth: dict[float, int] = {}
+        for x, girth in enumerate(girths):
+            of_girth[girth] = of_girth.get(girth, 0) | 1 << x
+        below, shorter = {}, 0
+        for girth in sorted(of_girth):
+            below[girth] = shorter
+            shorter |= of_girth[girth]
+        self._below = [below[girth] for girth in girths]  # edges of smaller girth
+
+    def layers(self, e: int) -> list:
+        """The `_shortest_path_layers` of edge e, built on first use."""
+        arcs = self._arcs[e]
+        if arcs is None:
+            girths = self._girths
+            arcs = self._arcs[e] = _shortest_path_layers(self._g, e, int(girths[e]))
+            for x in mask_indices(sum({edge for layer in arcs for _, _, edge in layer})):
+                if girths[x] == girths[e]:
+                    self._users[x] |= 1 << e
+            self._layered |= 1 << e
+        return arcs
+
+    def _spread(self, closure: int, todo: int) -> int:
+        """Join every edge of the mask `todo` that closes a cycle, and every
+        edge that then follows."""
+        arcs, below, users = self._arcs, self._below, self._users
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            e = low.bit_length() - 1
+            if _closes_cycle(arcs[e], closure | below[e]):
+                closure |= low
+                todo |= users[e] & ~closure
+        return closure
+
+    def _settle(self, value: tuple[int, int]) -> tuple[int, int]:
+        closure, layered = value
+        if layered != self._layered:
+            return self._spread(closure, self._layered & ~layered & ~closure), self._layered
+        return value
+
+    def take(self, value: tuple[int, int], i: int) -> tuple[int, int]:
+        """The value after the walk takes edge i."""
+        closure, layered = self._settle(value)
+        if closure >> i & 1:
+            return closure, layered
+        closure |= 1 << i
+        return self._spread(closure, self._users[i] & ~closure), layered
+
+    def full(self, value: tuple[int, int]) -> bool:
+        """Whether the closure of a tree's value is all of E."""
+        if value[0] == self._full:
+            return True
+        for e in mask_indices(self._full & ~value[0] & ~self._layered):
+            self.layers(e)
+        return self._settle(value)[0] == self._full
+
+
+def _greedy_labeling(g: Graph, tree: int, girths: Sequence[float],
+                     layers: Callable[[int], list]):
+    """Build the certificate of a DP-good spanning tree, or None if the tree
+    is not DP-good.
+
+    The tree holds every edge of even or infinite girth, and the other
+    edges are placed in (girth, index) order; an edge can be placed once
+    some shortest cycle through it lies inside the tree plus the edges
+    placed before it, which `_closes_cycle` decides on `layers(e)`.
+    Placing any currently placeable edge of minimal girth is safe: available
+    cycles only gain edges, so a placeable edge stays placeable and a valid
+    ordering can always be rearranged to start with it.  Once every edge is
+    placed, each witness cycle closes a BFS path over the tree plus the
+    edges placed before its edge.
     """
     available = tree
-    pending = [i for i in labelable if not tree >> i & 1]
+    pending = sorted(mask_indices(g.full_mask() & ~tree), key=lambda i: (girths[i], i))
     labeling: list[int] = []
-    failed: list[Optional[int]] = [None] * len(layers)  # available & layer edges at a failure
     while pending:
         girth_now = girths[pending[0]]
         for e in pending:
             if girths[e] != girth_now:
                 return None
-            if layers[e] is None:
-                arcs = _shortest_path_layers(g, e, int(girths[e]))
-                layers[e] = (arcs, sum({edge for layer in arcs for _, _, edge in layer}))
-            arcs, layer_edges = layers[e]
-            seen = available & layer_edges
-            if failed[e] == seen:
-                continue
-            if _closes_cycle(arcs, available):
+            if _closes_cycle(layers(e), available):
                 break
-            failed[e] = seen
         else:
             return None
         labeling.append(e)
@@ -244,6 +320,13 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     tree must contain them; if they already close a cycle no tree exists and
     the verdict is violated outright.  More than `budget` candidate trees
     raise BudgetExceededError.
+
+    The candidate trees come from one spanning-tree walk, and each frame of
+    the walk carries the `_Closure` of the edges it has taken, updated on
+    every edge it takes: a tree is DP-good exactly when its closure is all
+    of E.  `_greedy_labeling` runs once, on the first such tree, to build
+    its certificate.  The trees, their order and `trees_tried` are those of
+    a search that labels every tree in turn.
 
     `detail["trees_tried"]` counts the candidate trees, streamed in
     descending order of their indicator vectors: for a satisfied verdict it
@@ -269,13 +352,12 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
             },
         )
 
-    labelable = sorted((i for i in range(len(girths)) if not forced >> i & 1),
-                       key=lambda i: (girths[i], i))
-    layers: list[Optional[tuple]] = [None] * len(g.edges)
-    stream = spanning_trees(g, budget=budget, forced=forced)
+    closure = _Closure(g, girths, forced)
+    stream = spanning_trees(g, budget=budget, forced=forced,
+                            carry=(closure.start, closure.take))
     for tree in stream:
-        cert = _greedy_labeling(g, tree, girths, labelable, layers)
-        if cert is not None:
+        if closure.full(stream.value):
+            cert = _greedy_labeling(g, tree, girths, closure.layers)
             return ClassifierVerdict(
                 "dp-good", SATISFIED, DP_STAR, certificate=cert,
                 detail={
@@ -304,9 +386,10 @@ def certificate_failure_reason(g: Graph, cert: DpGoodCertificate) -> Optional[st
         return "labeling-not-the-non-tree-edges"
     if len(cert.witness_cycles) != len(cert.labeling):
         return "cycle-count"
+    values = _girth_values(g)
     girths = []
     for e in cert.labeling:
-        value = edge_girth(g, e).value
+        value = values[e]
         if value == INFINITE:
             return "labeled-edge-is-a-bridge"
         if int(value) % 2 == 0:

@@ -537,28 +537,38 @@ class SpanningTreeStream:
     leaves an edge out only while the later edges can still join every
     component.  `count` is the number of trees yielded so far.  Yields at
     most `budget` trees; reaching tree budget + 1 raises BudgetExceededError.
+
+    `carry`, if given, is a pair (start, take) that gives every frame of the
+    walk a value: the first frame holds `start`, and taking edge i turns a
+    frame's value v into take(v, i), so a frame the walk comes back to still
+    holds the value of its own taken edges.  `value` is the value of the tree
+    yielded last.
     """
 
-    def __init__(self, g: Graph, budget: int, forced: int = 0):
+    def __init__(self, g: Graph, budget: int, forced: int = 0, *,
+                 carry: Optional[tuple] = None):
         self.count = 0
-        self._gen = self._walk(g, budget, forced)
+        self.value = None
+        self._gen = self._walk(g, budget, forced, carry)
 
     def __iter__(self):
         return self._gen
 
-    def _walk(self, g: Graph, budget: int, forced: int):
+    def _walk(self, g: Graph, budget: int, forced: int, carry):
         edges = g.edges
         parent = list(range(g.n))
         if _union(parent, (edges[i] for i in mask_indices(forced))) < forced.bit_count():
             return
         free = [i for i in range(len(edges)) if not forced >> i & 1]
-        # a frame (k, parent, tree, need): free[:k] is decided, `tree` holds
-        # the edges taken, and `need` more edges join the components of parent.
-        # Once free[k:] can join them, taking or skipping free[k] keeps that
-        # true, so the inner loop reaches need == 0 before free runs out.
-        stack =[(0, parent, forced, g.n - 1 - forced.bit_count())]
+        start, take = carry if carry is not None else (None, None)
+        # a frame (k, parent, tree, need, value): free[:k] is decided, `tree`
+        # holds the edges taken, `need` more edges join the components of
+        # parent, and `value` is carried.  Once free[k:] can join them, taking
+        # or skipping free[k] keeps that true, so the inner loop reaches
+        # need == 0 before free runs out.
+        stack = [(0, parent, forced, g.n - 1 - forced.bit_count(), start)]
         while stack:
-            k, parent, tree, need = stack.pop()
+            k, parent, tree, need, value = stack.pop()
             if _union(parent.copy(), (edges[i] for i in free[k:])) < need:
                 continue
             while need:
@@ -567,25 +577,30 @@ class SpanningTreeStream:
                 u, v = edges[i]
                 ru, rv = _find(parent, u), _find(parent, v)
                 if ru != rv:
-                    stack.append((k, parent, tree, need))  # i left out, walked later
+                    stack.append((k, parent, tree, need, value))  # i left out, walked later
                     parent = parent.copy()
                     parent[ru] = rv
                     tree |= 1 << i
                     need -= 1
+                    if take is not None:
+                        value = take(value, i)
             if self.count + 1 > budget:
                 raise BudgetExceededError("spanning trees", self.count + 1, budget)
             self.count += 1
+            self.value = value
             yield tree
 
 
-def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0) -> SpanningTreeStream:
+def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0, *,
+                   carry: Optional[tuple] = None) -> SpanningTreeStream:
     """Stream the distinct spanning trees of a connected graph.
 
     `forced` is an edge mask every yielded tree must contain; if those edges
-    already close a cycle the stream is empty.
+    already close a cycle the stream is empty.  `carry` is passed on to
+    `SpanningTreeStream`.
     """
     _require_connected(g)
-    return SpanningTreeStream(g, budget, forced)
+    return SpanningTreeStream(g, budget, forced, carry=carry)
 
 
 def _require_connected(g: Graph) -> None:

@@ -1,3 +1,4 @@
+import importlib
 import json
 from collections import Counter
 from itertools import islice
@@ -36,6 +37,7 @@ from dpchroma import (
     verify_dp_good_certificate,
 )
 from dpchroma.classify import (
+    _Closure,
     _closes_cycle,
     _girth_values,
     _greedy_labeling,
@@ -43,6 +45,9 @@ from dpchroma.classify import (
 )
 from dpchroma.girth import INFINITE
 from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2, spanning_trees
+
+# the package re-exports the function `classify` under the module's name
+classify_module = importlib.import_module("dpchroma.classify")
 
 
 def mask_of(indices):
@@ -135,28 +140,7 @@ def test_emitted_certificates_always_verify(rng):
 
 
 # ---------------------------------------------------------------------------
-# the per-tree labeling against the BFS greedy of tests/oracles.py
-
-def assert_labelings_match(g, trees):
-    """The library's labeling of each tree mask equals the oracle's; returns
-    how many trees were compared and how many of them were labeled."""
-    edges = list(g.edges)
-    oracle_girths = oracles.edge_girths(g.n, edges)
-    girths = _girth_values(g)
-    assert [None if x == INFINITE else x for x in girths] == oracle_girths
-    labelable = sorted((i for i, x in enumerate(girths) if x != INFINITE and int(x) % 2),
-                       key=lambda i: (girths[i], i))
-    layers = [None] * len(edges)
-    compared = labeled = 0
-    for tree in trees:
-        cert = _greedy_labeling(g, tree, girths, labelable, layers)
-        got = None if cert is None else cert.to_json()
-        assert got == oracles.dp_good_labeling(g.n, edges, oracle_girths,
-                                               set(mask_indices(tree))), tree
-        compared += 1
-        labeled += got is not None
-    return compared, labeled
-
+# the per-tree closure and labeling against the BFS greedy of tests/oracles.py
 
 def unlabelable_mask(g):
     """The edges of even or infinite girth, which every candidate tree holds."""
@@ -167,17 +151,41 @@ def unlabelable_mask(g):
     return mask
 
 
+def assert_labelings_match(g, limit=None):
+    """Walk the candidate trees of g, carrying the DP-good closure on the
+    walk's frames as `check_dp_good` does.  For each tree the closure is full
+    exactly when the oracle labels the tree, and the library's labeling
+    equals the oracle's.  Returns the trees compared and how many of them
+    were labeled."""
+    edges = list(g.edges)
+    oracle_girths = oracles.edge_girths(g.n, edges)
+    girths = _girth_values(g)
+    assert [None if x == INFINITE else x for x in girths] == oracle_girths
+    forced = unlabelable_mask(g)
+    closure = _Closure(g, girths, forced)
+    # the labelings take their layers from a closure of their own, so the
+    # walk's closure builds only the layers it builds in check_dp_good
+    layers = _Closure(g, girths, forced).layers
+    stream = spanning_trees(g, budget=10**6, forced=forced,
+                            carry=(closure.start, closure.take))
+    compared = labeled = 0
+    for tree in islice(stream, limit):
+        want = oracles.dp_good_labeling(g.n, edges, oracle_girths, set(mask_indices(tree)))
+        assert closure.full(stream.value) is (want is not None), tree
+        cert = _greedy_labeling(g, tree, girths, layers)
+        assert (None if cert is None else cert.to_json()) == want, tree
+        compared += 1
+        labeled += want is not None
+    return compared, labeled
+
+
 def test_labeling_matches_oracle_on_every_fig1_tree():
-    g = fig1_graph()
-    trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
-    compared, labeled = assert_labelings_match(g, trees)
+    compared, labeled = assert_labelings_match(fig1_graph())
     assert compared == 10854 and labeled > 0
 
 
 def test_labeling_matches_oracle_on_fig3b_trees():
-    g = fig3b_graph()
-    trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
-    assert assert_labelings_match(g, islice(trees, 3000)) == (3000, 0)
+    assert assert_labelings_match(fig3b_graph(), 3000) == (3000, 0)
 
 
 def test_labeling_matches_oracle_on_small_graphs():
@@ -186,10 +194,10 @@ def test_labeling_matches_oracle_on_small_graphs():
         for edges in connected_edge_sets(n):
             g = Graph(n, edges)
             forced = set(mask_indices(unlabelable_mask(g)))
-            trees = [sum(1 << i for i in tree)
-                     for tree in oracles.spanning_tree_sets(n, list(edges))
-                     if forced <= tree]
-            labeled += assert_labelings_match(g, trees)[1]
+            want = sum(forced <= tree for tree in oracles.spanning_tree_sets(n, list(edges)))
+            compared, hits = assert_labelings_match(g)
+            assert compared == want
+            labeled += hits
     assert labeled > 0
 
 
@@ -197,9 +205,36 @@ def test_labeling_matches_oracle_on_seeded_graphs(rng):
     labeled = 0
     for _ in range(30):
         g = random_connected_graph(rng, lo=6, hi=9)
-        trees = spanning_trees(g, budget=10**6, forced=unlabelable_mask(g))
-        labeled += assert_labelings_match(g, islice(trees, 200))[1]
+        labeled += assert_labelings_match(g, 200)[1]
     assert labeled > 0
+
+
+def count_layer_builds(monkeypatch):
+    """Record the edge of every `_shortest_path_layers` call."""
+    built = []
+
+    def counted(g, e, girth):
+        built.append(e)
+        return build(g, e, girth)
+
+    build = classify_module._shortest_path_layers
+    monkeypatch.setattr(classify_module, "_shortest_path_layers", counted)
+    return built
+
+
+def test_fig3b_exhausts_every_candidate_tree(monkeypatch):
+    built = count_layer_builds(monkeypatch)
+    verdict = check_dp_good(fig3b_graph())
+    assert verdict.status == "violated"
+    assert verdict.detail["trees_tried"] == 61370
+    assert built and len(built) == len(set(built))  # layers at most once per edge
+
+
+def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
+    # the first tree leaves out the last edge, and its layers close the cycle
+    built = count_layer_builds(monkeypatch)
+    assert check_dp_good(cycle_graph(301)).satisfied
+    assert built == [300]
 
 
 def test_shortest_path_walk_follows_reached_vertices():
@@ -583,6 +618,12 @@ def test_classify_reports_all_four_checks():
         "even-girth-edge", "dp-good", "connected-back-neighborhood-order",
         "quad-girth-crossing-set",
     ]
+
+
+def test_classify_computes_edge_girths_once():
+    _girth_values.cache_clear()
+    classify(fig1_graph())
+    assert _girth_values.cache_info().misses == 1
 
 
 def test_scan_even_girth_odd_graph():
