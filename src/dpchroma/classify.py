@@ -325,15 +325,20 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     the walk carries the `_Closure` of the edges it has taken, updated on
     every edge it takes: a tree is DP-good exactly when its closure is all
     of E.  `_greedy_labeling` runs once, on the first such tree, to build
-    its certificate.  The trees, their order and `trees_tried` are those of
-    a search that labels every tree in turn.
+    its certificate.  A frame's trees are DP-good or not by its position,
+    its components and its closure mask alone (the closure of the taken
+    edges is the closure of any mask between them and it), and the search
+    stops at the first DP-good tree.  So a frame that repeats the key of a
+    frame walked to its end holds no DP-good tree either: the stream counts
+    its trees without walking them.  The trees, their order and
+    `trees_tried` are those of a search that labels every tree in turn.
 
     `detail["trees_tried"]` counts the candidate trees, streamed in
     descending order of their indicator vectors: for a satisfied verdict it
     is the 1-based position of the certified tree in that stream, for a
     violated one with no witness cycle the number of spanning trees that
-    contain every edge of even or infinite girth.  The benchmark's answer
-    checks (`bench/checks.py`) pin both meanings.
+    contain every edge of even or infinite girth, not all of them walked.
+    The benchmark's answer checks (`bench/checks.py`) pin both meanings.
     """
     _require_connected(g)
     girths = _girth_values(g)

@@ -11,7 +11,9 @@ builds neighbour lists of an edge subset:
 
 * `Graph._incidence`: ascending (neighbour, edge index) pairs per vertex,
   built once per graph;
-* `_find` and `_union`: union-find and its merge loop;
+* `_find` and `_union`: union-find and its merge loop (the spanning-tree
+  walk keeps its components as flat least-vertex labels and runs union-find
+  only to test whether the undecided edges can still join them);
 * `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
 * `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
@@ -535,14 +537,22 @@ class SpanningTreeStream:
     significant: the walk merges the forced edges first, then decides the
     other edges in index order, taking each one before leaving it out, and
     leaves an edge out only while the later edges can still join every
-    component.  `count` is the number of trees yielded so far.  Yields at
+    component.  `count` is the number of trees counted so far.  Counts at
     most `budget` trees; reaching tree budget + 1 raises BudgetExceededError.
 
     `carry`, if given, is a pair (start, take) that gives every frame of the
-    walk a value: the first frame holds `start`, and taking edge i turns a
-    frame's value v into take(v, i), so a frame the walk comes back to still
-    holds the value of its own taken edges.  `value` is the value of the tree
-    yielded last.
+    walk a hashable value: the first frame holds `start`, and taking edge i
+    turns a frame's value v into take(v, i), so a frame the walk comes back
+    to still holds the value of its own taken edges.  `value` is the value
+    of the tree yielded last.  A carrying stream treats two frames with the
+    same key (position k, components, value) as interchangeable: the
+    consumer must answer the same on their trees, which come in the same
+    order, and read on only while it has found nothing.  Once a frame has
+    been walked to its end, a later frame with its key is not walked: its
+    trees are added to `count` without being yielded.  If they would take
+    `count` past `budget`, the stream raises the error the plain walk raises
+    inside them, at tree budget + 1.  The memo of walked keys holds at most
+    one entry per yielded tree and lives as long as the stream.
     """
 
     def __init__(self, g: Graph, budget: int, forced: int = 0, *,
@@ -559,27 +569,49 @@ class SpanningTreeStream:
         parent = list(range(g.n))
         if _union(parent, (edges[i] for i in mask_indices(forced))) < forced.bit_count():
             return
+        least: dict[int, int] = {}
+        labels = tuple(least.setdefault(_find(parent, v), v) for v in range(g.n))
         free = [i for i in range(len(edges)) if not forced >> i & 1]
+        free_pairs = [edges[i] for i in free]
         start, take = carry if carry is not None else (None, None)
-        # a frame (k, parent, tree, need, value): free[:k] is decided, `tree`
-        # holds the edges taken, `need` more edges join the components of
-        # parent, and `value` is carried.  Once free[k:] can join them, taking
-        # or skipping free[k] keeps that true, so the inner loop reaches
-        # need == 0 before free runs out.
-        stack = [(0, parent, forced, g.n - 1 - forced.bit_count(), start)]
+        memo: Optional[dict] = {} if carry is not None else None  # key -> trees below it
+        # a frame (k, labels, tree, need, value): free[:k] is decided,
+        # labels[v] is the least vertex of v's component (so it is also a
+        # parent list), `tree` holds the edges taken, `need` more edges join
+        # the components, and `value` is carried.  Once free[k:] can join
+        # them, taking or skipping free[k] keeps that true, so the inner loop
+        # reaches need == 0 before free runs out.  A pair (key, count) on
+        # the stack ends the frame with that key, popped after its children.
+        stack: list = [(0, labels, forced, g.n - 1 - forced.bit_count(), start)]
         while stack:
-            k, parent, tree, need, value = stack.pop()
-            if _union(parent.copy(), (edges[i] for i in free[k:])) < need:
+            frame = stack.pop()
+            if len(frame) == 2:
+                key, before = frame
+                memo[key] = self.count - before
                 continue
+            k, labels, tree, need, value = frame
+            if memo is not None:
+                key = (k, labels, value)
+                trees = memo.get(key)
+                if trees is not None:
+                    if self.count + trees > budget:
+                        raise BudgetExceededError("spanning trees", budget + 1, budget)
+                    self.count += trees
+                    continue
+            if _union(list(labels), free_pairs[k:]) < need:
+                continue
+            if memo is not None:
+                stack.append((key, self.count))
             while need:
                 i = free[k]
+                u, v = free_pairs[k]
                 k += 1
-                u, v = edges[i]
-                ru, rv = _find(parent, u), _find(parent, v)
-                if ru != rv:
-                    stack.append((k, parent, tree, need, value))  # i left out, walked later
-                    parent = parent.copy()
-                    parent[ru] = rv
+                a, b = labels[u], labels[v]
+                if a != b:
+                    stack.append((k, labels, tree, need, value))  # i left out, walked later
+                    if a > b:
+                        a, b = b, a
+                    labels = tuple([a if x == b else x for x in labels])
                     tree |= 1 << i
                     need -= 1
                     if take is not None:

@@ -152,11 +152,11 @@ def unlabelable_mask(g):
 
 
 def assert_labelings_match(g, limit=None):
-    """Walk the candidate trees of g, carrying the DP-good closure on the
-    walk's frames as `check_dp_good` does.  For each tree the closure is full
-    exactly when the oracle labels the tree, and the library's labeling
-    equals the oracle's.  Returns the trees compared and how many of them
-    were labeled."""
+    """Walk every candidate tree of g in the plain stream, and build each
+    tree's DP-good closure from `_Closure.start` by `take` over its edges.
+    For each tree the closure is full exactly when the oracle labels the
+    tree, and the library's labeling equals the oracle's.  Returns the trees
+    compared and how many of them were labeled."""
     edges = list(g.edges)
     oracle_girths = oracles.edge_girths(g.n, edges)
     girths = _girth_values(g)
@@ -164,14 +164,15 @@ def assert_labelings_match(g, limit=None):
     forced = unlabelable_mask(g)
     closure = _Closure(g, girths, forced)
     # the labelings take their layers from a closure of their own, so the
-    # walk's closure builds only the layers it builds in check_dp_good
+    # closure under test builds layers only where `full` asks for them
     layers = _Closure(g, girths, forced).layers
-    stream = spanning_trees(g, budget=10**6, forced=forced,
-                            carry=(closure.start, closure.take))
     compared = labeled = 0
-    for tree in islice(stream, limit):
+    for tree in islice(spanning_trees(g, budget=10**6, forced=forced), limit):
+        value = closure.start
+        for i in mask_indices(tree):
+            value = closure.take(value, i)
         want = oracles.dp_good_labeling(g.n, edges, oracle_girths, set(mask_indices(tree)))
-        assert closure.full(stream.value) is (want is not None), tree
+        assert closure.full(value) is (want is not None), tree
         cert = _greedy_labeling(g, tree, girths, layers)
         assert (None if cert is None else cert.to_json()) == want, tree
         compared += 1
@@ -235,6 +236,115 @@ def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
     built = count_layer_builds(monkeypatch)
     assert check_dp_good(cycle_graph(301)).satisfied
     assert built == [300]
+
+
+# ---------------------------------------------------------------------------
+# the memoized search against an oracle search over the plain tree stream
+
+def oracle_dp_good_search(g, budget):
+    """Label the candidate trees of the plain stream in turn with the oracle:
+    (trees streamed up to the first labeled one, or all of them, and that
+    tree's certificate JSON or None).  The stream raises past `budget`."""
+    edges = list(g.edges)
+    girths = oracles.edge_girths(g.n, edges)
+    stream = spanning_trees(g, budget=budget, forced=unlabelable_mask(g))
+    for tree in stream:
+        want = oracles.dp_good_labeling(g.n, edges, girths, set(mask_indices(tree)))
+        if want is not None:
+            return stream.count, want
+    return stream.count, None
+
+
+def assert_search_matches_oracle(g, budget=10**6):
+    """`check_dp_good` against the oracle search at `budget`: the same
+    budget error, or the same status, `trees_tried` and certificate; with no
+    candidate tree at all the unlabelable edges close the witness cycle.
+    Returns the oracle's tree count, None on a budget error."""
+    try:
+        trees, want = oracle_dp_good_search(g, budget)
+    except BudgetExceededError as plain:
+        with pytest.raises(BudgetExceededError) as err:
+            check_dp_good(g, budget=budget)
+        assert str(err.value) == str(plain)
+        return None
+    verdict = check_dp_good(g, budget=budget)
+    if want is not None:
+        assert verdict.satisfied
+        assert verdict.certificate.to_json() == want
+    else:
+        assert verdict.status == "violated"
+    assert verdict.detail.get("trees_tried", 0) == trees
+    assert (verdict.witness is not None) is (trees == 0)
+    return trees
+
+
+def test_search_matches_oracle_on_small_graphs():
+    statuses = Counter()
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            g = Graph(n, edges)
+            trees = assert_search_matches_oracle(g)
+            for budget in range(1, trees):
+                assert assert_search_matches_oracle(g, budget) is None
+            assert assert_search_matches_oracle(g, max(trees, 1)) == trees
+            statuses[check_dp_good(g).status, trees > 1] += 1
+    assert statuses["satisfied", False] and statuses["violated", True]
+
+
+def test_search_matches_oracle_on_seeded_graphs(rng):
+    for _ in range(60):
+        g = random_connected_graph(rng, lo=6, hi=9)
+        for budget in (1, 2, 5, 40, 3000):
+            assert_search_matches_oracle(g, budget)
+
+
+def test_search_matches_oracle_on_shuffled_fig1(rng):
+    # new vertex names and edge order move the first DP-good tree
+    positions = set()
+    for _ in range(40):
+        names = list(range(14))
+        rng.shuffle(names)
+        edges = [(names[u], names[v]) for u, v in fig1_graph().edges]
+        rng.shuffle(edges)
+        positions.add(assert_search_matches_oracle(Graph(14, edges)))
+    assert max(positions) > 100
+
+
+def test_search_matches_oracle_on_figures():
+    assert assert_search_matches_oracle(fig1_graph()) == 3781
+    assert assert_search_matches_oracle(fig3b_graph()) == 61370
+
+
+def carried_fig_stream(g):
+    """The carried candidate stream of `check_dp_good`, with its closure."""
+    girths = _girth_values(g)
+    closure = _Closure(g, girths, unlabelable_mask(g))
+    stream = spanning_trees(g, forced=unlabelable_mask(g),
+                            carry=(closure.start, closure.take))
+    return closure, stream
+
+
+def test_fig3b_counts_repeated_subtrees_without_walking_them():
+    closure, stream = carried_fig_stream(fig3b_graph())
+    yielded = 0
+    for _ in stream:
+        assert not closure.full(stream.value)
+        yielded += 1
+    assert yielded < 15000 and stream.count == 61370
+
+
+def test_fig1_budget_inside_a_skipped_subtree():
+    # the first yielded tree that comes after at least two counted ones
+    closure, stream = carried_fig_stream(fig1_graph())
+    before = 0
+    for _ in stream:
+        if stream.count - before > 2:
+            break
+        assert not closure.full(stream.value)
+        before = stream.count
+    budget = before + 1  # trees before + 1 and before + 2 were counted, not walked
+    assert budget < 3781
+    assert assert_search_matches_oracle(fig1_graph(), budget) is None
 
 
 def test_shortest_path_walk_follows_reached_vertices():

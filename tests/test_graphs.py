@@ -310,6 +310,37 @@ def test_spanning_trees_order_with_forced_edges(rng):
     assert closing > 0  # some forced sets close a cycle, so their stream is empty
 
 
+def test_carried_stream_counts_equal_frames_once():
+    # frames with equal (position, components, value) are interchangeable:
+    # under a constant value the stream yields some of the trees, in order,
+    # and counts the rest, while the taken edges as the value never repeat
+    # a frame, so every tree is yielded
+    def constant(value, i):
+        return value
+
+    def taken(value, i):
+        return value | 1 << i
+
+    skipped = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            g = Graph(n, edges)
+            plain = list(spanning_trees(g))
+            stream = spanning_trees(g, carry=(0, constant))
+            got = list(stream)
+            rest = iter(plain)
+            assert all(tree in rest for tree in got)
+            assert stream.count == len(plain)
+            skipped += len(got) < len(plain)
+            stream = spanning_trees(g, carry=(0, taken))
+            assert [(tree, stream.value) for tree in stream] == [(tree, tree) for tree in plain]
+            for budget in range(1, len(plain)):
+                with pytest.raises(BudgetExceededError) as err:
+                    list(spanning_trees(g, budget=budget, carry=(0, constant)))
+                assert (err.value.attempted, err.value.budget) == (budget + 1, budget)
+    assert skipped
+
+
 def test_spanning_trees_disconnected_error():
     with pytest.raises(ValueError):
         spanning_trees(Graph(4, [(0, 1), (2, 3)]))
