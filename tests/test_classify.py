@@ -315,7 +315,7 @@ def test_search_matches_oracle_on_figures():
     assert assert_search_matches_oracle(fig3b_graph()) == 61370
 
 
-def carried_fig_stream(g):
+def carried_stream(g):
     """The carried candidate stream of `check_dp_good`, with its closure."""
     girths = _girth_values(g)
     closure = _Closure(g, girths, unlabelable_mask(g))
@@ -325,7 +325,7 @@ def carried_fig_stream(g):
 
 
 def test_fig3b_counts_repeated_subtrees_without_walking_them():
-    closure, stream = carried_fig_stream(fig3b_graph())
+    closure, stream = carried_stream(fig3b_graph())
     yielded = 0
     for _ in stream:
         assert not closure.full(stream.value)
@@ -335,7 +335,7 @@ def test_fig3b_counts_repeated_subtrees_without_walking_them():
 
 def test_fig1_budget_inside_a_skipped_subtree():
     # the first yielded tree that comes after at least two counted ones
-    closure, stream = carried_fig_stream(fig1_graph())
+    closure, stream = carried_stream(fig1_graph())
     before = 0
     for _ in stream:
         if stream.count - before > 2:
