@@ -5,7 +5,11 @@ cover vertex (u, i) is matched to (v, sigma(i)).  A transversal picks one
 index per vertex and is counted when no edge's matched pair is picked.
 `count_transversals` counts them by one backtracking search memoized on its
 frontier (the placed vertices with an unplaced neighbour), so its cost
-follows the width of the graph rather than the size of the count;
+follows the width of the graph rather than the size of the count.  On a
+cyclic cover, one whose every matching is a rotation x -> x + s (mod m), as
+in shift covers, the canonical cover and every cover with m <= 2, adding
+one constant to every index is an automorphism, so the memo keys the
+frontier values relative to the first of them;
 `count_incl_excl` is the second route, an alternating sum over edge subsets.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
 which is the full cover space up to renaming of list vertices, counting one
@@ -220,6 +224,11 @@ def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
     n, m = len(order), cov.m
     # maps[k]: (earlier position j, f) meaning value x at j forbids f[x] at k
     maps = [[(j, _along(g, cov.perms, i, order[j])) for j, i in b] for b in back]
+    # when every matching is a rotation, adding c to every value maps
+    # transversals to transversals, so counts are keyed relative to the
+    # first frontier value
+    ident = tuple(range(m))
+    cyclic = m > 0 and all(p == ident[p[0]:] + ident[:p[0]] for p in cov.perms)
     memo: list[Optional[dict]] = [{} if s else None for s in stored]
     chosen = [0] * n
     rest: list[list[int]] = [[] for _ in range(n)]  # candidates still to try
@@ -233,7 +242,11 @@ def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
         if k == n:
             value = 1
         elif memo[k] is not None:
-            at_key[k] = tuple([chosen[j] for j in keys[k]])
+            if cyclic and keys[k]:
+                z = chosen[keys[k][0]]
+                at_key[k] = tuple([(chosen[j] - z) % m for j in keys[k]])
+            else:
+                at_key[k] = tuple([chosen[j] for j in keys[k]])
             value = memo[k].get(at_key[k])
         if value is None:
             banned = {f[chosen[j]] for j, f in maps[k]}
@@ -280,8 +293,15 @@ def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUD
     components multiply, and a vertex with no later neighbour multiplies by
     its number of candidates instead of visiting them.  The search costs
     about n * m^(w+1) for frontier width w, not the size of the count.
-    Raises BudgetExceededError once it generates more than `node_budget`
-    nodes; memo hits generate none.
+
+    When every matching of `cov` is a rotation (p(x) = x + p(0) mod m: the
+    shift covers of `twisted_cover`, the canonical cover, any cover with
+    m <= 2), adding c to every index maps transversals to transversals, so
+    the count below a prefix is keyed on the frontier values minus the
+    first of them, and a stored depth holds about m^(w-1) counts instead of
+    m^w.  The check stops at the first matching that is not a rotation;
+    other covers keep the plain keys.  Raises BudgetExceededError once it
+    generates more than `node_budget` nodes; memo hits generate none.
     """
     return CountReport(_count(g, _search_plan(g), cov, node_budget), "backtracking")
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from collections import Counter
 from itertools import islice
 
@@ -137,6 +138,60 @@ def test_emitted_certificates_always_verify(rng):
             seen_satisfied += 1
             assert verify_dp_good_certificate(g, verdict.certificate)
     assert seen_satisfied > 0
+
+
+def stacked_triangulation(n, rng):
+    """A plane triangulation grown from a triangle by putting each new
+    vertex inside a face and joining it to the face's three corners."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]  # inside and outside the first triangle
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return Graph(n, edges)
+
+
+def outer_path_near_triangulation(n, rng):
+    """A plane graph whose inner faces are triangles, grown from a triangle
+    by joining each new vertex to a path of 2 or more consecutive vertices
+    of the outer cycle; the path's inner vertices leave the outer cycle."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    outer = [0, 1, 2]
+    for v in range(3, n):
+        k = rng.randint(2, min(len(outer), 5))
+        i = rng.randrange(len(outer))
+        outer = outer[i:] + outer[:i]
+        edges += [(w, v) for w in outer[:k]]
+        outer = [outer[0], v] + outer[k - 1:]
+    return Graph(n, edges)
+
+
+def test_plane_near_triangulations_are_dp_good():
+    rng = random.Random(2022)
+    for grow in (stacked_triangulation, outer_path_near_triangulation):
+        for n in (12, 17, 23, 30, 40):
+            g = grow(n, rng)
+            assert len(oracles.components(g.n, list(g.edges))) == 1
+            if grow is stacked_triangulation:
+                assert g.m == 3 * n - 6  # a maximal plane graph
+            verdict = check_dp_good(g)
+            assert verdict.satisfied, (grow.__name__, n)
+            assert verify_dp_good_certificate(g, verdict.certificate)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 3, 3, 3)])
+def test_complete_multipartite_graphs_are_dp_good(sizes):
+    g = complete_multipartite(sizes)
+    verdict = check_dp_good(g)
+    assert verdict.satisfied
+    assert verify_dp_good_certificate(g, verdict.certificate)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_complete_bipartite_graphs_are_not_dp_good(sizes):
+    # every edge lies on a 4-cycle and on no triangle, so none can be labeled
+    assert check_dp_good(complete_multipartite(sizes)).status == "violated"
 
 
 # ---------------------------------------------------------------------------

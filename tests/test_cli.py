@@ -76,6 +76,15 @@ def test_twist_on_a_cycle_with_one_shift(capsys, n):
     assert data["count"] == str(2**n - (-1)**n)  # 1099511627775 at n = 40
 
 
+def test_twist_on_fig1_at_forty_folds(capsys):
+    # a shift cover is counted up to a common shift of every fibre; keyed on
+    # plain values this search passes the default 10^7 node budget
+    start = time.perf_counter()
+    data = run_json(capsys, "twist", "--fixture", "fig1", "--estar", "0>1", "--m", "40")
+    assert time.perf_counter() - start < 10.0
+    assert data["count"] == "15722290665260235299840"
+
+
 def test_girth_and_setgirth(capsys):
     data = run_json(capsys, "girth", "--fixture", "complete:4", "--edge", "0")
     assert data["value"] == 3

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -28,6 +29,7 @@ from dpchroma import (
     dp_exact,
     enumerate_cycles,
     fig1_graph,
+    fig3b_graph,
     matched_selection_count,
     path_graph,
     search_quad_crossing,
@@ -35,7 +37,7 @@ from dpchroma import (
     spanning_trees,
     twisted_cover,
 )
-from dpchroma.covers import MAX_FOLD, _orbit_heads
+from dpchroma.covers import MAX_FOLD, _invert, _orbit_heads
 from dpchroma.graphs import bfs_tree
 
 
@@ -208,6 +210,80 @@ def test_frontier_search_stores_nothing_on_a_complete_graph():
     with pytest.raises(BudgetExceededError) as err:
         count_transversals(g, canonical_cover(g, 7), node_budget=budget - 1)
     assert (err.value.attempted, err.value.budget) == (13699, 13698)
+
+
+def rotation(m, s):
+    return tuple((x + s) % m for x in range(m))
+
+
+def renamed(cov, rng):
+    """The cover with each fibre renamed by a random permutation: an
+    isomorphic cover, so it has the same count."""
+    names = [rng.sample(range(cov.m), cov.m) for _ in range(cov.graph.n)]
+    perms = tuple(tuple(names[v][p[x]] for x in _invert(names[u]))
+                  for (u, v), p in zip(cov.graph.edges, cov.perms))
+    return Cover(cov.graph, cov.m, perms)
+
+
+def is_cyclic(cov):
+    return all(p == rotation(cov.m, p[0]) for p in cov.perms)
+
+
+def test_shift_covers_match_both_oracles(rng):
+    # sparse connected graphs, whose frontier drops vertices, so counts are
+    # stored and shared between frontier values that differ by a shift
+    cases = 0
+    while cases < 40:
+        n, m = rng.randint(5, 9), rng.randint(2, 6)
+        g = Graph(n, random_edges(rng, n, 0.4))
+        if m ** n > 80_000 or g.m > 12 or not oracles.is_connected(n, list(g.edges)):
+            continue
+        cases += 1
+        cov = Cover(g, m, tuple(rotation(m, rng.randrange(m)) for _ in g.edges))
+        direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
+        assert count_transversals(g, cov).value == direct
+        assert count_incl_excl(g, cov).value == direct
+
+
+@pytest.mark.parametrize("maker,arcs", [
+    (fig1_graph, [(0, 1)]),
+    (fig3b_graph, [(2, 3), (2, 7), (6, 3), (0, 3), (2, 1)]),
+], ids=["fig1", "fig3b"])
+@pytest.mark.parametrize("m", [8, 10])
+def test_renamed_shift_cover_counts_without_the_shift(maker, arcs, m):
+    # the renamed cover is not cyclic, so its search keys on plain values
+    g = maker()
+    cov = twisted_cover(g, OrientedEdgeSet.from_pairs(g, arcs), m)
+    other = renamed(cov, random.Random(m))
+    assert is_cyclic(cov) and not is_cyclic(other)
+    assert count_transversals(g, other).value == count_transversals(g, cov).value
+
+
+def test_rotations_and_one_transposition_match_the_oracle(rng):
+    m = 4
+    for _ in range(20):
+        g = random_connected_graph(rng, lo=5, hi=7)
+        perms = [rotation(m, rng.randrange(m)) for _ in g.edges]
+        perms[rng.randrange(g.m)] = (1, 0, 2, 3)
+        cov = Cover(g, m, tuple(perms))
+        assert not is_cyclic(cov)
+        assert count_transversals(g, cov).value == \
+            oracles.transversal_count(g.n, list(g.edges), perms, m)
+
+
+def test_shift_cover_shares_counts_between_shifted_frontiers():
+    # C6 placed 0..5 with a shift on edge 01 at m = 6: the frontier from
+    # position 3 on is (x0, x(k-1)), and counts are stored under
+    # x(k-1) - x0, 6 keys per depth instead of 36.  Nodes: 6 at depth 0,
+    # 6*5 and 6*5*5 at depths 1-2, 6*5 at each of depths 3-4, and 5 + 5*4
+    # at depth 5, where x5 avoids x0 and x4: 271 in all, against 696 with
+    # plain keys
+    g = cycle_graph(6)
+    cov = twisted_cover(g, OrientedEdgeSet.from_pairs(g, [(0, 1)]), 6)
+    assert count_transversals(g, cov, node_budget=271).value == 5**6 - 1
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, cov, node_budget=270)
+    assert (err.value.attempted, err.value.budget) == (271, 270)
 
 
 def test_matched_selection_count_oracle(rng):
