@@ -4,9 +4,9 @@ Covers and transversal counting
 
 A full m-fold cover assigns a permutation to every edge; a transversal
 picks one fibre index per vertex avoiding every matched pair.  The count
-can be obtained by a backtracking search that reuses the count below each
-value of its frontier, or by inclusion-exclusion over edge subsets, and
-tree normalization never changes it.
+can be obtained by a forward pass that keeps one prefix count per value of
+its frontier, or by inclusion-exclusion over edge subsets, and tree
+normalization never changes it.
 """
 
 from dpchroma import (
@@ -47,7 +47,7 @@ for e, size in report.x_sizes:
 
 back = count_transversals(g, cov).value
 incl = count_incl_excl(g, cov).value
-print(f"\nbacktracking: {back}, inclusion-exclusion: {incl}")
+print(f"\nfrontier search: {back}, inclusion-exclusion: {incl}")
 assert back == incl
 
 ###############################################################################

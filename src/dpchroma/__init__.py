@@ -1,6 +1,6 @@
 """Chromatic polynomials, DP color functions and cover certificates."""
 
-from .chromatic import Polynomial, chromatic_incl_excl, chromatic_polynomial
+from .chromatic import Polynomial, chromatic_polynomial
 from .classify import (
     DP_APPROX,
     DP_LESS,

@@ -1,19 +1,17 @@
 """Exact chromatic polynomials.
 
-Two independent routes are provided.  `chromatic_polynomial` multiplies
-over the blocks of the graph and counts each 2-connected block by a search
-over set partitions of its frontier, along the vertex order of
-`graphs._search_plan`, so its cost follows the width of each block rather
-than its cycle space.  `chromatic_incl_excl` is the alternating sum over
-edge subsets.  They must agree; tests lean on that.
+`chromatic_polynomial` multiplies over the blocks of the graph and counts
+each 2-connected block by a forward pass over set partitions of its
+frontier, along the steps of `graphs._search_plan`, so its cost follows the
+width of each block rather than its cycle space.  The tests check it
+against an alternating sum over edge subsets and brute-force colourings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
-from .graphs import DEFAULT_SUBSET_CAP, Graph, _blocks, _search_plan, component_count
+from .graphs import Graph, _blocks, _search_plan, component_count
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,12 @@ def _block_quotient(g: Graph, block: list[int]) -> Polynomial:
     vertices = sorted({v for i in block for v in g.edges[i]})
     rename = {v: k for k, v in enumerate(vertices)}
     sub = Graph(len(vertices), [(rename[g.edges[i][0]], rename[g.edges[i][1]]) for i in block])
-    order, back, keys, _, _ = _search_plan(sub)
-    n = len(order)
+    _, steps = _search_plan(sub)
+    n = len(vertices)
     # values are n + 1 coefficients ascending in m; degrees stay at most n
     states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
-    for k, (frontier, after) in enumerate(zip(keys, keys[1:] + [()])):
-        # index in (frontier labels + the new vertex's label) of each position
-        at = {j: i for i, j in enumerate(frontier + (k,))}
-        nbrs = [at[j] for j, _ in back[k]]
-        kept = [at[j] for j in after]
+    for back, kept in steps:
+        nbrs = [s for s, _, _ in back]
         out: dict[tuple[int, ...], list[int]] = {}
         for labels, value in states.items():
             used = max(labels) + 1 if labels else 0
@@ -160,17 +155,3 @@ def _block_quotient(g: Graph, block: list[int]) -> Polynomial:
         states = out
     (value,) = states.values()
     return Polynomial(tuple(value[1:]))  # B has a vertex, so m divides P(B)
-
-
-def chromatic_incl_excl(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Polynomial:
-    """P(G, m) as the alternating sum over edge subsets of m^{c(A)}.
-
-    The sum has 2^|E| terms; graphs with more than `cap` edges are refused.
-    """
-    ne = len(g.edges)
-    if ne > cap:
-        raise BudgetExceededError("2^|E| subset terms", 2**ne, 2**cap)
-    counts = [0] * (g.n + 1)
-    for mask in range(1 << ne):
-        counts[component_count(g, mask)] += 1 if mask.bit_count() % 2 == 0 else -1
-    return Polynomial(tuple(counts))

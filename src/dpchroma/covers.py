@@ -3,13 +3,14 @@
 A cover assigns each edge (u, v), u < v, a permutation sigma of range(m):
 cover vertex (u, i) is matched to (v, sigma(i)).  A transversal picks one
 index per vertex and is counted when no edge's matched pair is picked.
-`count_transversals` counts them by one backtracking search memoized on its
-frontier (the placed vertices with an unplaced neighbour), so its cost
-follows the width of the graph rather than the size of the count.  On a
-cyclic cover, one whose every matching is a rotation x -> x + s (mod m), as
-in shift covers, the canonical cover and every cover with m <= 2, adding
-one constant to every index is an automorphism, so the memo keys the
-frontier values relative to the first of them;
+`count_transversals` counts them by one forward pass that keeps, per value
+of the frontier (the placed vertices with an unplaced neighbour), the
+number of prefixes giving it, so its cost follows the width of the graph
+rather than the size of the count.  On a cyclic cover, one whose every
+matching is a rotation x -> x + s (mod m), as in shift covers, the
+canonical cover and every cover with m <= 2, adding one constant to every
+index is an automorphism, so a state is a class of frontier values up to a
+common shift;
 `count_incl_excl` is the second route, an alternating sum over edge subsets.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
 which is the full cover space up to renaming of list vertices, counting one
@@ -213,95 +214,62 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
 # counting
 
 def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
-    """Transversals of `cov` by the search that `plan` lays out.
+    """Transversals of `cov` by a forward pass over the steps of `plan`.
 
-    Every candidate value is a search node, charged when generated; more
-    than `node_budget` of them raise BudgetExceededError.  A memo hit
-    generates none, and each stored count is one new node's, so the budget
-    also bounds the memo.
+    `states` maps the frontier values to the number of prefixes that give
+    them, or on a cyclic cover the values minus the first of them to the
+    total over that shift class.  Every candidate of every state is a node;
+    more than `node_budget` of them raise BudgetExceededError.
     """
-    order, back, keys, stored, closed = plan
-    n, m = len(order), cov.m
-    # maps[k]: (earlier position j, f) meaning value x at j forbids f[x] at k
-    maps = [[(j, _along(g, cov.perms, i, order[j])) for j, i in b] for b in back]
-    # when every matching is a rotation, adding c to every value maps
-    # transversals to transversals, so counts are keyed relative to the
-    # first frontier value
+    _, steps = plan
+    m = cov.m
     ident = tuple(range(m))
     cyclic = m > 0 and all(p == ident[p[0]:] + ident[:p[0]] for p in cov.perms)
-    memo: list[Optional[dict]] = [{} if s else None for s in stored]
-    chosen = [0] * n
-    rest: list[list[int]] = [[] for _ in range(n)]  # candidates still to try
-    acc = [0] * n  # completions so far, or a closed position's candidate count
-    at_key: list[Optional[tuple[int, ...]]] = [None] * n
-    nodes = 0
-    k = 0
-    while True:
-        # a new node at depth k: the prefix chosen[:k]
-        value = None
-        if k == n:
-            value = 1
-        elif memo[k] is not None:
-            if cyclic and keys[k]:
-                z = chosen[keys[k][0]]
-                at_key[k] = tuple([(chosen[j] - z) % m for j in keys[k]])
-            else:
-                at_key[k] = tuple([chosen[j] for j in keys[k]])
-            value = memo[k].get(at_key[k])
-        if value is None:
-            banned = {f[chosen[j]] for j, f in maps[k]}
-            opts = [x for x in range(m) if x not in banned]
-            nodes += len(opts)
+    states = {(): 1}
+    width = nodes = 0  # width: the frontier size before the vertex placed
+    for back, kept in steps:
+        # value x in slot s forbids f[x] at the new vertex
+        maps = [(s, _along(g, cov.perms, i, w)) for s, i, w in back]
+        grow = width in kept
+        old = kept[:-1] if grow else kept
+        width = len(kept)
+        out: dict[tuple[int, ...], int] = {}
+        for vals, count in states.items():
+            banned = {f[vals[s]] for s, f in maps}
+            nodes += m - len(banned)
             if nodes > node_budget:
                 raise BudgetExceededError("transversal search nodes", nodes, node_budget)
-            if opts:
-                if closed[k]:
-                    acc[k] = len(opts)
-                else:
-                    acc[k] = 0
-                    chosen[k] = opts.pop()
-                    rest[k] = opts
-                k += 1
-                continue
-            value = 0
-        # hand the count of the node at depth k up to its ancestors
-        while k:
-            k -= 1
-            if closed[k]:
-                value *= acc[k]
+            z = vals[old[0]] if cyclic and old else 0
+            head = tuple([(vals[s] - z) % m for s in old])
+            if grow and (old or not cyclic):
+                for x in range(m):
+                    if x not in banned:
+                        key = head + ((x - z) % m,)
+                        out[key] = out.get(key, 0) + count
             else:
-                acc[k] += value
-                if rest[k]:
-                    chosen[k] = rest[k].pop()
-                    k += 1
-                    break
-                value = acc[k]
-            if memo[k] is not None:
-                memo[k][at_key[k]] = value
-        else:
-            return value
+                # every candidate lands in one state: the new vertex leaves
+                # the frontier, or alone on it starts the shift class (0,)
+                key = (0,) if grow else head
+                out[key] = out.get(key, 0) + count * (m - len(banned))
+        states = out
+    return states.get((), 0)
 
 
 def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
-    """Exact transversal count by backtracking memoized on its frontier.
+    """Exact transversal count by a forward pass over frontier values.
 
-    The search places the vertices in a greedy min-frontier order (see
-    `_search_plan`); the count below a prefix depends only on the values of
-    its frontier, the placed vertices with an unplaced neighbour, and is
-    stored under (depth, those values) wherever the frontier has just
-    dropped a vertex.  An empty frontier makes the rest a constant, so
-    components multiply, and a vertex with no later neighbour multiplies by
-    its number of candidates instead of visiting them.  The search costs
-    about n * m^(w+1) for frontier width w, not the size of the count.
+    The pass places the vertices in the greedy min-frontier order of
+    `_search_plan` and keeps the number of prefixes per value of the
+    frontier (the placed vertices with an unplaced neighbour), which is all
+    that the rest of the count reads.  Components multiply, and the pass
+    costs about n * m^(w+1) for frontier width w, not the size of the count.
 
     When every matching of `cov` is a rotation (p(x) = x + p(0) mod m: the
     shift covers of `twisted_cover`, the canonical cover, any cover with
-    m <= 2), adding c to every index maps transversals to transversals, so
-    the count below a prefix is keyed on the frontier values minus the
-    first of them, and a stored depth holds about m^(w-1) counts instead of
-    m^w.  The check stops at the first matching that is not a rotation;
-    other covers keep the plain keys.  Raises BudgetExceededError once it
-    generates more than `node_budget` nodes; memo hits generate none.
+    m <= 2), adding c to every index maps transversals to transversals, so a
+    state is a class of frontier values up to a common shift, about m^(w-1)
+    of them per step instead of m^w.  Raises BudgetExceededError once it
+    generates more than `node_budget` candidate values.
     """
     return CountReport(_count(g, _search_plan(g), cov, node_budget), "backtracking")
 

@@ -19,8 +19,9 @@ builds neighbour lists of an edge subset:
 * `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
   over incidence lists under a mask; the ascending neighbour order fixes
   every witness cycle the package reports;
-* `_search_plan`: the greedy min-frontier vertex order and its frontiers,
-  which both exact counts (transversals and chromatic polynomials) walk;
+* `_search_plan`: the greedy min-frontier vertex order and, per step, the
+  back edges and the surviving slots of its frontier, which both exact
+  counts (transversals and chromatic polynomials) walk forward;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
@@ -427,58 +428,49 @@ def _bfs_forest(g: Graph, mask: int, roots: Iterable[int]) -> list[tuple[int, in
 
 def _search_plan(g: Graph):
     """The vertex order that the frontier searches of `covers` and
-    `chromatic` walk, as (order, back, keys, stored, closed), each list
-    indexed by position k.  The frontier is the set of placed vertices that
-    still have an unplaced neighbour.
+    `chromatic` walk, as (order, steps).  The frontier is the list of placed
+    vertices that still have an unplaced neighbour, in placement order.
 
     * `order`: greedy min-frontier: each step places, among the unplaced
       vertices next to a placed one (any unplaced vertex when there are
       none), one that leaves the fewest placed vertices with an unplaced
       neighbour, then one with the most placed neighbours, then the lowest;
-    * `back[k]`: (earlier position, edge index) for each edge from order[k]
-      back into the prefix;
-    * `keys[k]`: the frontier before order[k] is placed, as ascending
-      positions: all of the prefix that the rest of a search reads;
-    * `stored[k]`: the frontier dropped a placed vertex when order[k - 1]
-      was placed, so two prefixes can share the key at k;
-    * `closed[k]`: order[k] has no later neighbour, so each of its
-      candidates has the same count below it.
+    * `steps[k]`: (back, kept) over the slots of order[k]'s step, which
+      number the frontier before order[k] is placed, then order[k] itself.
+      `back` holds (slot, edge index, earlier vertex) for each edge from
+      order[k] back into the frontier, and `kept` the slots of the next
+      frontier, order[k] last if it stays on it.
     """
     n = g.n
     left = [g.degree(v) for v in range(n)]  # unplaced neighbours
-    pos = [-1] * n
+    placed = [False] * n
     order: list[int] = []
-    closed: list[bool] = []
-    keys: list[tuple[int, ...]] = []
-    stored: list[bool] = []
+    steps = []
     frontier: list[int] = []
-    dropped = False
     near: set[int] = set()  # unplaced vertices next to a placed one
     for _ in range(n):
-        keys.append(tuple(pos[w] for w in frontier))
-        stored.append(dropped)
         best = None
-        for v in near or (v for v in range(n) if pos[v] < 0):
-            placed = [w for w in g.adj[v] if pos[w] >= 0]
-            drops = sum(1 for w in placed if left[w] == 1)
-            rank = (len(frontier) - drops + (left[v] > 0), -len(placed), v)
+        for v in near or (v for v in range(n) if not placed[v]):
+            nbrs = [w for w in g.adj[v] if placed[w]]
+            drops = sum(1 for w in nbrs if left[w] == 1)
+            rank = (len(frontier) - drops + (left[v] > 0), -len(nbrs), v)
             if best is None or rank < best:
                 best = rank
         v = best[2]
-        pos[v] = len(order)
+        slot = {w: s for s, w in enumerate(frontier)}
+        back = [(slot[w], i, w) for w, i in g._incidence[v] if w in slot]
+        placed[v] = True
         order.append(v)
-        closed.append(left[v] == 0)
         for w in g.adj[v]:
             left[w] -= 1
-            if pos[w] < 0:
+            if not placed[w]:
                 near.add(w)
         near.discard(v)
-        kept = [w for w in frontier if left[w] > 0]
-        dropped = len(kept) < len(frontier)
-        frontier = kept + [v] if left[v] > 0 else kept
-    back = [[(pos[w], i) for w, i in g._incidence[v] if pos[w] < k]
-            for k, v in enumerate(order)]
-    return order, back, keys, stored, closed
+        frontier.append(v)
+        kept = [s for s, w in enumerate(frontier) if left[w] > 0]
+        steps.append((back, kept))
+        frontier = [frontier[s] for s in kept]
+    return order, steps
 
 
 def component_count(g: Graph, mask: int) -> int:

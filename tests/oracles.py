@@ -44,6 +44,16 @@ def color_count(n, edges, m):
     return total
 
 
+def chromatic_incl_excl(n, edges):
+    """Chromatic polynomial coefficients, ascending in m, as the sum over
+    edge subsets A of (-1)^|A| m^c(A), for c(A) the components of (V, A)."""
+    counts = [0] * (n + 1)
+    for mask in range(1 << len(edges)):
+        subset = [i for i in range(len(edges)) if mask >> i & 1]
+        counts[len(components(n, edges, subset))] += (-1) ** len(subset)
+    return tuple(counts)
+
+
 def transversal_count(n, edges, perms, m):
     """Cover colorings by trying all m^n index picks.
 

@@ -17,7 +17,6 @@ from dpchroma import (
     OrientedEdgeSet,
     check_dp_good,
     check_vertex_order,
-    chromatic_incl_excl,
     chromatic_polynomial,
     count_incl_excl,
     count_transversals,
@@ -62,7 +61,7 @@ def test_criterion_1_chromatic_oracle_equivalence():
             if not oracles.is_connected(n, edges):
                 continue
             g = Graph(n, edges)
-            assert chromatic_polynomial(g) == chromatic_incl_excl(g)
+            assert chromatic_polynomial(g).coeffs == oracles.chromatic_incl_excl(n, list(g.edges))
             done += 1
         assert time.time() - start < 60
 

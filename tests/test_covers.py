@@ -20,7 +20,6 @@ from dpchroma import (
     canonical_cover,
     check_dp_good,
     check_vertex_order,
-    chromatic_incl_excl,
     chromatic_polynomial,
     complete_graph,
     count_incl_excl,
@@ -194,22 +193,21 @@ def test_counting_methods_agree_on_random_covers(rng):
 
 
 def test_frontier_search_reuses_counts_on_a_long_path():
-    # the plain search would visit 3 * 2^39 leaves; the memo keeps one
-    # count per value of the frontier's single vertex
+    # the plain search would visit 3 * 2^39 leaves; the pass keeps one state
+    # per shift class of the frontier's single vertex: 3 nodes at vertex 0,
+    # then 2 for the one state (0,) at each of the 39 others, 81 in all.
+    # Renamed, it keeps one state per value: 3 + 39 * 3*2 = 237 nodes
     g = path_graph(40)
-    assert count_transversals(g, canonical_cover(g, 3), node_budget=1000).value == 3 * 2**39
-
-
-def test_frontier_search_stores_nothing_on_a_complete_graph():
-    # no vertex of K7 leaves the frontier before the last one is placed, so
-    # every one of the sum of 7!/(7-k)! nodes is generated once
-    g = complete_graph(7)
-    budget = sum(math.factorial(7) // math.factorial(7 - k) for k in range(1, 8))
-    assert budget == 13699
-    assert count_transversals(g, canonical_cover(g, 7), node_budget=budget).value == 5040
+    assert count_transversals(g, canonical_cover(g, 3), node_budget=81).value == 3 * 2**39
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, canonical_cover(g, 7), node_budget=budget - 1)
-    assert (err.value.attempted, err.value.budget) == (13699, 13698)
+        count_transversals(g, canonical_cover(g, 3), node_budget=80)
+    assert (err.value.attempted, err.value.budget) == (81, 80)
+    other = renamed(canonical_cover(g, 3), random.Random(40))
+    assert not is_cyclic(other)
+    assert count_transversals(g, other, node_budget=237).value == 3 * 2**39
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, other, node_budget=236)
+    assert (err.value.attempted, err.value.budget) == (237, 236)
 
 
 def rotation(m, s):
@@ -227,6 +225,27 @@ def renamed(cov, rng):
 
 def is_cyclic(cov):
     return all(p == rotation(cov.m, p[0]) for p in cov.perms)
+
+
+def test_frontier_search_stores_nothing_on_a_complete_graph():
+    # no vertex of K7 leaves the frontier before the last one is placed, so
+    # on a renamed (not cyclic) cover every prefix is its own state and the
+    # pass generates the sum of 7!/(7-k)! nodes.  On the canonical cover a
+    # state is a shift class of 7 prefixes, which divides the nodes after
+    # the first vertex by 7: 7 + (13699 - 7) / 7 = 1963
+    g = complete_graph(7)
+    budget = sum(math.factorial(7) // math.factorial(7 - k) for k in range(1, 8))
+    assert budget == 13699
+    cov = renamed(canonical_cover(g, 7), random.Random(7))
+    assert not is_cyclic(cov)
+    assert count_transversals(g, cov, node_budget=budget).value == 5040
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, cov, node_budget=budget - 1)
+    assert (err.value.attempted, err.value.budget) == (13699, 13698)
+    assert count_transversals(g, canonical_cover(g, 7), node_budget=1963).value == 5040
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, canonical_cover(g, 7), node_budget=1962)
+    assert (err.value.attempted, err.value.budget) == (1963, 1962)
 
 
 def test_shift_covers_match_both_oracles(rng):
@@ -273,17 +292,25 @@ def test_rotations_and_one_transposition_match_the_oracle(rng):
 
 def test_shift_cover_shares_counts_between_shifted_frontiers():
     # C6 placed 0..5 with a shift on edge 01 at m = 6: the frontier from
-    # position 3 on is (x0, x(k-1)), and counts are stored under
-    # x(k-1) - x0, 6 keys per depth instead of 36.  Nodes: 6 at depth 0,
-    # 6*5 and 6*5*5 at depths 1-2, 6*5 at each of depths 3-4, and 5 + 5*4
-    # at depth 5, where x5 avoids x0 and x4: 271 in all, against 696 with
-    # plain keys
+    # vertex 1 on is (x0, x(k-1)), and a state is its shift class, keyed on
+    # d = x(k-1) - x0.  Nodes: 6 at vertex 0, 5 for the state (0,) at
+    # vertex 1, 5 for each of the 5 states d != 1 at vertex 2 and of the 6
+    # states at vertices 3-4, and 5 + 5*4 at vertex 5, where x5 avoids x0
+    # and x4: 6 + 5 + 25 + 30 + 30 + 25 = 121.  Renamed, the cover is not
+    # cyclic and keeps one state per frontier value: 6 + 6*5 + 30*5 + 36*5
+    # + 36*5 + (6*5 + 30*4) = 696 nodes
     g = cycle_graph(6)
     cov = twisted_cover(g, OrientedEdgeSet.from_pairs(g, [(0, 1)]), 6)
-    assert count_transversals(g, cov, node_budget=271).value == 5**6 - 1
+    assert count_transversals(g, cov, node_budget=121).value == 5**6 - 1
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, cov, node_budget=270)
-    assert (err.value.attempted, err.value.budget) == (271, 270)
+        count_transversals(g, cov, node_budget=120)
+    assert (err.value.attempted, err.value.budget) == (121, 120)
+    other = renamed(cov, random.Random(6))
+    assert not is_cyclic(other)
+    assert count_transversals(g, other, node_budget=696).value == 5**6 - 1
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, other, node_budget=695)
+    assert (err.value.attempted, err.value.budget) == (696, 695)
 
 
 def test_matched_selection_count_oracle(rng):
@@ -299,28 +326,35 @@ def test_matched_selection_count_oracle(rng):
 
 
 def test_node_budget_counts_every_search_node():
-    # K3 at m=3 from vertex 0: 3 + 3*2 + 6*1 = 15 nodes, 6 transversals
+    # K3 at m=3 from vertex 0: the canonical cover is cyclic, so the states
+    # are shift classes: 3 nodes for vertex 0, 2 for the one state (0,), and
+    # 1 for each of the states (0, 1) and (0, 2): 3 + 2 + 2 = 7 nodes, 6
+    # transversals.  Renamed, it keeps the plain states: 3 + 3*2 + 6*1 = 15
     g, cov = complete_graph(3), canonical_cover(complete_graph(3), 3)
-    assert count_transversals(g, cov, node_budget=15).value == 6
+    assert count_transversals(g, cov, node_budget=7).value == 6
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, cov, node_budget=14)
+        count_transversals(g, cov, node_budget=6)
+    assert (err.value.attempted, err.value.budget) == (7, 6)
+    other = renamed(cov, random.Random(3))
+    assert not is_cyclic(other)
+    assert count_transversals(g, other, node_budget=15).value == 6
+    with pytest.raises(BudgetExceededError) as err:
+        count_transversals(g, other, node_budget=14)
     assert (err.value.attempted, err.value.budget) == (15, 14)
 
 
 @pytest.mark.parametrize("run", [
     lambda: dp_exact(complete_graph(4), 3, budget=10),
     lambda: count_transversals(complete_graph(5), canonical_cover(complete_graph(5), 3),
-                               node_budget=10),
+                               node_budget=6),
     lambda: count_incl_excl(complete_graph(5), canonical_cover(complete_graph(5), 3), cap=5),
-    lambda: chromatic_incl_excl(complete_graph(5), cap=5),
     lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
     lambda: list(spanning_trees(complete_graph(4), budget=5)),
     lambda: check_dp_good(fig1_graph(), budget=2),
     lambda: check_vertex_order(fig1_graph(), budget=100),
     lambda: search_quad_crossing(fig1_graph(), budget=3),
-], ids=["dp_exact", "count_transversals", "count_incl_excl", "chromatic_incl_excl",
-        "enumerate_cycles", "spanning_trees", "check_dp_good", "check_vertex_order",
-        "search_quad_crossing"])
+], ids=["dp_exact", "count_transversals", "count_incl_excl", "enumerate_cycles",
+        "spanning_trees", "check_dp_good", "check_vertex_order", "search_quad_crossing"])
 def test_budget_error_reports_progress(run):
     with pytest.raises(BudgetExceededError) as err:
         run()
@@ -331,9 +365,10 @@ def test_budget_error_reports_progress(run):
 
 
 def test_count_budget_error():
+    # K5 has no 3-colouring, and the pass finds that in 7 nodes (3 + 2 + 2)
     g = complete_graph(5)
     with pytest.raises(BudgetExceededError):
-        count_transversals(g, canonical_cover(g, 3), node_budget=10)
+        count_transversals(g, canonical_cover(g, 3), node_budget=6)
     with pytest.raises(BudgetExceededError):
         count_incl_excl(g, canonical_cover(g, 3), cap=5)
 

@@ -20,7 +20,7 @@ from dpchroma import (
     path_graph,
     spanning_trees,
 )
-from dpchroma.graphs import MAX_VERTICES, _blocks
+from dpchroma.graphs import MAX_VERTICES, _blocks, _search_plan
 
 
 def mask_of(indices):
@@ -187,6 +187,42 @@ def test_blocks_against_oracle(rng):
             for a in range(len(spans)):
                 for c in range(a + 1, len(spans)):
                     assert len(spans[a] & spans[c]) <= 1
+
+
+# ---------------------------------------------------------------------------
+# search plan
+
+def replay_search_plan(g):
+    """Walk the plan's steps, checking each against the graph."""
+    order, steps = _search_plan(g)
+    assert sorted(order) == list(range(g.n)) and len(steps) == g.n
+    placed: list[int] = []
+    frontier: list[int] = []
+    back_edges = []
+    for v, (back, kept) in zip(order, steps):
+        slots = frontier + [v]
+        for s, i, w in back:
+            assert s < len(frontier) and slots[s] == w and set(g.edges[i]) == {v, w}
+            back_edges.append(i)
+        placed.append(v)
+        frontier = [slots[s] for s in kept]
+        # the placed vertices with an unplaced neighbour, in placement order
+        assert frontier == [u for u in placed if any(w not in placed for w in g.adj[u])]
+    assert sorted(back_edges) == list(range(g.m))
+
+
+def test_search_plan_steps_replay(rng):
+    replay_search_plan(Graph(0, []))
+    replay_search_plan(Graph(1, []))
+    replay_search_plan(fig1_graph())
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        # sparse, often disconnected graphs, and two components side by side
+        g = Graph(n, random_edges(rng, n, rng.uniform(0.05, 0.5)))
+        replay_search_plan(g)
+        k = rng.randint(1, n - 1)
+        a, b = random_edges(rng, k, 0.6), random_edges(rng, n - k, 0.6)
+        replay_search_plan(Graph(n, a + [(u + k, v + k) for u, v in b]))
 
 
 # ---------------------------------------------------------------------------
