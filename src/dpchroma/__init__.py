@@ -59,6 +59,7 @@ from .graphs import (
     non_bridge_edges,
     parse_graph,
     path_graph,
+    spanning_tree_count,
     spanning_trees,
 )
 

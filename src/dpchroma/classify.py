@@ -8,8 +8,11 @@ verdict; the one other inconclusive verdict is the quad search's, whose
 candidates prove nothing when none of them fits.  The implied membership is
 always that of a sufficient condition, never an exact classification.
 
-The crossing-edge-set check is the balanced-orientation check plus one test
-on each shorter cycle, with the same set-girth gate and certificate.
+The DP-good search first runs two tests that need no tree, the girth-MST
+test and the cycle-count test, and walks the spanning trees only when
+neither rules every tree out.  The crossing-edge-set check is the
+balanced-orientation check plus one test on each shorter cycle, with the
+same set-girth gate and certificate.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -35,10 +39,12 @@ from .graphs import (
     _bfs_forest,
     _bfs_path,
     _require_connected,
+    _union,
     component_count,
     enumerate_cycles,
     mask_indices,
     non_bridge_edges,
+    spanning_tree_count,
     spanning_trees,
 )
 
@@ -146,6 +152,15 @@ def _girth_values(g: Graph) -> tuple[float, ...]:
     return tuple(INFINITE if path is None else len(path) for path in paths)
 
 
+def _distances(g: Graph, mask: int, root: int) -> list[int]:
+    """BFS distances from `root` over the edges of `mask`, -1 if unreached."""
+    d = [-1] * g.n
+    d[root] = 0
+    for w, parent, _ in _bfs_forest(g, mask, [root])[1:]:
+        d[w] = d[parent] + 1
+    return d
+
+
 def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, int, int]]]:
     """The arcs of every shortest u-v path of G - e, for e = uv of finite
     girth, in girth - 1 layers.
@@ -154,16 +169,8 @@ def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, 
     on such a path exactly when d_u(x) + 1 + d_v(y) = girth - 1, and it goes
     to layer d_u(x) as (bit of x, bit of y, bit of the edge).
     """
-    u, v = g.edges[e]
     rest = g.full_mask() ^ 1 << e
-    dist = []
-    for root in (u, v):
-        d = [g.n] * g.n
-        d[root] = 0
-        for w, parent, _ in _bfs_forest(g, rest, [root])[1:]:
-            d[w] = d[parent] + 1
-        dist.append(d)
-    du, dv = dist
+    du, dv = (_distances(g, rest, root) for root in g.edges[e])
     layers: list[list[tuple[int, int, int]]] = [[] for _ in range(girth - 1)]
     for i in mask_indices(rest):
         a, b = g.edges[i]
@@ -205,8 +212,12 @@ class _Closure:
     last brought up to date).  Layers are built only for the edges a tree's
     closure has not reached (`full`).  A taken or joined edge x is passed on
     only to the edges of its girth whose layers contain x (`_users[x]`), and
-    a value older than some layers first tests their edges (`_settle`).
+    a value older than some layers first tests their edges (`_settle`).  A
+    closure mask lies between the taken edges and their closure, so it
+    determines that closure however old its value is: `key` is the mask.
     """
+
+    key = staticmethod(itemgetter(0))
 
     def __init__(self, g: Graph, girths: Sequence[float], forced: int):
         self._g = g
@@ -313,32 +324,105 @@ def _greedy_labeling(g: Graph, tree: int, girths: Sequence[float],
     return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
 
 
+def _labels_needed(g: Graph, girths: Sequence[float]) -> Optional[dict[int, int]]:
+    """The girth-MST test: None when no spanning tree is DP-good because
+    of its forced edges, else the labels every DP-good tree needs per odd
+    girth.
+
+    A labeled edge of girth g closes a g-cycle of the tree and earlier
+    labels, all of girth at most g, so by induction along the labeling the
+    tree's edges of girth at most g join what all edges of girth at most g
+    join: every DP-good tree is a minimum spanning tree for the weights
+    "girth", and it holds every edge of even or infinite girth.  One
+    union-find pass over the girths in increasing order checks that such a
+    tree exists (no forced edge joins vertices that smaller girths or
+    forced edges of its own girth already joined) and counts, per odd
+    girth g, the edges of girth g it must leave out to be labeled: those
+    of girth g minus their merges.
+    """
+    levels: dict[float, list[tuple[int, int]]] = {}
+    for pair, value in zip(g.edges, girths):
+        levels.setdefault(value, []).append(pair)
+    parent = list(range(g.n))
+    needed = {}
+    for value in sorted(levels):
+        pairs = levels[value]
+        left_out = len(pairs) - _union(parent, pairs)
+        if value == INFINITE or int(value) % 2 == 0:
+            if left_out:
+                return None
+        elif left_out:
+            needed[int(value)] = left_out
+    return needed
+
+
+def _has_cycles(g: Graph, girths: Sequence[float], girth: int, need: int) -> bool:
+    """The cycle-count test: whether at least `need` distinct g-cycles, for
+    g = `girth`, pass through an edge of girth g.
+
+    The witness cycles of a valid labeling are distinct: if C_j = C_k with
+    j < k, then e_k lies on C_j, which holds only tree edges and labels up
+    to e_j.  So a tree that labels `need` edges of girth g needs that many
+    g-cycles through them.  For each edge e = uv of girth g, a DFS from u
+    follows the arcs of `_shortest_path_layers` (a step from a vertex at
+    depth d goes to a neighbour at distance g - 2 - d from v in G - e), so
+    every branch ends at v and closes a g-cycle through e.  Cycles are kept
+    as edge masks, and the search stops once `need` of them are found.
+    """
+    full, incidence = g.full_mask(), g._incidence
+    found: set[int] = set()
+    for e, value in enumerate(girths):
+        if value != girth:
+            continue
+        u, v = g.edges[e]
+        dv = _distances(g, full ^ 1 << e, v)
+        stack = [(u, 0, 1 << e)]
+        while stack:
+            x, depth, mask = stack.pop()
+            if x == v:
+                found.add(mask)
+                if len(found) >= need:
+                    return True
+                continue
+            for y, i in incidence[x]:
+                if dv[y] == girth - 2 - depth:
+                    stack.append((y, depth + 1, mask | 1 << i))
+    return False
+
+
 def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Search for a DP-good certificate over spanning trees.
 
     Edges of even or infinite girth can never be labeled, so every candidate
     tree must contain them; if they already close a cycle no tree exists and
-    the verdict is violated outright.  More than `budget` candidate trees
-    raise BudgetExceededError.
+    the verdict is violated outright.  Two tests then rule out every tree
+    without looking at one: the girth-MST test (`_labels_needed`: a DP-good
+    tree is a minimum spanning tree for the weights "girth" holding every
+    forced edge) and the cycle-count test (`_has_cycles`: the labels of one
+    girth need as many distinct shortest cycles).  A graph either test
+    rules out is violated, and its `trees_tried` is the number of candidate
+    trees, `spanning_tree_count` of the forced edges; more than `budget` of
+    them raise the walk's BudgetExceededError.
 
-    The candidate trees come from one spanning-tree walk, and each frame of
-    the walk carries the `_Closure` of the edges it has taken, updated on
-    every edge it takes: a tree is DP-good exactly when its closure is all
-    of E.  `_greedy_labeling` runs once, on the first such tree, to build
-    its certificate.  A frame's trees are DP-good or not by its position,
-    its components and its closure mask alone (the closure of the taken
-    edges is the closure of any mask between them and it), and the search
-    stops at the first DP-good tree.  So a frame that repeats the key of a
-    frame walked to its end holds no DP-good tree either: the stream counts
-    its trees without walking them.  The trees, their order and
+    Otherwise the candidate trees come from one spanning-tree walk, and each
+    frame of the walk carries the `_Closure` of the edges it has taken,
+    updated on every edge it takes: a tree is DP-good exactly when its
+    closure is all of E.  `_greedy_labeling` runs once, on the first such
+    tree, to build its certificate.  A frame's trees are DP-good or not by
+    its position, its components and its closure mask alone (the closure of
+    the taken edges is the closure of any mask between them and it), and
+    the search stops at the first DP-good tree.  So a frame that repeats
+    the key of a frame walked to its end holds no DP-good tree either: the
+    stream counts its trees without walking them.  More than `budget`
+    candidate trees raise BudgetExceededError.  The trees, their order and
     `trees_tried` are those of a search that labels every tree in turn.
 
     `detail["trees_tried"]` counts the candidate trees, streamed in
     descending order of their indicator vectors: for a satisfied verdict it
     is the 1-based position of the certified tree in that stream, for a
     violated one with no witness cycle the number of spanning trees that
-    contain every edge of even or infinite girth, not all of them walked.
-    The benchmark's answer checks (`bench/checks.py`) pin both meanings.
+    contain every edge of even or infinite girth.  The benchmark's answer
+    checks (`bench/checks.py`) pin both meanings.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -357,9 +441,17 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
             },
         )
 
+    needed = _labels_needed(g, girths)
+    if needed is None or not all(_has_cycles(g, girths, girth, need)
+                                 for girth, need in needed.items()):
+        trees = spanning_tree_count(g, forced)
+        if trees > budget:  # the walk's error at its tree budget + 1
+            raise BudgetExceededError("spanning trees", max(budget, 0) + 1, budget)
+        return _no_dp_good_tree(trees)
+
     closure = _Closure(g, girths, forced)
     stream = spanning_trees(g, budget=budget, forced=forced,
-                            carry=(closure.start, closure.take))
+                            carry=(closure.start, closure.take, closure.key))
     for tree in stream:
         if closure.full(stream.value):
             cert = _greedy_labeling(g, tree, girths, closure.layers)
@@ -370,10 +462,14 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
                     "girth_sequence": [int(girths[e]) for e in cert.labeling],
                 },
             )
+    return _no_dp_good_tree(stream.count)
+
+
+def _no_dp_good_tree(trees: int) -> ClassifierVerdict:
     return ClassifierVerdict(
         "dp-good", VIOLATED, UNKNOWN,
         detail={"reason": "no spanning tree admits a valid labeling",
-                "trees_tried": stream.count},
+                "trees_tried": trees},
     )
 
 

@@ -14,6 +14,8 @@ builds neighbour lists of an edge subset:
 * `_find` and `_union`: union-find and its merge loop (the spanning-tree
   walk keeps its components as flat least-vertex labels and runs union-find
   only to test whether the undecided edges can still join them);
+* `spanning_tree_count`: the spanning trees that hold a forced edge set,
+  by the matrix-tree theorem as one integer (Bareiss) determinant;
 * `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
 * `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
@@ -324,6 +326,52 @@ def _union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
     return merges
 
 
+def spanning_tree_count(g: Graph, forced: int = 0) -> int:
+    """The number of spanning trees of g that hold every edge of `forced`;
+    0 if those edges close a cycle or g is not connected.
+
+    Matrix-tree theorem: contract the forced edges (union-find) and take
+    the determinant of the contracted multigraph's Laplacian with the row
+    and column of vertex 0's class deleted, by `_determinant`.
+    """
+    parent = list(range(g.n))
+    if g.n == 0 or _union(parent, (g.edges[i] for i in mask_indices(forced))) < forced.bit_count():
+        return 0
+    rows: dict[int, int] = {}
+    row = [rows.setdefault(_find(parent, v), len(rows)) for v in range(g.n)]
+    lap = [[0] * len(rows) for _ in rows]
+    for u, v in g.edges:
+        a, b = row[u], row[v]
+        if a != b:  # forced edges, and edges inside a class, are loops now
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    return _determinant([r[1:] for r in lap[1:]])
+
+
+def _determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, overwriting `rows`: every division is exact, so each entry
+    stays an integer minor of the input."""
+    sign, prev = 1, 1
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for c in range(k + 1, len(rows)):
+                row[c] = (row[c] * p - f * top[c]) // prev
+        prev = p
+    return sign * prev
+
+
 def _blocks(g: Graph, mask: int) -> list[list[int]]:
     """The blocks of the spanning subgraph with edge set `mask`, each as the
     indices of its edges.  A block is a maximal 2-connected subgraph or a
@@ -532,19 +580,20 @@ class SpanningTreeStream:
     component.  `count` is the number of trees counted so far.  Counts at
     most `budget` trees; reaching tree budget + 1 raises BudgetExceededError.
 
-    `carry`, if given, is a pair (start, take) that gives every frame of the
-    walk a hashable value: the first frame holds `start`, and taking edge i
+    `carry`, if given, is a triple (start, take, key) that gives every frame
+    of the walk a value: the first frame holds `start`, and taking edge i
     turns a frame's value v into take(v, i), so a frame the walk comes back
     to still holds the value of its own taken edges.  `value` is the value
     of the tree yielded last.  A carrying stream treats two frames with the
-    same key (position k, components, value) as interchangeable: the
-    consumer must answer the same on their trees, which come in the same
-    order, and read on only while it has found nothing.  Once a frame has
-    been walked to its end, a later frame with its key is not walked: its
-    trees are added to `count` without being yielded.  If they would take
-    `count` past `budget`, the stream raises the error the plain walk raises
-    inside them, at tree budget + 1.  The memo of walked keys holds at most
-    one entry per yielded tree and lives as long as the stream.
+    same key (position k, components, key(value)), key(value) hashable, as
+    interchangeable: the consumer must answer the same on their trees,
+    which come in the same order, and read on only while it has found
+    nothing.  Once a frame has been walked to its end, a later frame with
+    its key is not walked: its trees are added to `count` without being
+    yielded.  If they would take `count` past `budget`, the stream raises
+    the error the plain walk raises inside them, at tree budget + 1.  The
+    memo of walked keys holds at most one entry per yielded tree and lives
+    as long as the stream.
     """
 
     def __init__(self, g: Graph, budget: int, forced: int = 0, *,
@@ -565,7 +614,7 @@ class SpanningTreeStream:
         labels = tuple(least.setdefault(_find(parent, v), v) for v in range(g.n))
         free = [i for i in range(len(edges)) if not forced >> i & 1]
         free_pairs = [edges[i] for i in free]
-        start, take = carry if carry is not None else (None, None)
+        start, take, keyof = carry if carry is not None else (None, None, None)
         memo: Optional[dict] = {} if carry is not None else None  # key -> trees below it
         # a frame (k, labels, tree, need, value): free[:k] is decided,
         # labels[v] is the least vertex of v's component (so it is also a
@@ -583,7 +632,7 @@ class SpanningTreeStream:
                 continue
             k, labels, tree, need, value = frame
             if memo is not None:
-                key = (k, labels, value)
+                key = (k, labels, keyof(value))
                 trees = memo.get(key)
                 if trees is not None:
                     if self.count + trees > budget:

@@ -34,6 +34,7 @@ from dpchroma import (
     mask_indices,
     path_graph,
     scan_even_girth,
+    spanning_tree_count,
     twisted_cover,
     verify_dp_good_certificate,
 )
@@ -42,6 +43,8 @@ from dpchroma.classify import (
     _closes_cycle,
     _girth_values,
     _greedy_labeling,
+    _has_cycles,
+    _labels_needed,
     _shortest_path_layers,
 )
 from dpchroma.girth import INFINITE
@@ -279,11 +282,31 @@ def count_layer_builds(monkeypatch):
 
 
 def test_fig3b_exhausts_every_candidate_tree(monkeypatch):
+    # the cycle count rules fig3b out (13 labels of girth 3, 12 triangles),
+    # so no tree is walked and no layers are built
     built = count_layer_builds(monkeypatch)
     verdict = check_dp_good(fig3b_graph())
     assert verdict.status == "violated"
     assert verdict.detail["trees_tried"] == 61370
-    assert built and len(built) == len(set(built))  # layers at most once per edge
+    assert built == []
+
+
+# 8 vertices, 17 edges, every edge of girth 3: from a seeded family, one of
+# the few violated graphs that pass both tests and need the whole walk
+WALKED_EDGES = [(0, 3), (0, 6), (1, 2), (1, 4), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5),
+                (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+
+
+def test_walk_builds_layers_at_most_once_per_edge(monkeypatch):
+    g = Graph(8, WALKED_EDGES)
+    girths = _girth_values(g)
+    assert all(_has_cycles(g, girths, girth, need)
+               for girth, need in _labels_needed(g, girths).items())
+    built = count_layer_builds(monkeypatch)
+    verdict = check_dp_good(g)
+    assert verdict.status == "violated"
+    assert verdict.detail["trees_tried"] == 4305
+    assert built and len(built) == len(set(built))
 
 
 def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
@@ -375,7 +398,7 @@ def carried_stream(g):
     girths = _girth_values(g)
     closure = _Closure(g, girths, unlabelable_mask(g))
     stream = spanning_trees(g, forced=unlabelable_mask(g),
-                            carry=(closure.start, closure.take))
+                            carry=(closure.start, closure.take, closure.key))
     return closure, stream
 
 
@@ -385,7 +408,7 @@ def test_fig3b_counts_repeated_subtrees_without_walking_them():
     for _ in stream:
         assert not closure.full(stream.value)
         yielded += 1
-    assert yielded < 15000 and stream.count == 61370
+    assert yielded == 11603 and stream.count == 61370
 
 
 def test_fig1_budget_inside_a_skipped_subtree():
@@ -400,6 +423,126 @@ def test_fig1_budget_inside_a_skipped_subtree():
     budget = before + 1  # trees before + 1 and before + 2 were counted, not walked
     assert budget < 3781
     assert assert_search_matches_oracle(fig1_graph(), budget) is None
+
+
+# ---------------------------------------------------------------------------
+# the girth-MST and cycle-count tests against oracles
+
+def rule_out_families():
+    """400 seeded 5-10-vertex graphs, the figures, plane near-triangulations
+    and complete multipartite graphs."""
+    rng = random.Random(18)
+    graphs = [random_connected_graph(rng, lo=5, hi=10) for _ in range(400)]
+    graphs += [fig1_graph(), fig3b_graph()]
+    for grow in (stacked_triangulation, outer_path_near_triangulation):
+        graphs += [grow(n, rng) for n in (12, 17, 23)]
+    graphs += [complete_multipartite(sizes)
+               for sizes in ((2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3), (3, 3))]
+    return graphs
+
+
+def oracle_weights(g):
+    """Each edge's girth from the oracle, infinity for a bridge."""
+    return [INFINITE if x is None else x for x in oracles.edge_girths(g.n, list(g.edges))]
+
+
+def joined(g, indices):
+    """The components of the spanning subgraph on some edges, from the oracle."""
+    return len(oracles.components(g.n, list(g.edges), list(indices)))
+
+
+def oracle_labels_needed(g):
+    """`_labels_needed` from the definition: per odd girth g, how many edges
+    of girth g a tree leaves out when, for every girth, its edges of at
+    most that girth join what all of them join; None when the edges of even
+    or infinite girth cannot all be in such a tree."""
+    weight = oracle_weights(g)
+    needed = {}
+    for level in sorted(set(weight)):
+        below = [i for i, w in enumerate(weight) if w < level]
+        at = [i for i, w in enumerate(weight) if w == level]
+        left_out = len(at) - (joined(g, below) - joined(g, below + at))
+        if level == INFINITE or level % 2 == 0:
+            if left_out:
+                return None
+        elif left_out:
+            needed[level] = left_out
+    return needed
+
+
+def oracle_cycle_count(g, level):
+    """The cycles of length `level` through an edge of that girth."""
+    weight = oracle_weights(g)
+    return sum(any(weight[g.edge_index(a, b)] == level for a, b in zip(c, c[1:] + c[:1]))
+               for c in oracles.all_cycles(g.n, list(g.edges), level) if len(c) == level)
+
+
+def is_girth_mst(g, tree):
+    """Whether the tree holds every edge of even or infinite girth and, for
+    each girth, its edges of girth at most that join what all such edges
+    join."""
+    weight = oracle_weights(g)
+    if unlabelable_mask(g) & ~tree:
+        return False
+    for level in set(weight):
+        upto = [i for i, w in enumerate(weight) if w <= level]
+        if joined(g, upto) != joined(g, [i for i in upto if tree >> i & 1]):
+            return False
+    return True
+
+
+def test_rule_out_tests_match_their_definitions():
+    fired = Counter()
+    for g in rule_out_families():
+        girths = _girth_values(g)
+        needed = _labels_needed(g, girths)
+        assert needed == oracle_labels_needed(g)
+        fired["girth-mst"] += needed is None
+        for level, need in (needed or {}).items():
+            cycles = oracle_cycle_count(g, level)
+            for want in {need, cycles, cycles + 1} - {0}:
+                assert _has_cycles(g, girths, level, want) is (cycles >= want), (g, level, want)
+            fired["cycle-count"] += cycles < need
+    assert fired["girth-mst"] and fired["cycle-count"]
+
+
+def test_rule_outs_agree_with_the_oracle_search():
+    # a ruled-out graph reports every candidate tree, or the walk's budget
+    # error, as the oracle search over the plain stream does; the oracle
+    # labels every tree where there are at most 500 of them and the first
+    # 500 elsewhere
+    fired = Counter()
+    for g in rule_out_families():
+        girths = _girth_values(g)
+        forced = unlabelable_mask(g)
+        if joined(g, mask_indices(forced)) != g.n - forced.bit_count():
+            continue  # the forced edges close the witness cycle
+        needed = _labels_needed(g, girths)
+        test = ("girth-mst" if needed is None else
+                None if all(_has_cycles(g, girths, level, need) for level, need in needed.items())
+                else "cycle-count")
+        fired[test] += 1
+        if test is None:
+            try:
+                verdict = check_dp_good(g, budget=20000)
+            except BudgetExceededError:
+                continue  # a long walk, as at a few dense seeded graphs
+            if verdict.satisfied:
+                assert is_girth_mst(g, verdict.certificate.tree)
+            continue
+        trees = spanning_tree_count(g, forced)
+        if trees <= 500:
+            assert assert_search_matches_oracle(g) == trees
+        else:
+            assert assert_search_matches_oracle(g, 500) is None
+            assert check_dp_good(g).detail["trees_tried"] == trees
+        for budget in (1, 2, 5, 40):
+            assert assert_search_matches_oracle(g, budget) == (trees if trees <= budget else None)
+        if trees > 1:
+            with pytest.raises(BudgetExceededError) as err:
+                check_dp_good(g, budget=trees - 1)
+            assert str(err.value) == str(BudgetExceededError("spanning trees", trees, trees - 1))
+    assert fired["girth-mst"] and fired["cycle-count"] and fired[None]
 
 
 def test_shortest_path_walk_follows_reached_vertices():

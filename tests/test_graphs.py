@@ -18,6 +18,7 @@ from dpchroma import (
     non_bridge_edges,
     parse_graph,
     path_graph,
+    spanning_tree_count,
     spanning_trees,
 )
 from dpchroma.graphs import MAX_VERTICES, _blocks, _search_plan
@@ -347,34 +348,88 @@ def test_spanning_trees_order_with_forced_edges(rng):
 
 
 def test_carried_stream_counts_equal_frames_once():
-    # frames with equal (position, components, value) are interchangeable:
-    # under a constant value the stream yields some of the trees, in order,
-    # and counts the rest, while the taken edges as the value never repeat
-    # a frame, so every tree is yielded
-    def constant(value, i):
-        return value
-
+    # frames with equal (position, components, key(value)) are
+    # interchangeable: under a constant key the stream yields some of the
+    # trees, in order, and counts the rest, while the taken edges as the
+    # key never repeat a frame, so every tree is yielded
     def taken(value, i):
         return value | 1 << i
+
+    def same(value):
+        return value
+
+    def constant(value):
+        return 0
 
     skipped = 0
     for n in range(1, 6):
         for edges in connected_edge_sets(n):
             g = Graph(n, edges)
             plain = list(spanning_trees(g))
-            stream = spanning_trees(g, carry=(0, constant))
-            got = list(stream)
+            stream = spanning_trees(g, carry=(0, taken, constant))
+            got = [(tree, stream.value) for tree in stream]
             rest = iter(plain)
-            assert all(tree in rest for tree in got)
+            assert all(tree in rest and value == tree for tree, value in got)
             assert stream.count == len(plain)
             skipped += len(got) < len(plain)
-            stream = spanning_trees(g, carry=(0, taken))
+            stream = spanning_trees(g, carry=(0, taken, same))
             assert [(tree, stream.value) for tree in stream] == [(tree, tree) for tree in plain]
             for budget in range(1, len(plain)):
                 with pytest.raises(BudgetExceededError) as err:
-                    list(spanning_trees(g, budget=budget, carry=(0, constant)))
+                    list(spanning_trees(g, budget=budget, carry=(0, taken, constant)))
                 assert (err.value.attempted, err.value.budget) == (budget + 1, budget)
     assert skipped
+
+
+def test_spanning_tree_count_matches_oracle_sets(rng):
+    # the trees holding a forced forest, and none when the forced edges
+    # close a cycle
+    closing = 0
+    graphs = 0
+    while graphs < 240:
+        n = rng.randint(1, 8)
+        edges = random_edges(rng, n, rng.uniform(0.2, 0.7))
+        if len(edges) > 14:
+            continue
+        graphs += 1
+        g = Graph(n, edges)
+        trees = oracles.spanning_tree_sets(n, edges)
+        forest = set()
+        for i in rng.sample(range(len(edges)), len(edges)):
+            if rng.random() < 0.4:
+                picked = forest | {i}
+                if len(oracles.components(n, edges, picked)) == n - len(picked):
+                    forest = picked
+        assert spanning_tree_count(g, mask_of(forest)) == sum(forest <= t for t in trees)
+        assert spanning_tree_count(g) == len(trees)
+        cycles = oracles.all_cycles(n, edges)
+        if cycles:
+            cyc = cycles[rng.randrange(len(cycles))]
+            closed = {g.edge_index(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+            assert spanning_tree_count(g, mask_of(forest | closed)) == 0
+            closing += 1
+    assert closing > 50
+
+
+def test_spanning_tree_count_cayley():
+    assert spanning_tree_count(complete_graph(1)) == 1
+    for n in range(2, 41):
+        assert spanning_tree_count(complete_graph(n)) == n ** (n - 2)
+    assert spanning_tree_count(Graph(0, [])) == 0
+
+
+def test_spanning_tree_count_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    graphs = 0
+    while graphs < 20:
+        n = rng.randint(2, 12)
+        edges = random_edges(rng, n, rng.uniform(0.3, 0.8))
+        if not oracles.is_connected(n, edges):
+            continue
+        graphs += 1
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        assert spanning_tree_count(Graph(n, edges)) == round(nx.number_of_spanning_trees(h))
 
 
 def test_spanning_trees_disconnected_error():
