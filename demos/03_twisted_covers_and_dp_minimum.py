@@ -5,12 +5,15 @@ Shift covers and the exact DP minimum
 Putting a cyclic shift on a chosen edge set and identities elsewhere can
 push the transversal count below the chromatic value on even cycles, or
 above it on odd ones.  At desk scale the minimum over all covers is
-computed exactly by enumerating tree-normalized permutation assignments.
+computed exactly by enumerating tree-normalized permutation assignments,
+one per orbit under renaming every fibre, with the last free edge read off
+one pair-count matrix.
 """
 
 from dpchroma import (
     OrientedEdgeSet,
     chromatic_polynomial,
+    complete_graph,
     count_transversals,
     cycle_graph,
     dp_exact,
@@ -61,3 +64,20 @@ print(f"\nDP minimum of C3 at m=3: {dp_exact(c3, 3).value} "
       f"equals the chromatic value {p3(3)}")
 print(f"DP minimum of C3 at m=2: {dp_exact(c3, 2).value} "
       f"(no proper 2-coloring of a triangle)")
+
+###############################################################################
+# Complete multipartite graphs with at least three parts are DP-equal to
+# their chromatic polynomial: K4 (four parts of one vertex) at m = 5.
+
+k4 = complete_graph(4)
+report = dp_exact(k4, 5)
+print(f"\nP_DP(K4, 5) = {report.value} = P(K4, 5) = {chromatic_polynomial(k4)(5)} "
+      f"({report.minimizers} minimizing cover)")
+
+###############################################################################
+# One free edge is one counting pass plus a matching on a 10 x 10 matrix,
+# where the full sweep would count 10! = 3,628,800 covers.
+
+report = dp_exact(c4, 10)
+print(f"DP minimum of C4 at m=10: {report.value} (chromatic value {p4(10)}, "
+      f"{report.minimizers} minimizing covers)")

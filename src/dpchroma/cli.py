@@ -268,7 +268,8 @@ _COMMANDS = {
 
 
 _BUDGET_HELP = {
-    "covers": "cap on (m!)^q cover assignments",
+    "covers": "cap on the cover sweep's work: 2^m column sets per orbit of all "
+              "but the last non-tree edge, plus m! when S_m is listed",
     "cycles": "cap on enumerated cycles",
     "trees": "cap on spanning trees (dpgood, classify), vertex subsets (vorder, "
              "classify) and quad crossing candidates (classify)",

@@ -13,8 +13,12 @@ index is an automorphism, so a state is a class of frontier values up to a
 common shift;
 `count_incl_excl` is the second route, an alternating sum over edge subsets.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
-which is the full cover space up to renaming of list vertices, counting one
-cover per orbit under simultaneous conjugation, weighted by the orbit size.
+which is the full cover space up to renaming of list vertices.  It takes one
+assignment of all but the last free edge per orbit under simultaneous
+conjugation, weighted by the orbit size, and reads every permutation on the
+last edge off one pass: the pass keeps both ends of that edge on the
+frontier, so its last states count the transversals per pair of their
+values, and the best permutation is a maximum-weight matching on them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -213,18 +217,25 @@ def twisted_cover(g: Graph, estar: OrientedEdgeSet, m: int) -> Cover:
 # ---------------------------------------------------------------------------
 # counting
 
-def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
-    """Transversals of `cov` by a forward pass over the steps of `plan`.
+def _rotations(cov: Cover) -> bool:
+    """Whether every matching of `cov` is a rotation x -> x + s (mod m)."""
+    ident = tuple(range(cov.m))
+    return cov.m > 0 and all(p == ident[p[0]:] + ident[:p[0]] for p in cov.perms)
+
+
+def _count(g: Graph, plan, cov: Cover, node_budget: int) -> dict[tuple[int, ...], int]:
+    """The last states of a forward pass over the steps of `plan`.
 
     `states` maps the frontier values to the number of prefixes that give
-    them, or on a cyclic cover the values minus the first of them to the
-    total over that shift class.  Every candidate of every state is a node;
-    more than `node_budget` of them raise BudgetExceededError.
+    them, or on a cover of rotations the values minus the first of them to
+    the total over that shift class.  The transversals are the count of the
+    empty frontier (); a plan that keeps vertices to the end leaves their
+    values instead.  Every candidate of every state is a node; more than
+    `node_budget` of them raise BudgetExceededError.
     """
     _, steps = plan
     m = cov.m
-    ident = tuple(range(m))
-    cyclic = m > 0 and all(p == ident[p[0]:] + ident[:p[0]] for p in cov.perms)
+    cyclic = _rotations(cov)
     states = {(): 1}
     width = nodes = 0  # width: the frontier size before the vertex placed
     for back, kept in steps:
@@ -252,7 +263,7 @@ def _count(g: Graph, plan, cov: Cover, node_budget: int) -> int:
                 key = (0,) if grow else head
                 out[key] = out.get(key, 0) + count * (m - len(banned))
         states = out
-    return states.get((), 0)
+    return states
 
 
 def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
@@ -271,7 +282,27 @@ def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUD
     of them per step instead of m^w.  Raises BudgetExceededError once it
     generates more than `node_budget` candidate values.
     """
-    return CountReport(_count(g, _search_plan(g), cov, node_budget), "backtracking")
+    return CountReport(_count(g, _search_plan(g), cov, node_budget).get((), 0), "backtracking")
+
+
+def _pair_counts(g: Graph, plan, cov: Cover, u: int, v: int,
+                 node_budget: int) -> list[list[int]]:
+    """M[i][j], the transversals of `cov` with x_u = i and x_v = j, read off
+    the last states of one pass along `plan`, a plan that keeps u and v.
+
+    A shift class (0, d) of a cover of rotations splits evenly over its m
+    shifts, since adding one constant to every index is an automorphism.
+    """
+    m = cov.m
+    flip = plan[0].index(u) > plan[0].index(v)  # the last frontier is (v, u)
+    shifts = range(m) if _rotations(cov) else (0,)
+    pairs = [[0] * m for _ in range(m)]
+    for key, count in _count(g, plan, cov, node_budget).items():
+        for z in shifts:
+            a, b = [(x + z) % m for x in key]
+            i, j = (b, a) if flip else (a, b)
+            pairs[i][j] += count // len(shifts)
+    return pairs
 
 
 def matched_selection_count(g: Graph, cov: Cover, edge_mask: int) -> int:
@@ -326,6 +357,11 @@ def _assignment_cover(g: Graph, m: int, free: list[int], combo) -> Cover:
     return Cover(g, m, tuple(perms))
 
 
+# the sweep's work: one subset DP over 2^m column sets per orbit of all but
+# the last free edge, plus the m! permutations `_orbit_walk` lists when q >= 3
+SWEEP_COUNTER = "prefix orbits x 2^m column sets + listed permutations"
+
+
 def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
              node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1) -> CountReport:
     """Minimum transversal count over all tree-normalized m-fold covers.
@@ -334,13 +370,19 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     permutation assignments on the q non-tree edges; normalization loses no
     covers, so the minimum is the DP color function value at m.  Renaming
     every fibre by the same permutation conjugates each edge's permutation
-    and keeps the count, so one assignment per orbit is counted, weighted by
-    the orbit size: the first free edge runs over conjugacy class heads
-    (`_orbit_heads`), the others over stabilizer orbits (`_orbit_walk`).
-    `minimizers` still counts all (m!)^q assignments, and ties go to the
-    lexicographically smallest.  The search plan is built once per sweep.
-    The sweep has one chunk per head; with `jobs` > 1 the chunks run on up
-    to that many processes, never more than there are chunks or CPUs.
+    and keeps the count, so one assignment of the first q - 1 free edges per
+    orbit is taken, weighted by the orbit size: the first over conjugacy
+    class heads (`_orbit_heads`), the others over stabilizer orbits
+    (`_orbit_walk`).  The last free edge e = uv is read off one pass per
+    such prefix: with M[i][j] the transversals of the cover without e that
+    have x_u = i and x_v = j (`_pair_counts`), sigma on e counts
+    sum(M) - sum_i M[i][sigma(i)], so the best sigma is a maximum-weight
+    matching on M (`_best_matching`).  `minimizers` still counts all
+    (m!)^q assignments, and ties go to the lexicographically smallest.  The
+    search plan is built once per sweep.  The sweep has one chunk per head;
+    with `jobs` > 1 the chunks run on up to that many processes, never more
+    than there are chunks or CPUs.  Raises BudgetExceededError when the
+    work of `_check_sweep` passes `budget`.
     """
     _check_fold(m)
     if jobs < 1:
@@ -348,20 +390,17 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
-    # (m!)^q factor by factor: a sweep below 2^64 reports its exact size, a
-    # larger one the product once past the budget, since in full it can have
-    # millions of digits
-    space = 1
-    for k in chain.from_iterable([range(2, m + 1)] * q):
-        space *= k
-        if space > max(budget, 2**64):
-            break
-    if space > budget:
-        raise BudgetExceededError("(m!)^q covers", space, budget)
+    _check_sweep(m, q, budget)
+    if not free:
+        cov = canonical_cover(g, m)
+        return CountReport(count_transversals(g, cov, node_budget).value, "backtracking",
+                           cover=cov, minimizers=1)
 
-    heads = _orbit_heads(m, q)
-    plan = _search_plan(g)
-    chunks = [(g, plan, m, free, node_budget, head) for head, _ in heads]
+    e = free[-1]
+    rest = Graph(g.n, g.edges[:e] + g.edges[e + 1:])  # free[:-1] keep their indices
+    heads = _orbit_heads(m, q - 1)
+    plan = _search_plan(rest, keep=g.edges[e])
+    chunks = [(rest, plan, m, free, g.edges[e], node_budget, head) for head, _ in heads]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the executor module costs CLI start-up time
@@ -378,6 +417,75 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
         (value, combo, weight * ties) for (_, weight), (value, combo, ties) in zip(heads, results))
     argmin = _assignment_cover(g, m, free, best_combo)
     return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
+
+
+def _check_sweep(m: int, q: int, budget: int) -> None:
+    """Raise BudgetExceededError if the sweep of `dp_exact` would pass
+    `budget`, before anything of its size is built.
+
+    Its work is 1 for a tree, else 2^m column sets per orbit of the first
+    q - 1 free edges, Burnside's sum over the classes of S_m of
+    (m! / class size)^(q - 2) (1 when q = 1), plus m! when q >= 3 lists S_m.
+    Each factor stops growing once past max(budget, 2^64), since in full it
+    can have millions of digits.
+    """
+    if q == 0:
+        return
+    cap = max(budget, 2**64)
+    columns = 1
+    for _ in range(m):
+        columns *= 2
+        if columns > cap:
+            break
+    listed = 0
+    if q >= 3:
+        listed = 1
+        for k in range(2, m + 1):
+            listed *= k
+            if listed > cap:
+                break
+    orbits = 1
+    if q >= 2 and columns + listed <= cap:
+        orbits = 0
+        for _, z in _cycle_types(m):
+            orbits += z ** min(q - 2, cap.bit_length())
+            if orbits * columns > cap:
+                break
+    work = orbits * columns + listed
+    if work > budget:
+        raise BudgetExceededError(SWEEP_COUNTER, work, budget)
+
+
+def _best_matching(pairs: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
+    """The most that sum_i pairs[i][sigma(i)] reaches over the permutations
+    sigma of range(m), how many sigma reach it, and the lexicographically
+    first of them, by one DP over the 2^m sets of columns that rows 0, 1, ...
+    take: best[S] is the most that the later rows add on the other columns.
+    """
+    m = len(pairs)
+    full = (1 << m) - 1
+    best = [0] * (full + 1)
+    ways = [0] * (full + 1)
+    ways[full] = 1
+    for taken in range(full - 1, -1, -1):
+        row = pairs[taken.bit_count()]
+        top = None
+        for j in range(m):
+            if not taken >> j & 1:
+                t = row[j] + best[taken | 1 << j]
+                if top is None or t > top:
+                    top, tied = t, ways[taken | 1 << j]
+                elif t == top:
+                    tied += ways[taken | 1 << j]
+        best[taken], ways[taken] = top, tied
+    sigma: list[int] = []
+    taken = 0
+    for row in pairs:  # the first column that still reaches the best
+        j = next(j for j in range(m) if not taken >> j & 1
+                 and row[j] + best[taken | 1 << j] == best[taken])
+        sigma.append(j)
+        taken |= 1 << j
+    return best[0], ways[0], tuple(sigma)
 
 
 def _least(results):
@@ -402,6 +510,13 @@ def _partitions(m: int, top: int):
             yield (k,) + rest
 
 
+def _cycle_types(m: int):
+    """The conjugacy classes of S_m, as (cycle lengths, non-increasing; the
+    order of the centralizer of one class member)."""
+    for lengths in _partitions(m, m):
+        yield lengths, math.prod(k ** a * math.factorial(a) for k, a in Counter(lengths).items())
+
+
 def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """The smallest element of each conjugacy class of S_m, as ((head,),
     class size) in lexicographic order, or [((), 1)] for q = 0 free edges.
@@ -413,13 +528,12 @@ def _orbit_heads(m: int, q: int) -> list[tuple[tuple[tuple[int, ...], ...], int]
     if q == 0:
         return [((), 1)]
     classes = []
-    for lengths in _partitions(m, m):
+    for lengths, z in _cycle_types(m):
         c: list[int] = []
         for k in reversed(lengths):
             start = len(c)
             c.extend(range(start + 1, start + k))
             c.append(start)
-        z = math.prod(k ** a * math.factorial(a) for k, a in Counter(lengths).items())
         classes.append(((tuple(c),), math.factorial(m) // z))
     return sorted(classes)
 
@@ -451,11 +565,18 @@ def _orbit_walk(perms, head, depth):
 
 
 def _dp_chunk(args):
-    """Count one assignment per orbit that starts with `head`: (min, argmin,
+    """Count one prefix per orbit of the first q - 1 free edges that starts
+    with `head`, each with every permutation on the last one: (min, argmin,
     ties), ties weighted by orbit size over the size of the head's class."""
-    g, plan, m, free, node_budget, head = args
-    # with q <= 1 the walk has nothing to choose, and the cover budget allows
+    rest, plan, m, free, (u, v), node_budget, head = args
+    depth = len(free) - 1
+    # with q <= 2 the walk has nothing to choose, and the sweep budget allows
     # an m too large to list S_m
-    perms = list(permutations(range(m))) if len(head) < len(free) else []
-    return _least((_count(g, plan, _assignment_cover(g, m, free, combo), node_budget), combo, weight)
-                  for combo, weight in _orbit_walk(perms, head, len(free)))
+    perms = list(permutations(range(m))) if len(head) < depth else []
+    results = []
+    for combo, weight in _orbit_walk(perms, head, depth):
+        pairs = _pair_counts(rest, plan, _assignment_cover(rest, m, free, combo), u, v,
+                             node_budget)
+        top, tied, sigma = _best_matching(pairs)
+        results.append((sum(map(sum, pairs)) - top, combo + (sigma,), weight * tied))
+    return _least(results)

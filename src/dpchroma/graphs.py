@@ -23,7 +23,8 @@ builds neighbour lists of an edge subset:
   every witness cycle the package reports;
 * `_search_plan`: the greedy min-frontier vertex order and, per step, the
   back edges and the surviving slots of its frontier, which both exact
-  counts (transversals and chromatic polynomials) walk forward;
+  counts (transversals and chromatic polynomials) walk forward; vertices
+  it is asked to keep stay on the frontier to the end;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
@@ -474,10 +475,12 @@ def _bfs_forest(g: Graph, mask: int, roots: Iterable[int]) -> list[tuple[int, in
     return walk
 
 
-def _search_plan(g: Graph):
+def _search_plan(g: Graph, keep: Iterable[int] = ()):
     """The vertex order that the frontier searches of `covers` and
     `chromatic` walk, as (order, steps).  The frontier is the list of placed
-    vertices that still have an unplaced neighbour, in placement order.
+    vertices that still have an unplaced neighbour, in placement order; a
+    vertex in `keep` counts one unplaced neighbour more, so it stays on the
+    frontier to the end and the last frontier is `keep` in placement order.
 
     * `order`: greedy min-frontier: each step places, among the unplaced
       vertices next to a placed one (any unplaced vertex when there are
@@ -490,7 +493,8 @@ def _search_plan(g: Graph):
       frontier, order[k] last if it stays on it.
     """
     n = g.n
-    left = [g.degree(v) for v in range(n)]  # unplaced neighbours
+    keep = set(keep)
+    left = [g.degree(v) + (v in keep) for v in range(n)]  # unplaced neighbours
     placed = [False] * n
     order: list[int] = []
     steps = []

@@ -72,6 +72,26 @@ def transversal_count(n, edges, perms, m):
     return total
 
 
+def pair_counts(n, edges, perms, m, u, v):
+    """M[i][j]: the transversals with index i at u and j at v, tallied over
+    all m^n index picks."""
+    pairs = [[0] * m for _ in range(m)]
+    for assign in product(range(m), repeat=n):
+        if all(assign[b] != sigma[assign[a]] for (a, b), sigma in zip(edges, perms)):
+            pairs[assign[u]][assign[v]] += 1
+    return pairs
+
+
+def best_matching(weights):
+    """(max, count, first) of sum_i weights[i][sigma(i)] over every
+    permutation sigma, in lexicographic order."""
+    m = len(weights)
+    scores = [(sum(weights[i][s[i]] for i in range(m)), s) for s in permutations(range(m))]
+    top = max(score for score, _ in scores)
+    winners = [s for score, s in scores if score == top]
+    return top, len(winners), winners[0]
+
+
 def matched_count(n, edges, perms, m, subset):
     """Selections where every edge in subset is matched (not merely allowed)."""
     total = 0

@@ -7,6 +7,7 @@ import pytest
 
 from dpchroma import Cover, DpGoodCertificate, Polynomial, verify_dp_good_certificate
 from dpchroma.cli import _build_parser, main
+from dpchroma.covers import SWEEP_COUNTER
 from dpchroma.graphs import fixture
 
 
@@ -173,7 +174,7 @@ def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "dpexact", "--fixture", "complete:4",
                            "--m", "3", "--budget-covers", "10")
     assert code == 3
-    assert "budget" in err.lower()
+    assert f"budget exceeded: {SWEEP_COUNTER}: reached 94, over the budget of 10" in err
 
 
 BAD_COVERS = {
@@ -259,15 +260,26 @@ def test_long_path_and_cycle_verdicts(capsys, argv, expected):
         assert got == value, key
 
 
+@pytest.mark.parametrize("fixture_name, m, value, chromatic, minimizers", [
+    ("cycle:4", 10, "6560", "6570", 1_334_961),
+    ("complete:4", 5, "120", "120", 1),
+])
+def test_dpexact_past_the_full_sweep(capsys, fixture_name, m, value, chromatic, minimizers):
+    # both exited 3 while the budget capped (m!)^q covers: 10! and 120^3
+    data = run_json(capsys, "dpexact", "--fixture", fixture_name, "--m", str(m))
+    assert (data["dp_value"], data["chromatic_value"], data["minimizers"]) == \
+        (value, chromatic, minimizers)
+
+
 def test_cover_budget_is_checked_before_the_cover_space_is_built(capsys):
-    # (100000!)^1 has 456,574 digits; the check stops multiplying once the
-    # product is past the budget and 2^64, and prints only that far
+    # 2^100000 column sets has 30,103 digits; the check stops multiplying
+    # once the product is past the budget and 2^64, and prints only that far
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "dpexact", "--fixture", "cycle:4", "--m", "100000")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert "budget exceeded: (m!)^q covers" in err
+    assert f"budget exceeded: {SWEEP_COUNTER}: reached {2**65}," in err
     assert len(err) < 200
 
 

@@ -36,8 +36,9 @@ from dpchroma import (
     spanning_trees,
     twisted_cover,
 )
-from dpchroma.covers import MAX_FOLD, _invert, _orbit_heads
-from dpchroma.graphs import bfs_tree
+from dpchroma.covers import (MAX_FOLD, SWEEP_COUNTER, _best_matching, _invert, _orbit_heads,
+                             _pair_counts)
+from dpchroma.graphs import _search_plan, bfs_tree
 
 
 def random_cover(rng, g, m):
@@ -464,23 +465,67 @@ def test_orbit_sweep_matches_plain_sweep():
 
 
 @pytest.mark.parametrize("g, m, orbits", [
-    (path_graph(4), 3, 1), (cycle_graph(4), 4, 5), (complete_graph(4), 2, 8),
-    (complete_graph(4), 3, 49), (complete_graph(4), 4, 681), (complete_graph(5), 3, 8051),
+    (path_graph(4), 3, 1), (cycle_graph(4), 4, 1), (complete_graph(4), 2, 4),
+    (complete_graph(4), 3, 11), (complete_graph(4), 4, 43), (complete_graph(5), 3, 1393),
 ])
 def test_one_count_per_orbit(monkeypatch, g, m, orbits):
-    # the orbits of q-tuples under simultaneous conjugation number
-    # sum over cycle types of z^(q - 1), z the centralizer order (Burnside)
+    # one pass per orbit of the first q - 1 free edges, the last read off
+    # its pair counts; the orbits of (q - 1)-tuples under simultaneous
+    # conjugation number sum over cycle types of z^(q - 2), z the
+    # centralizer order (Burnside), or 1 when q <= 1
     import dpchroma.covers as covers
 
     q = g.m - g.n + 1
     types = Counter(cycle_type(p) for p in permutations(range(m)))
     z = [math.factorial(m) // size for size in types.values()]
-    assert sum(Fraction(c) ** (q - 1) for c in z) == orbits
+    assert (sum(Fraction(c) ** (q - 2) for c in z) if q >= 2 else 1) == orbits
     calls = []
     count = covers._count
     monkeypatch.setattr(covers, "_count", lambda *args: calls.append(1) or count(*args))
     dp_exact(g, m)
     assert len(calls) == orbits
+
+
+@pytest.mark.parametrize("g, m, value, minimizers", [
+    (cycle_graph(4), 10, 6560, 1_334_961),
+    # P(K4, 5): the paper's DP-equals-chromatic case of complete
+    # multipartite graphs with at least three parts
+    (complete_graph(4), 5, 120, 1),
+])
+def test_dp_exact_past_the_full_sweep(g, m, value, minimizers):
+    # (m!)^q = 3,628,800 and 120^3 covers: beyond a sweep that counts every
+    # orbit of all q free edges under the default budget
+    report = dp_exact(g, m)
+    assert (report.value, report.minimizers) == (value, minimizers)
+    assert count_transversals(g, report.cover).value == value
+
+
+def test_pair_counts_match_the_tally(rng):
+    # covers of rotations keep shift classes, which split evenly over shifts
+    orders = Counter()
+    for trial in range(60):
+        g = random_connected_graph(rng, lo=2, hi=5)
+        m = rng.randint(1, 4)
+        if trial % 2:
+            cov, _ = random_cover(rng, g, m)
+        else:
+            cov = Cover(g, m, tuple(tuple((x + s) % m for x in range(m))
+                                    for s in [rng.randrange(m) for _ in g.edges]))
+        u, v = sorted(rng.sample(range(g.n), 2))
+        plan = _search_plan(g, keep=(u, v))
+        orders[plan[0].index(u) < plan[0].index(v)] += 1
+        assert _pair_counts(g, plan, cov, u, v, 10**6) == \
+            oracles.pair_counts(g.n, list(g.edges), list(cov.perms), m, u, v)
+    assert orders[True] and orders[False]  # u placed first, and v placed first
+
+
+def test_best_matching_matches_brute_force(rng):
+    # entries from a small range, so that most matrices tie
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        weights = [[rng.randint(0, 2) for _ in range(m)] for _ in range(m)]
+        assert _best_matching(weights) == oracles.best_matching(weights)
+    assert _best_matching([[1] * 4] * 4) == (4, 24, (0, 1, 2, 3))
 
 
 def test_dp_exact_with_one_fold_and_many_free_edges():
@@ -545,7 +590,10 @@ def test_dp_exact_budget_error():
     g = complete_graph(4)
     with pytest.raises(BudgetExceededError) as err:
         dp_exact(g, 3, budget=10)
-    assert err.value.attempted == 6 ** 3
+    # 11 orbits of the first two free edges, 2^3 column sets each, and the
+    # 3! permutations that the orbit walk lists
+    assert err.value.attempted == 11 * 2 ** 3 + 6
+    assert err.value.counter == SWEEP_COUNTER
 
 
 def test_fold_counts_above_the_cap_are_rejected():
@@ -563,8 +611,13 @@ def test_dp_exact_disconnected_error():
         dp_exact(Graph(4, [(0, 1), (2, 3)]), 2)
 
 
+# C4 with the chord 0-2: two free edges, so one chunk per conjugacy class
+# of S_m on the first
+C4_CHORD = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+
+
 def test_dp_exact_parallel_matches_serial():
-    g = cycle_graph(4)
+    g = C4_CHORD
     serial = dp_exact(g, 3, jobs=1)
     parallel = dp_exact(g, 3, jobs=2)
     assert parallel.value == serial.value
@@ -591,9 +644,9 @@ def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    g = cycle_graph(4)
-    # (cpus, jobs, m, workers asked for); one chunk per orbit head (as many
-    # as the partitions of m for one free edge), no pool for one worker
+    g = C4_CHORD
+    # (cpus, jobs, m, workers asked for); one chunk per orbit head of the
+    # first free edge (as many as the partitions of m), no pool for one worker
     for cpus, jobs, m, workers in ((3, 64, 3, [3]), (64, 64, 2, [2]),
                                    (8, 2, 3, [2]), (1, 64, 3, []), (8, 1, 3, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
