@@ -45,6 +45,7 @@ from .graphs import (
     mask_indices,
     non_bridge_edges,
     spanning_tree_count,
+    spanning_tree_rank,
     spanning_trees,
 )
 
@@ -400,29 +401,25 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     tree is a minimum spanning tree for the weights "girth" holding every
     forced edge) and the cycle-count test (`_has_cycles`: the labels of one
     girth need as many distinct shortest cycles).  A graph either test
-    rules out is violated, and its `trees_tried` is the number of candidate
-    trees, `spanning_tree_count` of the forced edges; more than `budget` of
-    them raise the walk's BudgetExceededError.
+    rules out is violated.
 
-    Otherwise the candidate trees come from one spanning-tree walk, and each
-    frame of the walk carries the `_Closure` of the edges it has taken,
-    updated on every edge it takes: a tree is DP-good exactly when its
-    closure is all of E.  `_greedy_labeling` runs once, on the first such
-    tree, to build its certificate.  A frame's trees are DP-good or not by
-    its position, its components and its closure mask alone (the closure of
-    the taken edges is the closure of any mask between them and it), and
-    the search stops at the first DP-good tree.  So a frame that repeats
-    the key of a frame walked to its end holds no DP-good tree either: the
-    stream counts its trees without walking them.  More than `budget`
-    candidate trees raise BudgetExceededError.  The trees, their order and
-    `trees_tried` are those of a search that labels every tree in turn.
+    Otherwise one spanning-tree walk streams the candidate trees, and each
+    frame carries the `_Closure` of the edges it has taken: a tree is
+    DP-good exactly when its closure is all of E, and `_greedy_labeling`
+    builds the certificate of the first such tree.  A frame's trees are
+    DP-good or not by its position, its components and its closure mask
+    alone (the closure of the taken edges is the closure of any mask
+    between them and it), so the walk drops a frame that repeats the key
+    of one walked to its end.
 
-    `detail["trees_tried"]` counts the candidate trees, streamed in
-    descending order of their indicator vectors: for a satisfied verdict it
-    is the 1-based position of the certified tree in that stream, for a
-    violated one with no witness cycle the number of spanning trees that
-    contain every edge of even or infinite girth.  The benchmark's answer
-    checks (`bench/checks.py`) pin both meanings.
+    `detail["trees_tried"]` is that of a search that labels the candidate
+    trees in turn, in the stream's order (descending indicator vectors),
+    counted by the matrix-tree theorem: the certified tree's position
+    (`spanning_tree_rank`), or with no witness cycle and no DP-good tree
+    the number of candidate trees (`spanning_tree_count`).  Over `budget`
+    it raises that search's BudgetExceededError, as do more than `budget`
+    trees walked.  The benchmark's answer checks (`bench/checks.py`) pin
+    both meanings.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -442,34 +439,30 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
         )
 
     needed = _labels_needed(g, girths)
-    if needed is None or not all(_has_cycles(g, girths, girth, need)
-                                 for girth, need in needed.items()):
-        trees = spanning_tree_count(g, forced)
-        if trees > budget:  # the walk's error at its tree budget + 1
-            raise BudgetExceededError("spanning trees", max(budget, 0) + 1, budget)
-        return _no_dp_good_tree(trees)
-
-    closure = _Closure(g, girths, forced)
-    stream = spanning_trees(g, budget=budget, forced=forced,
-                            carry=(closure.start, closure.take, closure.key))
-    for tree in stream:
-        if closure.full(stream.value):
-            cert = _greedy_labeling(g, tree, girths, closure.layers)
-            return ClassifierVerdict(
-                "dp-good", SATISFIED, DP_STAR, certificate=cert,
-                detail={
-                    "trees_tried": stream.count,
-                    "girth_sequence": [int(girths[e]) for e in cert.labeling],
-                },
-            )
-    return _no_dp_good_tree(stream.count)
-
-
-def _no_dp_good_tree(trees: int) -> ClassifierVerdict:
+    cert = None
+    if needed is not None and all(_has_cycles(g, girths, girth, need)
+                                  for girth, need in needed.items()):
+        closure = _Closure(g, girths, forced)
+        stream = spanning_trees(g, budget=budget, forced=forced,
+                                carry=(closure.start, closure.take, closure.key))
+        for tree in stream:
+            if closure.full(stream.value):
+                cert = _greedy_labeling(g, tree, girths, closure.layers)
+                break
+    trees = (spanning_tree_count(g, forced) if cert is None
+             else spanning_tree_rank(g, cert.tree, forced))
+    if trees > budget:
+        raise BudgetExceededError("spanning trees", max(budget, 0) + 1, budget)
+    if cert is None:
+        return ClassifierVerdict(
+            "dp-good", VIOLATED, UNKNOWN,
+            detail={"reason": "no spanning tree admits a valid labeling",
+                    "trees_tried": trees},
+        )
     return ClassifierVerdict(
-        "dp-good", VIOLATED, UNKNOWN,
-        detail={"reason": "no spanning tree admits a valid labeling",
-                "trees_tried": trees},
+        "dp-good", SATISFIED, DP_STAR, certificate=cert,
+        detail={"trees_tried": trees,
+                "girth_sequence": [int(girths[e]) for e in cert.labeling]},
     )
 
 

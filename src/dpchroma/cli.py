@@ -170,7 +170,7 @@ def _cmd_girth(args):
 
 def _cmd_setgirth(args):
     g = _load_graph(args)
-    r = edge_set_girth(g, g.edge_mask(_edge_tokens(g, args.edges)))
+    r = edge_set_girth(g, _oriented(g, args.edges).edges)
     value = int(r.value) if r.is_finite else "infinity"
     lines = [f"set girth: {value}"]
     if r.witness:
@@ -231,7 +231,7 @@ def _cmd_thm5(args):
 
 def _cmd_cor5(args):
     g = _load_graph(args)
-    estar = g.edge_mask(_edge_tokens(g, args.estar)) if args.estar else None
+    estar = _oriented(g, args.estar).edges if args.estar else None
     verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar,
                                       cycle_budget=args.budget_cycles)
     _emit(args, _verdict_lines(verdict), verdict.to_json())

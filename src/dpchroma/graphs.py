@@ -14,8 +14,9 @@ builds neighbour lists of an edge subset:
 * `_find` and `_union`: union-find and its merge loop (the spanning-tree
   walk keeps its components as flat least-vertex labels and runs union-find
   only to test whether the undecided edges can still join them);
-* `spanning_tree_count`: the spanning trees that hold a forced edge set,
-  by the matrix-tree theorem as one integer (Bareiss) determinant;
+* `spanning_tree_count`: the spanning trees that hold a forced edge set
+  and take their other edges from an edge mask, by the matrix-tree theorem
+  as one integer (Bareiss) determinant; `spanning_tree_rank` sums them;
 * `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
 * `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
@@ -327,9 +328,10 @@ def _union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
     return merges
 
 
-def spanning_tree_count(g: Graph, forced: int = 0) -> int:
-    """The number of spanning trees of g that hold every edge of `forced`;
-    0 if those edges close a cycle or g is not connected.
+def spanning_tree_count(g: Graph, forced: int = 0, allowed: Optional[int] = None) -> int:
+    """The number of spanning trees of g that hold every edge of `forced`
+    and take their other edges from the mask `allowed` (all of E by
+    default); 0 if the forced edges close a cycle or no such tree exists.
 
     Matrix-tree theorem: contract the forced edges (union-find) and take
     the determinant of the contracted multigraph's Laplacian with the row
@@ -341,7 +343,8 @@ def spanning_tree_count(g: Graph, forced: int = 0) -> int:
     rows: dict[int, int] = {}
     row = [rows.setdefault(_find(parent, v), len(rows)) for v in range(g.n)]
     lap = [[0] * len(rows) for _ in rows]
-    for u, v in g.edges:
+    for i in mask_indices(g.full_mask() if allowed is None else allowed):
+        u, v = g.edges[i]
         a, b = row[u], row[v]
         if a != b:  # forced edges, and edges inside a class, are loops now
             lap[a][a] += 1
@@ -349,6 +352,19 @@ def spanning_tree_count(g: Graph, forced: int = 0) -> int:
             lap[a][b] -= 1
             lap[b][a] -= 1
     return _determinant([r[1:] for r in lap[1:]])
+
+
+def spanning_tree_rank(g: Graph, tree: int, forced: int = 0) -> int:
+    """The 1-based position of `tree`, a spanning tree that holds `forced`,
+    in the order of `SpanningTreeStream`.  A tree before it agrees with it
+    on the edges before some edge i it leaves out and takes i: one
+    `spanning_tree_count` per such i."""
+    rank, allowed = 1, g.full_mask()
+    for i in mask_indices(allowed & ~tree):
+        bit = 1 << i
+        rank += spanning_tree_count(g, forced | (tree & (bit - 1)) | bit, allowed)
+        allowed ^= bit  # left out by every later term
+    return rank
 
 
 def _determinant(rows: list[list[int]]) -> int:
@@ -578,11 +594,12 @@ class SpanningTreeStream:
     every edge of `forced`, empty if those edges close a cycle.
 
     Trees come in descending order of their indicator vectors, edge 0 most
-    significant: the walk merges the forced edges first, then decides the
-    other edges in index order, taking each one before leaving it out, and
-    leaves an edge out only while the later edges can still join every
-    component.  `count` is the number of trees counted so far.  Counts at
-    most `budget` trees; reaching tree budget + 1 raises BudgetExceededError.
+    significant (`spanning_tree_rank` inverts it): the walk merges the
+    forced edges first, then decides the other edges in index order, taking
+    each one before leaving it out, and leaves an edge out only while the
+    later edges can still join every component.  `count` is the number of
+    trees yielded so far.  Yields at most `budget` trees; reaching tree
+    budget + 1 raises BudgetExceededError.
 
     `carry`, if given, is a triple (start, take, key) that gives every frame
     of the walk a value: the first frame holds `start`, and taking edge i
@@ -590,14 +607,13 @@ class SpanningTreeStream:
     to still holds the value of its own taken edges.  `value` is the value
     of the tree yielded last.  A carrying stream treats two frames with the
     same key (position k, components, key(value)), key(value) hashable, as
-    interchangeable: the consumer must answer the same on their trees,
-    which come in the same order, and read on only while it has found
-    nothing.  Once a frame has been walked to its end, a later frame with
-    its key is not walked: its trees are added to `count` without being
-    yielded.  If they would take `count` past `budget`, the stream raises
-    the error the plain walk raises inside them, at tree budget + 1.  The
-    memo of walked keys holds at most one entry per yielded tree and lives
-    as long as the stream.
+    interchangeable: the consumer must answer the same on their trees and
+    read on only while it has found nothing.  A frame whose key was walked
+    before is dropped.  Every frame pushed under a frame has a larger k, so
+    one with the same key comes off the stack only after the first one's
+    trees are all yielded, and the consumer found nothing among them.  The
+    set of walked keys holds one key per frame popped and lives as long as
+    the stream.
     """
 
     def __init__(self, g: Graph, budget: int, forced: int = 0, *,
@@ -619,34 +635,23 @@ class SpanningTreeStream:
         free = [i for i in range(len(edges)) if not forced >> i & 1]
         free_pairs = [edges[i] for i in free]
         start, take, keyof = carry if carry is not None else (None, None, None)
-        memo: Optional[dict] = {} if carry is not None else None  # key -> trees below it
+        walked: Optional[set] = set() if carry is not None else None
         # a frame (k, labels, tree, need, value): free[:k] is decided,
         # labels[v] is the least vertex of v's component (so it is also a
         # parent list), `tree` holds the edges taken, `need` more edges join
         # the components, and `value` is carried.  Once free[k:] can join
         # them, taking or skipping free[k] keeps that true, so the inner loop
-        # reaches need == 0 before free runs out.  A pair (key, count) on
-        # the stack ends the frame with that key, popped after its children.
+        # reaches need == 0 before free runs out.
         stack: list = [(0, labels, forced, g.n - 1 - forced.bit_count(), start)]
         while stack:
-            frame = stack.pop()
-            if len(frame) == 2:
-                key, before = frame
-                memo[key] = self.count - before
-                continue
-            k, labels, tree, need, value = frame
-            if memo is not None:
+            k, labels, tree, need, value = stack.pop()
+            if walked is not None:
                 key = (k, labels, keyof(value))
-                trees = memo.get(key)
-                if trees is not None:
-                    if self.count + trees > budget:
-                        raise BudgetExceededError("spanning trees", budget + 1, budget)
-                    self.count += trees
+                if key in walked:
                     continue
+                walked.add(key)
             if _union(list(labels), free_pairs[k:]) < need:
                 continue
-            if memo is not None:
-                stack.append((key, self.count))
             while need:
                 i = free[k]
                 u, v = free_pairs[k]

@@ -402,27 +402,26 @@ def carried_stream(g):
     return closure, stream
 
 
-def test_fig3b_counts_repeated_subtrees_without_walking_them():
+def test_fig3b_walk_drops_repeated_subtrees():
+    # 11,603 of the 61,370 candidate trees are walked; the stream's count
+    # is the trees it yields
     closure, stream = carried_stream(fig3b_graph())
     yielded = 0
     for _ in stream:
         assert not closure.full(stream.value)
         yielded += 1
-    assert yielded == 11603 and stream.count == 61370
+    assert yielded == stream.count == 11603
 
 
-def test_fig1_budget_inside_a_skipped_subtree():
-    # the first yielded tree that comes after at least two counted ones
+def test_fig1_budget_between_walked_trees_and_rank():
+    # the walk yields 389 trees, the last of them DP-good, at rank 3,781:
+    # below 389 the walk raises, from 389 to 3,780 the rank does
     closure, stream = carried_stream(fig1_graph())
-    before = 0
-    for _ in stream:
-        if stream.count - before > 2:
-            break
-        assert not closure.full(stream.value)
-        before = stream.count
-    budget = before + 1  # trees before + 1 and before + 2 were counted, not walked
-    assert budget < 3781
-    assert assert_search_matches_oracle(fig1_graph(), budget) is None
+    assert any(closure.full(stream.value) for _ in stream) and stream.count == 389
+    for budget in (388, 389, 390, 3780):
+        assert assert_search_matches_oracle(fig1_graph(), budget) is None
+    verdict = check_dp_good(fig1_graph(), budget=3781)
+    assert verdict.satisfied and verdict.detail["trees_tried"] == 3781
 
 
 # ---------------------------------------------------------------------------

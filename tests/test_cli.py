@@ -234,6 +234,20 @@ def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["setgirth", "--fixture", "cycle:4", "--edges", "0,0"],
+    ["setgirth", "--fixture", "cycle:4", "--edges", "0-1,1>0"],
+    ["setgirth", "--fixture", "cycle:4", "--edges", "3,0-3"],
+    ["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", "0,2-3"],
+])
+def test_unoriented_edge_named_twice(capsys, argv):
+    # an unoriented edge list rejects a repeat as the oriented lists of
+    # twist, thm5 and balance do, instead of merging it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "given twice" in err
+
+
 # inputs on a thousand-vertex path or cycle, far below MAX_VERTICES, whose
 # tree walk or cycle enumeration must not grow the interpreter's stack
 LONG = [

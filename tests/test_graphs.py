@@ -21,7 +21,7 @@ from dpchroma import (
     spanning_tree_count,
     spanning_trees,
 )
-from dpchroma.graphs import MAX_VERTICES, _blocks, _search_plan
+from dpchroma.graphs import MAX_VERTICES, _blocks, _search_plan, spanning_tree_rank
 
 
 def mask_of(indices):
@@ -349,9 +349,9 @@ def test_spanning_trees_order_with_forced_edges(rng):
 
 def test_carried_stream_counts_equal_frames_once():
     # frames with equal (position, components, key(value)) are
-    # interchangeable: under a constant key the stream yields some of the
-    # trees, in order, and counts the rest, while the taken edges as the
-    # key never repeat a frame, so every tree is yielded
+    # interchangeable: under a constant key the stream walks and yields
+    # some of the trees, in order, and drops the rest, while the taken
+    # edges as the key never repeat a frame, so every tree is yielded
     def taken(value, i):
         return value | 1 << i
 
@@ -370,21 +370,26 @@ def test_carried_stream_counts_equal_frames_once():
             got = [(tree, stream.value) for tree in stream]
             rest = iter(plain)
             assert all(tree in rest and value == tree for tree, value in got)
-            assert stream.count == len(plain)
+            assert stream.count == len(got)
             skipped += len(got) < len(plain)
             stream = spanning_trees(g, carry=(0, taken, same))
             assert [(tree, stream.value) for tree in stream] == [(tree, tree) for tree in plain]
-            for budget in range(1, len(plain)):
+            for budget in range(1, len(got) + 1):
+                stream = spanning_trees(g, budget=budget, carry=(0, taken, constant))
+                if budget == len(got):
+                    assert [(tree, stream.value) for tree in stream] == got
+                    continue
                 with pytest.raises(BudgetExceededError) as err:
-                    list(spanning_trees(g, budget=budget, carry=(0, taken, constant)))
+                    list(stream)
                 assert (err.value.attempted, err.value.budget) == (budget + 1, budget)
+                assert stream.count == budget
     assert skipped
 
 
 def test_spanning_tree_count_matches_oracle_sets(rng):
-    # the trees holding a forced forest, and none when the forced edges
-    # close a cycle
-    closing = 0
+    # the trees holding a forced forest whose other edges are allowed, and
+    # none when the forced edges close a cycle
+    closing = masked = 0
     graphs = 0
     while graphs < 240:
         n = rng.randint(1, 8)
@@ -402,13 +407,29 @@ def test_spanning_tree_count_matches_oracle_sets(rng):
                     forest = picked
         assert spanning_tree_count(g, mask_of(forest)) == sum(forest <= t for t in trees)
         assert spanning_tree_count(g) == len(trees)
+        allowed = {i for i in range(len(edges)) if rng.random() < 0.7}
+        assert (spanning_tree_count(g, mask_of(forest), mask_of(allowed))
+                == sum(forest <= t <= forest | allowed for t in trees))
+        masked += bool(forest - allowed)  # forced edges count as allowed
         cycles = oracles.all_cycles(n, edges)
         if cycles:
             cyc = cycles[rng.randrange(len(cycles))]
             closed = {g.edge_index(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             assert spanning_tree_count(g, mask_of(forest | closed)) == 0
             closing += 1
-    assert closing > 50
+    assert closing > 50 and masked > 50
+
+
+def test_spanning_tree_rank_is_the_stream_position(rng):
+    ranked = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            g = Graph(n, edges)
+            for forced in (0, mask_of(i for i in range(g.m) if rng.random() < 0.3)):
+                for position, tree in enumerate(spanning_trees(g, forced=forced), 1):
+                    assert spanning_tree_rank(g, tree, forced) == position
+                    ranked += position > 1
+    assert ranked > 1000
 
 
 def test_spanning_tree_count_cayley():
