@@ -40,9 +40,9 @@ print(f"labeling:   {list(cert.labeling)}")
 assert verify_dp_good_certificate(g, cert)
 print("independent verification: OK")
 
-# trees_tried is a matrix-tree count, not the trees walked: the certified
-# tree's position among the candidate trees, or all of them when none is
-# DP-good (fig3b, ruled out without walking a tree).
+# trees_tried is a matrix-tree count, not the bases the search tries: the
+# certified tree's position among the candidate trees, or all of them when
+# none is DP-good (fig3b, ruled out by the rank test without a tree).
 print(f"fig1 trees_tried: {verdict.detail['trees_tried']} (the certified tree's rank)")
 violated = check_dp_good(fig3b_graph())
 print(f"fig3b: {violated.status}, trees_tried "

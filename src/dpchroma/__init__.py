@@ -51,6 +51,7 @@ from .graphs import (
     complete_multipartite,
     component_count,
     cycle_graph,
+    cycle_space_ranks,
     enumerate_cycles,
     fig1_graph,
     fig3b_graph,

@@ -9,18 +9,20 @@ candidates prove nothing when none of them fits.  The implied membership is
 always that of a sufficient condition, never an exact classification.
 
 The DP-good search first runs two tests that need no tree, the girth-MST
-test and the cycle-count test, and walks the spanning trees only when
-neither rules every tree out.  The crossing-edge-set check is the
-balanced-orientation check plus one test on each shorter cycle, with the
-same set-girth gate and certificate.
+test and the cycle-space rank test.  When neither rules every tree out,
+it searches one girth at a time: the DP-good trees are the forced edges
+plus one good basis of the edges of each odd girth, so the first of them
+holds the first good basis of every girth.
+
+The crossing-edge-set check is the balanced-orientation check plus one
+test on each shorter cycle, with the same set-girth gate and certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import accumulate, combinations
 from typing import Callable, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -36,17 +38,18 @@ from .girth import (
 from .graphs import (
     Cycle,
     Graph,
+    _bases,
     _bfs_forest,
     _bfs_path,
     _require_connected,
     _union,
     component_count,
+    cycle_space_ranks,
     enumerate_cycles,
     mask_indices,
     non_bridge_edges,
     spanning_tree_count,
     spanning_tree_rank,
-    spanning_trees,
 )
 
 DP_STAR = "DP*"
@@ -197,92 +200,27 @@ def _closes_cycle(layers: list[list[tuple[int, int, int]]], available: int) -> b
     return True
 
 
-class _Closure:
-    """The DP-good closure of the edges a spanning-tree walk has taken.
+def _place(layers: Callable[[int], list], pending: Sequence[int], available: int):
+    """Label the edges of `pending`, all of one odd girth: each step places
+    the first pending edge some shortest cycle through which lies in
+    `available` plus the edges placed, which `_closes_cycle` decides on
+    `layers(e)`.  Returns the edges in the order placed, or None once no
+    pending edge can be placed.
 
-    An edge e of odd girth g joins the closure once some shortest cycle
-    through it lies in the edges taken, the edges joined and every edge of
-    girth < g.  Every edge of a g-cycle has girth at most g, so a tree is
-    DP-good exactly when its closure is all of E: the joined edges, in
-    girth order and in the order they joined, are a valid labeling.  The
-    closure only grows with the edges taken, and it does not depend on the
-    order in which edges are tested, so each frame of the walk carries the
-    closure of its own prefix.
-
-    A value is (closure mask, mask of the edges that had layers when it was
-    last brought up to date).  Layers are built only for the edges a tree's
-    closure has not reached (`full`).  A taken or joined edge x is passed on
-    only to the edges of its girth whose layers contain x (`_users[x]`), and
-    a value older than some layers first tests their edges (`_settle`).  A
-    closure mask lies between the taken edges and their closure, so it
-    determines that closure however old its value is: `key` is the mask.
+    Placing any placeable edge is safe: available cycles only gain edges,
+    so a placeable edge stays placeable and a valid order can always be
+    rearranged to start with it.
     """
-
-    key = staticmethod(itemgetter(0))
-
-    def __init__(self, g: Graph, girths: Sequence[float], forced: int):
-        self._g = g
-        self._girths = girths
-        self.start = (forced, 0)
-        self._full = g.full_mask()
-        self._arcs: list[Optional[list]] = [None] * len(girths)
-        self._layered = 0  # edges with layers
-        self._users = [0] * len(girths)
-        of_girth: dict[float, int] = {}
-        for x, girth in enumerate(girths):
-            of_girth[girth] = of_girth.get(girth, 0) | 1 << x
-        below, shorter = {}, 0
-        for girth in sorted(of_girth):
-            below[girth] = shorter
-            shorter |= of_girth[girth]
-        self._below = [below[girth] for girth in girths]  # edges of smaller girth
-
-    def layers(self, e: int) -> list:
-        """The `_shortest_path_layers` of edge e, built on first use."""
-        arcs = self._arcs[e]
-        if arcs is None:
-            girths = self._girths
-            arcs = self._arcs[e] = _shortest_path_layers(self._g, e, int(girths[e]))
-            for x in mask_indices(sum({edge for layer in arcs for _, _, edge in layer})):
-                if girths[x] == girths[e]:
-                    self._users[x] |= 1 << e
-            self._layered |= 1 << e
-        return arcs
-
-    def _spread(self, closure: int, todo: int) -> int:
-        """Join every edge of the mask `todo` that closes a cycle, and every
-        edge that then follows."""
-        arcs, below, users = self._arcs, self._below, self._users
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            e = low.bit_length() - 1
-            if _closes_cycle(arcs[e], closure | below[e]):
-                closure |= low
-                todo |= users[e] & ~closure
-        return closure
-
-    def _settle(self, value: tuple[int, int]) -> tuple[int, int]:
-        closure, layered = value
-        if layered != self._layered:
-            return self._spread(closure, self._layered & ~layered & ~closure), self._layered
-        return value
-
-    def take(self, value: tuple[int, int], i: int) -> tuple[int, int]:
-        """The value after the walk takes edge i."""
-        closure, layered = self._settle(value)
-        if closure >> i & 1:
-            return closure, layered
-        closure |= 1 << i
-        return self._spread(closure, self._users[i] & ~closure), layered
-
-    def full(self, value: tuple[int, int]) -> bool:
-        """Whether the closure of a tree's value is all of E."""
-        if value[0] == self._full:
-            return True
-        for e in mask_indices(self._full & ~value[0] & ~self._layered):
-            self.layers(e)
-        return self._settle(value)[0] == self._full
+    pending = list(pending)
+    order: list[int] = []
+    while pending:
+        e = next((e for e in pending if _closes_cycle(layers(e), available)), None)
+        if e is None:
+            return None
+        order.append(e)
+        available |= 1 << e
+        pending.remove(e)
+    return order
 
 
 def _greedy_labeling(g: Graph, tree: int, girths: Sequence[float],
@@ -290,31 +228,21 @@ def _greedy_labeling(g: Graph, tree: int, girths: Sequence[float],
     """Build the certificate of a DP-good spanning tree, or None if the tree
     is not DP-good.
 
-    The tree holds every edge of even or infinite girth, and the other
-    edges are placed in (girth, index) order; an edge can be placed once
-    some shortest cycle through it lies inside the tree plus the edges
-    placed before it, which `_closes_cycle` decides on `layers(e)`.
-    Placing any currently placeable edge of minimal girth is safe: available
-    cycles only gain edges, so a placeable edge stays placeable and a valid
-    ordering can always be rearranged to start with it.  Once every edge is
-    placed, each witness cycle closes a BFS path over the tree plus the
-    edges placed before its edge.
+    The tree holds every edge of even or infinite girth.  The other edges
+    are placed girth by girth, in increasing order, each girth by `_place`
+    over the tree plus the edges placed before.  Once every edge is placed,
+    each witness cycle closes a BFS path over the tree plus the edges
+    placed before its edge.
     """
     available = tree
-    pending = sorted(mask_indices(g.full_mask() & ~tree), key=lambda i: (girths[i], i))
     labeling: list[int] = []
-    while pending:
-        girth_now = girths[pending[0]]
-        for e in pending:
-            if girths[e] != girth_now:
-                return None
-            if _closes_cycle(layers(e), available):
-                break
-        else:
+    rest = list(mask_indices(g.full_mask() & ~tree))
+    for value in sorted({girths[e] for e in rest}):
+        order = _place(layers, [e for e in rest if girths[e] == value], available)
+        if order is None:
             return None
-        labeling.append(e)
-        available |= 1 << e
-        pending.remove(e)
+        labeling += order
+        available |= sum(1 << e for e in order)
     available = tree
     cycles = []
     for e in labeling:
@@ -357,38 +285,42 @@ def _labels_needed(g: Graph, girths: Sequence[float]) -> Optional[dict[int, int]
     return needed
 
 
-def _has_cycles(g: Graph, girths: Sequence[float], girth: int, need: int) -> bool:
-    """The cycle-count test: whether at least `need` distinct g-cycles, for
-    g = `girth`, pass through an edge of girth g.
+def _rank_test(g: Graph, needed: dict[int, int]) -> bool:
+    """The rank test: whether, at every odd girth g that needs labels, the
+    cycles of length at most g reach the rank of the labels of girth at
+    most g, counted by `_labels_needed`.
 
-    The witness cycles of a valid labeling are distinct: if C_j = C_k with
-    j < k, then e_k lies on C_j, which holds only tree edges and labels up
-    to e_j.  So a tree that labels `need` edges of girth g needs that many
-    g-cycles through them.  For each edge e = uv of girth g, a DFS from u
-    follows the arcs of `_shortest_path_layers` (a step from a vertex at
-    depth d goes to a neighbour at distance g - 2 - d from v in G - e), so
-    every branch ends at v and closes a g-cycle through e.  Cycles are kept
-    as edge masks, and the search stops once `need` of them are found.
+    The witness cycles C_1, ..., C_q of a labeling are a basis of the cycle
+    space, since C_i holds e_i and no later label.  A cycle D of length at
+    most l is a sum of some C_i, and the last of them has its edge e_i on
+    D, so every C_i in the sum has length at most l: the cycles of length
+    at most g have rank the number of labels of girth at most g.  After
+    the girth-MST test that number is the cyclomatic number of the edges
+    of girth at most g, which that rank can never exceed.
     """
-    full, incidence = g.full_mask(), g._incidence
-    found: set[int] = set()
-    for e, value in enumerate(girths):
-        if value != girth:
-            continue
-        u, v = g.edges[e]
-        dv = _distances(g, full ^ 1 << e, v)
-        stack = [(u, 0, 1 << e)]
-        while stack:
-            x, depth, mask = stack.pop()
-            if x == v:
-                found.add(mask)
-                if len(found) >= need:
-                    return True
-                continue
-            for y, i in incidence[x]:
-                if dv[y] == girth - 2 - depth:
-                    stack.append((y, depth + 1, mask | 1 << i))
-    return False
+    targets = dict(zip(needed, accumulate(needed.values())))
+    ranks = cycle_space_ranks(g, targets)
+    return all(ranks[girth] >= target for girth, target in targets.items())
+
+
+def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
+                 layers: Callable[[int], list], budget: int) -> Optional[int]:
+    """The first good basis of the edges of girth `girth`, in the order of
+    `_bases`, or None: a basis over the components of the smaller girths
+    whose other edges of that girth, its `need` labels, `_place` labels on
+    top of it and of every edge of smaller girth.
+    """
+    below = at = 0
+    for i, value in enumerate(girths):
+        if value < girth:
+            below |= 1 << i
+        elif value == girth:
+            at |= 1 << i
+    free = list(mask_indices(at))
+    for basis in _bases(g, below, free, len(free) - need, budget):
+        if _place(layers, mask_indices(at & ~basis), below | basis) is not None:
+            return basis
+    return None
 
 
 def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
@@ -396,30 +328,28 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
 
     Edges of even or infinite girth can never be labeled, so every candidate
     tree must contain them; if they already close a cycle no tree exists and
-    the verdict is violated outright.  Two tests then rule out every tree
-    without looking at one: the girth-MST test (`_labels_needed`: a DP-good
-    tree is a minimum spanning tree for the weights "girth" holding every
-    forced edge) and the cycle-count test (`_has_cycles`: the labels of one
-    girth need as many distinct shortest cycles).  A graph either test
-    rules out is violated.
+    the verdict is violated outright.  The girth-MST test (`_labels_needed`)
+    and the rank test (`_rank_test`) then rule out every tree without
+    looking at one.
 
-    Otherwise one spanning-tree walk streams the candidate trees, and each
-    frame carries the `_Closure` of the edges it has taken: a tree is
-    DP-good exactly when its closure is all of E, and `_greedy_labeling`
-    builds the certificate of the first such tree.  A frame's trees are
-    DP-good or not by its position, its components and its closure mask
-    alone (the closure of the taken edges is the closure of any mask
-    between them and it), so the walk drops a frame that repeats the key
-    of one walked to its end.
+    Otherwise the search runs one odd girth g at a time.  Every edge of
+    girth below g is in the tree or labeled before the labels of girth g,
+    and a g-cycle has no edge of larger girth, so a tree is DP-good exactly
+    when its part of each girth is a good basis (`_first_basis`).  The
+    girths are disjoint coordinates of the stream's order (descending
+    indicator vectors), so the first DP-good tree holds the first good
+    basis of every girth, and all edges of an odd girth that needs no
+    labels; `_greedy_labeling` builds its certificate.
 
     `detail["trees_tried"]` is that of a search that labels the candidate
-    trees in turn, in the stream's order (descending indicator vectors),
-    counted by the matrix-tree theorem: the certified tree's position
-    (`spanning_tree_rank`), or with no witness cycle and no DP-good tree
-    the number of candidate trees (`spanning_tree_count`).  Over `budget`
-    it raises that search's BudgetExceededError, as do more than `budget`
-    trees walked.  The benchmark's answer checks (`bench/checks.py`) pin
-    both meanings.
+    trees in turn, in the stream's order, counted by the matrix-tree
+    theorem: the certified tree's position (`spanning_tree_rank`), or with
+    no witness cycle and no DP-good tree the number of candidate trees
+    (`spanning_tree_count`).  Over `budget` it raises that search's
+    BudgetExceededError, as does a girth that tries more than `budget`
+    bases: each of them, in place of that girth's part of the certified
+    tree, makes a different earlier tree.  The benchmark's answer checks
+    (`bench/checks.py`) pin both meanings.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -440,15 +370,17 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
 
     needed = _labels_needed(g, girths)
     cert = None
-    if needed is not None and all(_has_cycles(g, girths, girth, need)
-                                  for girth, need in needed.items()):
-        closure = _Closure(g, girths, forced)
-        stream = spanning_trees(g, budget=budget, forced=forced,
-                                carry=(closure.start, closure.take, closure.key))
-        for tree in stream:
-            if closure.full(stream.value):
-                cert = _greedy_labeling(g, tree, girths, closure.layers)
+    if needed is not None and _rank_test(g, needed):
+        layers = lru_cache(maxsize=None)(
+            lambda e: _shortest_path_layers(g, e, int(girths[e])))
+        tree = sum(1 << i for i, value in enumerate(girths) if value not in needed)
+        for girth, need in needed.items():
+            basis = _first_basis(g, girths, girth, need, layers, budget)
+            if basis is None:
                 break
+            tree |= basis
+        else:
+            cert = _greedy_labeling(g, tree, girths, layers)
     trees = (spanning_tree_count(g, forced) if cert is None
              else spanning_tree_rank(g, cert.tree, forced))
     if trees > budget:

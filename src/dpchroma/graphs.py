@@ -11,17 +11,22 @@ builds neighbour lists of an edge subset:
 
 * `Graph._incidence`: ascending (neighbour, edge index) pairs per vertex,
   built once per graph;
-* `_find` and `_union`: union-find and its merge loop (the spanning-tree
-  walk keeps its components as flat least-vertex labels and runs union-find
-  only to test whether the undecided edges can still join them);
+* `_find` and `_union`: union-find and its merge loop;
+* `_bases`: the one take-before-leave-out walk over the edge sets that join
+  the components of a base edge mask, which both `SpanningTreeStream` and
+  the DP-good search of `classify` run; it keeps its components as flat
+  least-vertex labels and runs union-find only to test whether the
+  undecided edges can still join them;
 * `spanning_tree_count`: the spanning trees that hold a forced edge set
   and take their other edges from an edge mask, by the matrix-tree theorem
   as one integer (Bareiss) determinant; `spanning_tree_rank` sums them;
 * `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
 * `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
-  over incidence lists under a mask; the ascending neighbour order fixes
-  every witness cycle the package reports;
+  over incidence lists under a mask, each cut at a depth on request; the
+  ascending neighbour order fixes every witness cycle the package reports;
+* `cycle_space_ranks`: the GF(2) rank of the cycles up to each asked
+  length, from Horton's candidate cycles;
 * `_search_plan`: the greedy min-frontier vertex order and, per step, the
   back edges and the surviving slots of its frontier, which both exact
   counts (transversals and chromatic polynomials) walk forward; vertices
@@ -467,26 +472,29 @@ def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int,
     return None
 
 
-def _bfs_forest(g: Graph, mask: int, roots: Iterable[int]) -> list[tuple[int, int, int]]:
+def _bfs_forest(g: Graph, mask: int, roots: Iterable[int],
+                cut: Optional[int] = None) -> list[tuple[int, int, int]]:
     """BFS forest of the spanning subgraph with edge set `mask`, listed as
     (vertex, parent, edge index) in visiting order.  A tree, whose root has
     parent and edge index -1, starts at each root not yet reached; neighbours
-    are tried ascending."""
+    are tried ascending.  A vertex at depth `cut`, if given, is not expanded."""
     incidence = g._incidence
-    seen = [False] * g.n
+    depth = [-1] * g.n
     walk: list[tuple[int, int, int]] = []
     head = 0  # walk[head:] is the BFS queue
     for root in roots:
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root] = True
+        depth[root] = 0
         walk.append((root, -1, -1))
         while head < len(walk):
             v = walk[head][0]
             head += 1
+            if depth[v] == cut:
+                continue
             for w, i in incidence[v]:
-                if not seen[w] and mask >> i & 1:
-                    seen[w] = True
+                if depth[w] < 0 and mask >> i & 1:
+                    depth[w] = depth[v] + 1
                     walk.append((w, v, i))
     return walk
 
@@ -589,100 +597,136 @@ def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_BUDGET) -> li
     return [Cycle(c) for c in out]
 
 
+def _horton_candidates(g: Graph, cut: int) -> Iterator[tuple[int, int]]:
+    """(d(r, x) + d(r, y) + 1, P(r, x) + xy + P(y, r) as an edge mask) for
+    every root r and edge xy whose ends a BFS from r cut at depth `cut`
+    reaches, with P the paths of that BFS tree; the mask is 0 on its edges."""
+    full = g.full_mask()
+    for root in range(g.n):
+        depth = [-1] * g.n
+        path = [0] * g.n  # edge mask of the BFS path from the root
+        depth[root] = 0
+        for w, parent, i in _bfs_forest(g, full, [root], cut)[1:]:
+            depth[w] = depth[parent] + 1
+            path[w] = path[parent] | 1 << i
+        for i, (x, y) in enumerate(g.edges):
+            if depth[x] >= 0 and depth[y] >= 0:
+                yield depth[x] + depth[y] + 1, path[x] ^ path[y] ^ 1 << i
+
+
+def cycle_space_ranks(g: Graph, targets: dict[int, int]) -> dict[int, int]:
+    """For each length l in `targets`, the rank over GF(2) of the cycles of
+    length at most l.  The search stops as soon as every rank has reached
+    its target, so the ranks are exact whenever one of them does not.
+
+    Horton's candidates span these cycles: with P the paths of a BFS tree
+    from a vertex r of a cycle C of length l, C is the sum of
+    P(r, x) + xy + P(y, r) over its edges xy, and each term has at most
+    d(r, x) + d(r, y) + 1 <= l edges.  So the BFS is cut at depth
+    max(l) // 2, and a candidate joins the bases, keyed by top bit, of the
+    lengths from its d(r, x) + d(r, y) + 1 up until one already spans it.
+    """
+    lengths = sorted(targets)
+    bases: dict[int, dict[int, int]] = {length: {} for length in lengths}
+    missing = sum(1 for length in lengths if targets[length] > 0)
+    for first, cycle in _horton_candidates(g, max(lengths, default=0) // 2):
+        if not missing:
+            break
+        for length in lengths:
+            if length < first:
+                continue
+            basis = bases[length]
+            while cycle and cycle.bit_length() - 1 in basis:
+                cycle ^= basis[cycle.bit_length() - 1]
+            if not cycle:
+                break  # in the span of every longer basis too
+            basis[cycle.bit_length() - 1] = cycle
+            missing -= len(basis) == targets[length]
+    return {length: len(bases[length]) for length in lengths}
+
+
+def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> Iterator[int]:
+    """The edge sets of `free` (ascending edge indices) that join the
+    components of the edge mask `base`, which may hold cycles, by `need`
+    merges, as edge masks without `base`.
+
+    The walk decides the edges of `free` in turn, taking each one that
+    merges two components before leaving it out, and leaves an edge out
+    only while the later edges can still make the merges left, so the sets
+    come in descending order of their indicator vectors, the first edge of
+    `free` most significant.  Reaching set budget + 1 raises
+    BudgetExceededError.
+    """
+    edges = g.edges
+    parent = list(range(g.n))
+    _union(parent, (edges[i] for i in mask_indices(base)))
+    least: dict[int, int] = {}
+    labels = tuple(least.setdefault(_find(parent, v), v) for v in range(g.n))
+    pairs = [edges[i] for i in free]
+    count = 0
+    # a frame (k, labels, chosen, need): free[:k] is decided, labels[v] is
+    # the least vertex of v's component (so it is also a parent list),
+    # `chosen` holds the edges taken, and `need` more merges are left.  Once
+    # free[k:] can make them, taking or skipping free[k] keeps that true, so
+    # the inner loop reaches need == 0 before free runs out.
+    stack = [(0, labels, 0, need)]
+    while stack:
+        k, labels, chosen, need = stack.pop()
+        if _union(list(labels), pairs[k:]) < need:
+            continue
+        while need:
+            u, v = pairs[k]
+            a, b = labels[u], labels[v]
+            if a != b:
+                stack.append((k + 1, labels, chosen, need))  # free[k] left out, walked later
+                if a > b:
+                    a, b = b, a
+                labels = tuple([a if x == b else x for x in labels])
+                chosen |= 1 << free[k]
+                need -= 1
+            k += 1
+        if count >= budget:
+            raise BudgetExceededError("spanning trees", count + 1, budget)
+        count += 1
+        yield chosen
+
+
 class SpanningTreeStream:
     """Single-consumer stream of the spanning trees (edge masks) that hold
     every edge of `forced`, empty if those edges close a cycle.
 
-    Trees come in descending order of their indicator vectors, edge 0 most
-    significant (`spanning_tree_rank` inverts it): the walk merges the
-    forced edges first, then decides the other edges in index order, taking
-    each one before leaving it out, and leaves an edge out only while the
-    later edges can still join every component.  `count` is the number of
-    trees yielded so far.  Yields at most `budget` trees; reaching tree
-    budget + 1 raises BudgetExceededError.
-
-    `carry`, if given, is a triple (start, take, key) that gives every frame
-    of the walk a value: the first frame holds `start`, and taking edge i
-    turns a frame's value v into take(v, i), so a frame the walk comes back
-    to still holds the value of its own taken edges.  `value` is the value
-    of the tree yielded last.  A carrying stream treats two frames with the
-    same key (position k, components, key(value)), key(value) hashable, as
-    interchangeable: the consumer must answer the same on their trees and
-    read on only while it has found nothing.  A frame whose key was walked
-    before is dropped.  Every frame pushed under a frame has a larger k, so
-    one with the same key comes off the stack only after the first one's
-    trees are all yielded, and the consumer found nothing among them.  The
-    set of walked keys holds one key per frame popped and lives as long as
-    the stream.
+    The trees are the `_bases` of the other edges over the components of
+    the forced edges, so they come in descending order of their indicator
+    vectors, edge 0 most significant (`spanning_tree_rank` inverts it).
+    `count` is the number of trees yielded so far.  Yields at most `budget`
+    trees; reaching tree budget + 1 raises BudgetExceededError.
     """
 
-    def __init__(self, g: Graph, budget: int, forced: int = 0, *,
-                 carry: Optional[tuple] = None):
+    def __init__(self, g: Graph, budget: int, forced: int = 0):
         self.count = 0
-        self.value = None
-        self._gen = self._walk(g, budget, forced, carry)
+        self._gen = self._walk(g, budget, forced)
 
     def __iter__(self):
         return self._gen
 
-    def _walk(self, g: Graph, budget: int, forced: int, carry):
-        edges = g.edges
-        parent = list(range(g.n))
-        if _union(parent, (edges[i] for i in mask_indices(forced))) < forced.bit_count():
+    def _walk(self, g: Graph, budget: int, forced: int):
+        need = g.n - 1 - forced.bit_count()
+        if component_count(g, forced) != need + 1:  # the forced edges close a cycle
             return
-        least: dict[int, int] = {}
-        labels = tuple(least.setdefault(_find(parent, v), v) for v in range(g.n))
-        free = [i for i in range(len(edges)) if not forced >> i & 1]
-        free_pairs = [edges[i] for i in free]
-        start, take, keyof = carry if carry is not None else (None, None, None)
-        walked: Optional[set] = set() if carry is not None else None
-        # a frame (k, labels, tree, need, value): free[:k] is decided,
-        # labels[v] is the least vertex of v's component (so it is also a
-        # parent list), `tree` holds the edges taken, `need` more edges join
-        # the components, and `value` is carried.  Once free[k:] can join
-        # them, taking or skipping free[k] keeps that true, so the inner loop
-        # reaches need == 0 before free runs out.
-        stack: list = [(0, labels, forced, g.n - 1 - forced.bit_count(), start)]
-        while stack:
-            k, labels, tree, need, value = stack.pop()
-            if walked is not None:
-                key = (k, labels, keyof(value))
-                if key in walked:
-                    continue
-                walked.add(key)
-            if _union(list(labels), free_pairs[k:]) < need:
-                continue
-            while need:
-                i = free[k]
-                u, v = free_pairs[k]
-                k += 1
-                a, b = labels[u], labels[v]
-                if a != b:
-                    stack.append((k, labels, tree, need, value))  # i left out, walked later
-                    if a > b:
-                        a, b = b, a
-                    labels = tuple([a if x == b else x for x in labels])
-                    tree |= 1 << i
-                    need -= 1
-                    if take is not None:
-                        value = take(value, i)
-            if self.count + 1 > budget:
-                raise BudgetExceededError("spanning trees", self.count + 1, budget)
+        free = [i for i in range(len(g.edges)) if not forced >> i & 1]
+        for tree in _bases(g, forced, free, need, budget):
             self.count += 1
-            self.value = value
-            yield tree
+            yield forced | tree
 
 
-def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0, *,
-                   carry: Optional[tuple] = None) -> SpanningTreeStream:
+def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0) -> SpanningTreeStream:
     """Stream the distinct spanning trees of a connected graph.
 
     `forced` is an edge mask every yielded tree must contain; if those edges
-    already close a cycle the stream is empty.  `carry` is passed on to
-    `SpanningTreeStream`.
+    already close a cycle the stream is empty.
     """
     _require_connected(g)
-    return SpanningTreeStream(g, budget, forced, carry=carry)
+    return SpanningTreeStream(g, budget, forced)
 
 
 def _require_connected(g: Graph) -> None:

@@ -135,6 +135,21 @@ def all_cycles(n, edges, max_len=None):
     return sorted(found, key=lambda c: (len(c), c))
 
 
+def cycle_space_rank(n, edges, max_len):
+    """The GF(2) rank of the cycles of length at most max_len, by
+    elimination over every simple cycle as a bitmask of edge indices."""
+    index = {frozenset(e): i for i, e in enumerate(edges)}
+    basis = []  # kept sorted descending, so each min() clears one top bit
+    for cyc in all_cycles(n, edges, max_len):
+        vec = sum(1 << index[frozenset(p)] for p in zip(cyc, cyc[1:] + cyc[:1]))
+        for row in basis:
+            vec = min(vec, vec ^ row)
+        if vec:
+            basis.append(vec)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
 def spanning_tree_sets(n, edges):
     """All spanning trees as frozensets of edge indices (exhaustive)."""
     if n == 0:

@@ -2,7 +2,8 @@ import importlib
 import json
 import random
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
+from time import perf_counter
 
 import pytest
 
@@ -39,12 +40,13 @@ from dpchroma import (
     verify_dp_good_certificate,
 )
 from dpchroma.classify import (
-    _Closure,
     _closes_cycle,
+    _first_basis,
     _girth_values,
     _greedy_labeling,
-    _has_cycles,
     _labels_needed,
+    _place,
+    _rank_test,
     _shortest_path_layers,
 )
 from dpchroma.girth import INFINITE
@@ -209,28 +211,46 @@ def unlabelable_mask(g):
     return mask
 
 
+def level_layers(g, girths):
+    """The `_shortest_path_layers` of each edge, built on first use."""
+    built = {}
+
+    def layers(e):
+        if e not in built:
+            built[e] = _shortest_path_layers(g, e, int(girths[e]))
+        return built[e]
+    return layers
+
+
+def levels_label(g, girths, tree, layers):
+    """The per-girth decision of `check_dp_good` on one candidate tree:
+    whether, for every odd girth of its other edges, `_place` labels them
+    on top of the tree's edges of that girth and every edge of smaller
+    girth."""
+    rest = g.full_mask() & ~tree
+    for value in {girths[e] for e in mask_indices(rest)}:
+        below = sum(1 << i for i, x in enumerate(girths) if x < value)
+        pending = [e for e in mask_indices(rest) if girths[e] == value]
+        if _place(layers, pending, below | tree) is None:
+            return False
+    return True
+
+
 def assert_labelings_match(g, limit=None):
-    """Walk every candidate tree of g in the plain stream, and build each
-    tree's DP-good closure from `_Closure.start` by `take` over its edges.
-    For each tree the closure is full exactly when the oracle labels the
-    tree, and the library's labeling equals the oracle's.  Returns the trees
+    """Walk every candidate tree of g in the plain stream.  For each tree
+    the per-girth decision holds exactly when the oracle labels the tree,
+    and the library's labeling equals the oracle's.  Returns the trees
     compared and how many of them were labeled."""
     edges = list(g.edges)
     oracle_girths = oracles.edge_girths(g.n, edges)
     girths = _girth_values(g)
     assert [None if x == INFINITE else x for x in girths] == oracle_girths
     forced = unlabelable_mask(g)
-    closure = _Closure(g, girths, forced)
-    # the labelings take their layers from a closure of their own, so the
-    # closure under test builds layers only where `full` asks for them
-    layers = _Closure(g, girths, forced).layers
+    layers = level_layers(g, girths)
     compared = labeled = 0
     for tree in islice(spanning_trees(g, budget=10**6, forced=forced), limit):
-        value = closure.start
-        for i in mask_indices(tree):
-            value = closure.take(value, i)
         want = oracles.dp_good_labeling(g.n, edges, oracle_girths, set(mask_indices(tree)))
-        assert closure.full(value) is (want is not None), tree
+        assert levels_label(g, girths, tree, layers) is (want is not None), tree
         cert = _greedy_labeling(g, tree, girths, layers)
         assert (None if cert is None else cert.to_json()) == want, tree
         compared += 1
@@ -282,8 +302,8 @@ def count_layer_builds(monkeypatch):
 
 
 def test_fig3b_exhausts_every_candidate_tree(monkeypatch):
-    # the cycle count rules fig3b out (13 labels of girth 3, 12 triangles),
-    # so no tree is walked and no layers are built
+    # the rank test rules fig3b out (13 labels of girth 3, triangles of
+    # rank 12), so no basis is tried and no layers are built
     built = count_layer_builds(monkeypatch)
     verdict = check_dp_good(fig3b_graph())
     assert verdict.status == "violated"
@@ -292,32 +312,53 @@ def test_fig3b_exhausts_every_candidate_tree(monkeypatch):
 
 
 # 8 vertices, 17 edges, every edge of girth 3: from a seeded family, one of
-# the few violated graphs that pass both tests and need the whole walk
+# the few violated graphs that pass the girth-MST test and have a distinct
+# triangle for each label (10 labels, 11 triangles), but whose triangles
+# have rank 9, so the rank test rules it out
 WALKED_EDGES = [(0, 3), (0, 6), (1, 2), (1, 4), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5),
                 (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
 
 
-def test_walk_builds_layers_at_most_once_per_edge(monkeypatch):
+def test_rank_test_rules_out_a_graph_with_enough_triangles(monkeypatch):
     g = Graph(8, WALKED_EDGES)
     girths = _girth_values(g)
-    assert all(_has_cycles(g, girths, girth, need)
-               for girth, need in _labels_needed(g, girths).items())
+    assert _labels_needed(g, girths) == {3: 10}
+    assert len(oracles.all_cycles(g.n, WALKED_EDGES, 3)) == 11
+    assert oracles.cycle_space_rank(g.n, WALKED_EDGES, 3) == 9
+    assert not _rank_test(g, {3: 10})
     built = count_layer_builds(monkeypatch)
     verdict = check_dp_good(g)
     assert verdict.status == "violated"
     assert verdict.detail["trees_tried"] == 4305
+    assert built == []
+
+
+# 9 vertices, 22 edges, every edge of girth 3, in a shuffled order whose
+# first 12 bases of the girth-3 edges leave some edge unlabeled
+SEARCHED_EDGES = [(6, 4), (3, 1), (6, 1), (5, 1), (7, 5), (4, 2), (5, 2), (7, 2), (6, 0),
+                  (0, 1), (7, 8), (6, 8), (4, 8), (5, 0), (3, 2), (6, 3), (0, 2), (1, 2),
+                  (5, 4), (7, 4), (7, 3), (7, 6)]
+
+
+def test_walk_builds_layers_at_most_once_per_edge(monkeypatch):
+    g = Graph(9, SEARCHED_EDGES)
+    girths = _girth_values(g)
+    assert set(girths) == {3} and _rank_test(g, _labels_needed(g, girths))
+    built = count_layer_builds(monkeypatch)
+    verdict = check_dp_good(g)
+    assert verdict.satisfied and verdict.detail["trees_tried"] == 13
     assert built and len(built) == len(set(built))
 
 
 def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
-    # the first tree leaves out the last edge, and its layers close the cycle
+    # the first basis leaves out the last edge, and its layers close the cycle
     built = count_layer_builds(monkeypatch)
     assert check_dp_good(cycle_graph(301)).satisfied
     assert built == [300]
 
 
 # ---------------------------------------------------------------------------
-# the memoized search against an oracle search over the plain tree stream
+# the per-girth search against an oracle search over the plain tree stream
 
 def oracle_dp_good_search(g, budget):
     """Label the candidate trees of the plain stream in turn with the oracle:
@@ -393,39 +434,82 @@ def test_search_matches_oracle_on_figures():
     assert assert_search_matches_oracle(fig3b_graph()) == 61370
 
 
-def carried_stream(g):
-    """The carried candidate stream of `check_dp_good`, with its closure."""
-    girths = _girth_values(g)
-    closure = _Closure(g, girths, unlabelable_mask(g))
-    stream = spanning_trees(g, forced=unlabelable_mask(g),
-                            carry=(closure.start, closure.take, closure.key))
-    return closure, stream
-
-
-def test_fig3b_walk_drops_repeated_subtrees():
-    # 11,603 of the 61,370 candidate trees are walked; the stream's count
-    # is the trees it yields
-    closure, stream = carried_stream(fig3b_graph())
-    yielded = 0
-    for _ in stream:
-        assert not closure.full(stream.value)
-        yielded += 1
-    assert yielded == stream.count == 11603
-
-
 def test_fig1_budget_between_walked_trees_and_rank():
-    # the walk yields 389 trees, the last of them DP-good, at rank 3,781:
-    # below 389 the walk raises, from 389 to 3,780 the rank does
-    closure, stream = carried_stream(fig1_graph())
-    assert any(closure.full(stream.value) for _ in stream) and stream.count == 389
-    for budget in (388, 389, 390, 3780):
+    # each girth takes its first basis, and the certified tree has rank
+    # 3,781: a budget of 0 stops the search at its first basis, and from
+    # 388 to 3,780 the rank is over the budget
+    for budget in (0, 388, 389, 390, 3780):
         assert assert_search_matches_oracle(fig1_graph(), budget) is None
     verdict = check_dp_good(fig1_graph(), budget=3781)
     assert verdict.satisfied and verdict.detail["trees_tried"] == 3781
 
 
+def oracle_first_bases(g, tree):
+    """Per odd girth that needs labels, the first set of edges of that girth,
+    in the stream's order, that makes a DP-good tree for the oracle when it
+    replaces the girth's part of `tree`; the sets have the size of that
+    part and join what it joins together with the edges of smaller girth."""
+    edges = list(g.edges)
+    weight = oracle_weights(g)
+    first = {}
+    for level in sorted(set(weight) - {INFINITE}):
+        at = [i for i, w in enumerate(weight) if w == level]
+        part = [i for i in at if tree >> i & 1]
+        if level % 2 == 0 or len(part) == len(at):
+            continue
+        below = [i for i, w in enumerate(weight) if w < level]
+        rest = tree & ~mask_of(at)
+        for basis in combinations(at, len(part)):  # descending indicator vectors
+            if joined(g, below + list(basis)) != joined(g, below + at):
+                continue
+            trial = rest | mask_of(basis)
+            if oracles.dp_good_labeling(g.n, edges, oracles.edge_girths(g.n, edges),
+                                        set(mask_indices(trial))) is not None:
+                first[level] = mask_of(basis)
+                break
+    return first
+
+
+def assert_first_good_bases(g):
+    """The certified tree's part at each girth is that girth's first good
+    basis: the library's `_first_basis` and the oracle's.  Returns the
+    girths that needed labels."""
+    verdict = check_dp_good(g)
+    assert verdict.satisfied
+    tree = verdict.certificate.tree
+    girths = _girth_values(g)
+    needed = _labels_needed(g, girths)
+    layers = level_layers(g, girths)
+    want = oracle_first_bases(g, tree)
+    assert set(want) == set(needed)
+    for level, need in needed.items():
+        part = tree & sum(1 << i for i, x in enumerate(girths) if x == level)
+        assert _first_basis(g, girths, level, need, layers, 10**6) == part == want[level]
+    return len(needed)
+
+
+def test_certified_tree_holds_the_first_good_basis_of_each_girth(rng):
+    levels = Counter()
+    for _ in range(8):
+        names = list(range(14))
+        rng.shuffle(names)
+        edges = [(names[u], names[v]) for u, v in fig1_graph().edges]
+        rng.shuffle(edges)
+        levels["fig1"] += assert_first_good_bases(Graph(14, edges))
+    levels["searched"] += assert_first_good_bases(Graph(9, SEARCHED_EDGES))
+    seeded = 0
+    while seeded < 12:
+        g = random_connected_graph(rng, lo=6, hi=10)
+        girths = _girth_values(g)
+        needed = _labels_needed(g, girths)
+        if needed and len(needed) > 1 and check_dp_good(g).satisfied:
+            levels["seeded"] += assert_first_good_bases(g)
+            seeded += 1
+    assert levels["fig1"] == 16 and levels["searched"] == 1 and levels["seeded"] >= 24
+
+
 # ---------------------------------------------------------------------------
-# the girth-MST and cycle-count tests against oracles
+# the girth-MST and rank tests against oracles
 
 def rule_out_families():
     """400 seeded 5-10-vertex graphs, the figures, plane near-triangulations
@@ -491,22 +575,32 @@ def is_girth_mst(g, tree):
 
 
 def test_rule_out_tests_match_their_definitions():
+    # after the girth-MST test the rank of the cycles of length at most g
+    # never exceeds the labels of girth at most g, and the rank test holds
+    # where it reaches them at every girth that needs labels; it implies
+    # the older test that each girth has a distinct g-cycle per label
     fired = Counter()
     for g in rule_out_families():
         girths = _girth_values(g)
         needed = _labels_needed(g, girths)
         assert needed == oracle_labels_needed(g)
         fired["girth-mst"] += needed is None
+        reached, total = True, 0
         for level, need in (needed or {}).items():
-            cycles = oracle_cycle_count(g, level)
-            for want in {need, cycles, cycles + 1} - {0}:
-                assert _has_cycles(g, girths, level, want) is (cycles >= want), (g, level, want)
-            fired["cycle-count"] += cycles < need
-    assert fired["girth-mst"] and fired["cycle-count"]
+            total += need
+            rank = oracles.cycle_space_rank(g.n, list(g.edges), level)
+            assert rank <= total, (g, level)
+            reached &= rank == total
+            if reached:
+                assert oracle_cycle_count(g, level) >= need, (g, level)
+        if needed is not None:
+            assert _rank_test(g, needed) is reached, g
+            fired["rank"] += not reached
+    assert fired["girth-mst"] and fired["rank"]
 
 
 def test_rule_outs_agree_with_the_oracle_search():
-    # a ruled-out graph reports every candidate tree, or the walk's budget
+    # a ruled-out graph reports every candidate tree, or the same budget
     # error, as the oracle search over the plain stream does; the oracle
     # labels every tree where there are at most 500 of them and the first
     # 500 elsewhere
@@ -517,15 +611,13 @@ def test_rule_outs_agree_with_the_oracle_search():
         if joined(g, mask_indices(forced)) != g.n - forced.bit_count():
             continue  # the forced edges close the witness cycle
         needed = _labels_needed(g, girths)
-        test = ("girth-mst" if needed is None else
-                None if all(_has_cycles(g, girths, level, need) for level, need in needed.items())
-                else "cycle-count")
+        test = ("girth-mst" if needed is None else None if _rank_test(g, needed) else "rank")
         fired[test] += 1
         if test is None:
             try:
                 verdict = check_dp_good(g, budget=20000)
             except BudgetExceededError:
-                continue  # a long walk, as at a few dense seeded graphs
+                continue  # a certified tree of rank over 20,000
             if verdict.satisfied:
                 assert is_girth_mst(g, verdict.certificate.tree)
             continue
@@ -534,14 +626,35 @@ def test_rule_outs_agree_with_the_oracle_search():
             assert assert_search_matches_oracle(g) == trees
         else:
             assert assert_search_matches_oracle(g, 500) is None
-            assert check_dp_good(g).detail["trees_tried"] == trees
+            assert check_dp_good(g, budget=trees).detail["trees_tried"] == trees
         for budget in (1, 2, 5, 40):
             assert assert_search_matches_oracle(g, budget) == (trees if trees <= budget else None)
         if trees > 1:
             with pytest.raises(BudgetExceededError) as err:
                 check_dp_good(g, budget=trees - 1)
             assert str(err.value) == str(BudgetExceededError("spanning trees", trees, trees - 1))
-    assert fired["girth-mst"] and fired["cycle-count"] and fired[None]
+    assert fired["girth-mst"] and fired["rank"] and fired[None]
+
+
+def test_rank_test_stops_dense_violated_graphs_at_once():
+    # three graphs of the family pass the girth-MST test and have a
+    # distinct triangle per label, yet no DP-good tree; the rank test
+    # rules each out without a tree, with the verdict or budget error of
+    # labeling every candidate tree in turn
+    family = rule_out_families()
+    for index, trees in ((282, 592694), (359, 44702)):
+        g = family[index]
+        assert not _rank_test(g, _labels_needed(g, _girth_values(g)))
+        verdict = check_dp_good(g)
+        assert verdict.status == "violated" and verdict.detail["trees_tried"] == trees
+    g = family[173]
+    assert (g.n, g.m) == (10, 32)
+    assert spanning_tree_count(g, unlabelable_mask(g)) == 3559283
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        check_dp_good(g)
+    assert perf_counter() - start < 1.0
+    assert str(err.value) == str(BudgetExceededError("spanning trees", 10**6 + 1, 10**6))
 
 
 def test_shortest_path_walk_follows_reached_vertices():

@@ -12,8 +12,10 @@ from dpchroma import (
     complete_multipartite,
     component_count,
     cycle_graph,
+    cycle_space_ranks,
     enumerate_cycles,
     fig1_graph,
+    fig3b_graph,
     fixture,
     non_bridge_edges,
     parse_graph,
@@ -265,6 +267,54 @@ def _all_edge_sets(n):
         yield tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
 
 
+def test_cycle_space_ranks_examples():
+    # fig1: six pendant triangles, then two 5-cycles; fig3b: twelve
+    # triangles, then one 4-cycle; a cycle alone has rank 1 at its length
+    lengths = range(1, 9)
+    assert cycle_space_ranks(fig1_graph(), dict.fromkeys(lengths, 99)) == {
+        1: 0, 2: 0, 3: 6, 4: 6, 5: 8, 6: 8, 7: 8, 8: 8}
+    assert cycle_space_ranks(fig3b_graph(), {3: 99, 4: 99, 5: 99}) == {3: 12, 4: 13, 5: 13}
+    assert cycle_space_ranks(cycle_graph(7), {6: 9, 7: 9}) == {6: 0, 7: 1}
+    assert cycle_space_ranks(cycle_graph(1101), {1101: 1}) == {1101: 1}
+    assert cycle_space_ranks(complete_graph(5), {}) == {}
+
+
+def test_cycle_space_ranks_match_elimination_over_all_cycles(rng):
+    # every length from 1 to n + 1, once with targets no rank reaches (exact
+    # ranks) and once with the exact ranks as targets, where the search
+    # may stop early but never short of a target
+    checked = 0
+    while checked < 150:
+        n = rng.randint(3, 8)
+        edges = random_edges(rng, n, rng.uniform(0.3, 0.8))
+        g = Graph(n, edges)
+        want = {length: oracles.cycle_space_rank(n, edges, length) for length in range(1, n + 2)}
+        assert cycle_space_ranks(g, dict.fromkeys(want, g.m + 1)) == want, edges
+        assert cycle_space_ranks(g, want) == want, edges
+        for length in want:
+            lone = cycle_space_ranks(g, {length: g.m + 1})
+            assert lone == {length: want[length]}, (edges, length)
+        checked += 1
+
+
+def test_cycle_space_ranks_match_networkx_minimum_cycle_basis(rng):
+    # the cycles of a minimum cycle basis of length at most l span every
+    # cycle of length at most l, so their count is the rank at l
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    while checked < 40:
+        n = rng.randint(4, 14)
+        edges = random_edges(rng, n, rng.uniform(0.15, 0.6))
+        if not oracles.is_connected(n, edges):
+            continue
+        h = nx.Graph(edges)
+        lengths = sorted(len(c) for c in nx.minimum_cycle_basis(h))
+        targets = dict.fromkeys(range(3, n + 1), len(edges) + 1)
+        want = {length: sum(x <= length for x in lengths) for length in targets}
+        assert cycle_space_ranks(Graph(n, edges), targets) == want, edges
+        checked += 1
+
+
 def test_cycle_canonical_form():
     g = cycle_graph(5)
     a = Cycle.from_vertices(g, [2, 3, 4, 0, 1])
@@ -345,45 +395,6 @@ def test_spanning_trees_order_with_forced_edges(rng):
                 closing += not want
                 assert list(spanning_trees(g, forced=mask_of(forced))) == [mask_of(t) for t in want]
     assert closing > 0  # some forced sets close a cycle, so their stream is empty
-
-
-def test_carried_stream_counts_equal_frames_once():
-    # frames with equal (position, components, key(value)) are
-    # interchangeable: under a constant key the stream walks and yields
-    # some of the trees, in order, and drops the rest, while the taken
-    # edges as the key never repeat a frame, so every tree is yielded
-    def taken(value, i):
-        return value | 1 << i
-
-    def same(value):
-        return value
-
-    def constant(value):
-        return 0
-
-    skipped = 0
-    for n in range(1, 6):
-        for edges in connected_edge_sets(n):
-            g = Graph(n, edges)
-            plain = list(spanning_trees(g))
-            stream = spanning_trees(g, carry=(0, taken, constant))
-            got = [(tree, stream.value) for tree in stream]
-            rest = iter(plain)
-            assert all(tree in rest and value == tree for tree, value in got)
-            assert stream.count == len(got)
-            skipped += len(got) < len(plain)
-            stream = spanning_trees(g, carry=(0, taken, same))
-            assert [(tree, stream.value) for tree in stream] == [(tree, tree) for tree in plain]
-            for budget in range(1, len(got) + 1):
-                stream = spanning_trees(g, budget=budget, carry=(0, taken, constant))
-                if budget == len(got):
-                    assert [(tree, stream.value) for tree in stream] == got
-                    continue
-                with pytest.raises(BudgetExceededError) as err:
-                    list(stream)
-                assert (err.value.attempted, err.value.budget) == (budget + 1, budget)
-                assert stream.count == budget
-    assert skipped
 
 
 def test_spanning_tree_count_matches_oracle_sets(rng):
