@@ -40,12 +40,10 @@ from .girth import (
     check_balance,
     edge_girth,
     edge_set_girth,
-    shortest_odd_cycles,
 )
 from .graphs import (
     Cycle,
     Graph,
-    SpanningTreeStream,
     bfs_tree,
     complete_graph,
     complete_multipartite,
@@ -61,7 +59,6 @@ from .graphs import (
     parse_graph,
     path_graph,
     spanning_tree_count,
-    spanning_trees,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ The DP-good search first runs two tests that need no tree, the girth-MST
 test and the cycle-space rank test.  When neither rules every tree out,
 it searches one girth at a time: the DP-good trees are the forced edges
 plus one good basis of the edges of each odd girth, so the first of them
-holds the first good basis of every girth.
+holds the first good basis of every girth, and the labels placed on top of
+those bases, girth by girth, are its labeling.
 
 The crossing-edge-set check is the balanced-orientation check plus one
 test on each shorter cycle, with the same set-girth gate and certificate.
@@ -223,26 +224,11 @@ def _place(layers: Callable[[int], list], pending: Sequence[int], available: int
     return order
 
 
-def _greedy_labeling(g: Graph, tree: int, girths: Sequence[float],
-                     layers: Callable[[int], list]):
-    """Build the certificate of a DP-good spanning tree, or None if the tree
-    is not DP-good.
-
-    The tree holds every edge of even or infinite girth.  The other edges
-    are placed girth by girth, in increasing order, each girth by `_place`
-    over the tree plus the edges placed before.  Once every edge is placed,
-    each witness cycle closes a BFS path over the tree plus the edges
-    placed before its edge.
-    """
-    available = tree
-    labeling: list[int] = []
-    rest = list(mask_indices(g.full_mask() & ~tree))
-    for value in sorted({girths[e] for e in rest}):
-        order = _place(layers, [e for e in rest if girths[e] == value], available)
-        if order is None:
-            return None
-        labeling += order
-        available |= sum(1 << e for e in order)
+def _greedy_labeling(g: Graph, tree: int, labeling: Sequence[int],
+                     girths: Sequence[float]) -> DpGoodCertificate:
+    """The certificate of a DP-good spanning tree from its girth-sorted
+    labeling: each witness cycle closes a BFS path over the tree plus the
+    edges labeled before its edge."""
     available = tree
     cycles = []
     for e in labeling:
@@ -304,11 +290,13 @@ def _rank_test(g: Graph, needed: dict[int, int]) -> bool:
 
 
 def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
-                 layers: Callable[[int], list], budget: int) -> Optional[int]:
+                 layers: Callable[[int], list],
+                 budget: int) -> Optional[tuple[int, list[int]]]:
     """The first good basis of the edges of girth `girth`, in the order of
-    `_bases`, or None: a basis over the components of the smaller girths
-    whose other edges of that girth, its `need` labels, `_place` labels on
-    top of it and of every edge of smaller girth.
+    `_bases`, as (basis, its labels in the order placed), or None: a basis
+    over the components of the smaller girths whose other edges of that
+    girth, its `need` labels, `_place` labels on top of it and of every
+    edge of smaller girth.
     """
     below = at = 0
     for i, value in enumerate(girths):
@@ -318,8 +306,9 @@ def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
             at |= 1 << i
     free = list(mask_indices(at))
     for basis in _bases(g, below, free, len(free) - need, budget):
-        if _place(layers, mask_indices(at & ~basis), below | basis) is not None:
-            return basis
+        order = _place(layers, mask_indices(at & ~basis), below | basis)
+        if order is not None:
+            return basis, order
     return None
 
 
@@ -336,14 +325,16 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     girth below g is in the tree or labeled before the labels of girth g,
     and a g-cycle has no edge of larger girth, so a tree is DP-good exactly
     when its part of each girth is a good basis (`_first_basis`).  The
-    girths are disjoint coordinates of the stream's order (descending
-    indicator vectors), so the first DP-good tree holds the first good
-    basis of every girth, and all edges of an odd girth that needs no
-    labels; `_greedy_labeling` builds its certificate.
+    girths are disjoint coordinates of the descending indicator vectors of
+    the candidate trees, edge 0 most significant, so the first DP-good tree
+    holds the first good basis of every girth, and all edges of an odd
+    girth that needs no labels.  Its labeling is the labels each basis was
+    found with, in increasing girth, and `_greedy_labeling` closes their
+    witness cycles.
 
     `detail["trees_tried"]` is that of a search that labels the candidate
-    trees in turn, in the stream's order, counted by the matrix-tree
-    theorem: the certified tree's position (`spanning_tree_rank`), or with
+    trees in turn, in that order, counted by the matrix-tree theorem: the
+    certified tree's position (`spanning_tree_rank`), or with
     no witness cycle and no DP-good tree the number of candidate trees
     (`spanning_tree_count`).  Over `budget` it raises that search's
     BudgetExceededError, as does a girth that tries more than `budget`
@@ -374,13 +365,15 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
         layers = lru_cache(maxsize=None)(
             lambda e: _shortest_path_layers(g, e, int(girths[e])))
         tree = sum(1 << i for i, value in enumerate(girths) if value not in needed)
+        labeling: list[int] = []
         for girth, need in needed.items():
-            basis = _first_basis(g, girths, girth, need, layers, budget)
-            if basis is None:
+            found = _first_basis(g, girths, girth, need, layers, budget)
+            if found is None:
                 break
-            tree |= basis
+            tree |= found[0]
+            labeling += found[1]
         else:
-            cert = _greedy_labeling(g, tree, girths, layers)
+            cert = _greedy_labeling(g, tree, labeling, girths)
     trees = (spanning_tree_count(g, forced) if cert is None
              else spanning_tree_rank(g, cert.tree, forced))
     if trees > budget:
@@ -617,6 +610,8 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
                             cycle_budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Edge set between two vertex classes, even set-girth, and no short
     cycle leaving a cross-class path when its crossing edges are removed.
+    The edge set `estar` is all crossing edges by default; a given one
+    must be non-empty.
 
     This is `check_balanced_orientation` on E* oriented from the first class
     to the second, with one test on each shorter cycle: it fails when two
@@ -633,6 +628,8 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
     cross = crossing_edges(g, v1, v2)
     if estar is None:
         estar = cross
+    elif estar == 0:
+        raise ValueError("the oriented edge set must be non-empty")
     if estar & ~cross:
         raise ValueError("the edge set must lie between the two classes")
     tails = {}

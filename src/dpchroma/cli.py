@@ -55,14 +55,19 @@ def _edge_tokens(g, text):
         tok = tok.strip()
         if not tok:
             continue
-        if ">" in tok:
-            t, h = tok.split(">")
-            out.append((int(t), int(h)))
-        elif "-" in tok:
-            u, v = sorted(map(int, tok.split("-")))
-            out.append((u, v))
+        sep = ">" if ">" in tok else "-" if "-" in tok else None
+        try:
+            ends = [int(x) for x in tok.split(sep)] if sep else [int(tok)]
+        except ValueError:
+            ends = []
+        if len(ends) != (2 if sep else 1):
+            raise ValueError(f"malformed edge {tok!r}")
+        if sep == ">":
+            out.append(tuple(ends))
+        elif sep:
+            out.append(tuple(sorted(ends)))
         else:
-            i = int(tok)
+            i = ends[0]
             if not (0 <= i < len(g.edges)):
                 raise ValueError(f"edge index {i} out of range")
             out.append(g.edges[i])
@@ -231,7 +236,7 @@ def _cmd_thm5(args):
 
 def _cmd_cor5(args):
     g = _load_graph(args)
-    estar = _oriented(g, args.estar).edges if args.estar else None
+    estar = _oriented(g, args.estar).edges if args.estar is not None else None
     verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar,
                                       cycle_budget=args.budget_cycles)
     _emit(args, _verdict_lines(verdict), verdict.to_json())
@@ -386,7 +391,9 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphParseError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         print(f"run dp-chroma {args.command} --help for usage", file=sys.stderr)
         return EXIT_INPUT
 

@@ -145,15 +145,6 @@ def _crossings(g: Graph, cyc: Cycle, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def shortest_odd_cycles(g: Graph, e0: int, budget: int = DEFAULT_BUDGET) -> list[Cycle]:
-    """Every shortest cycle meeting e0 oddly, by enumeration; desk scale only."""
-    r = edge_set_girth(g, e0)
-    if not r.is_finite:
-        return []
-    return [cyc for cyc in enumerate_cycles(g, int(r.value), budget=budget)
-            if len(cyc) == r.value and len(_crossings(g, cyc, e0)) % 2 == 1]
-
-
 def check_balance(g: Graph, estar: OrientedEdgeSet, bound: int,
                   cycle_budget: int = DEFAULT_BUDGET) -> BalanceVerdict:
     """Is the orientation balanced on every cycle shorter than `bound`?

@@ -13,8 +13,8 @@ builds neighbour lists of an edge subset:
   built once per graph;
 * `_find` and `_union`: union-find and its merge loop;
 * `_bases`: the one take-before-leave-out walk over the edge sets that join
-  the components of a base edge mask, which both `SpanningTreeStream` and
-  the DP-good search of `classify` run; it keeps its components as flat
+  the components of a base edge mask, which the DP-good search of
+  `classify` runs once per odd girth; it keeps its components as flat
   least-vertex labels and runs union-find only to test whether the
   undecided edges can still join them;
 * `spanning_tree_count`: the spanning trees that hold a forced edge set
@@ -360,10 +360,10 @@ def spanning_tree_count(g: Graph, forced: int = 0, allowed: Optional[int] = None
 
 
 def spanning_tree_rank(g: Graph, tree: int, forced: int = 0) -> int:
-    """The 1-based position of `tree`, a spanning tree that holds `forced`,
-    in the order of `SpanningTreeStream`.  A tree before it agrees with it
-    on the edges before some edge i it leaves out and takes i: one
-    `spanning_tree_count` per such i."""
+    """The 1-based position of `tree` among the spanning trees that hold
+    `forced`, in descending order of their indicator vectors, edge 0 most
+    significant.  A tree before it agrees with it on the edges before some
+    edge i it leaves out and takes i: one `spanning_tree_count` per such i."""
     rank, allowed = 1, g.full_mask()
     for i in mask_indices(allowed & ~tree):
         bit = 1 << i
@@ -654,7 +654,9 @@ def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> 
     merges two components before leaving it out, and leaves an edge out
     only while the later edges can still make the merges left, so the sets
     come in descending order of their indicator vectors, the first edge of
-    `free` most significant.  Reaching set budget + 1 raises
+    `free` most significant.  With `base` a forest and `free` every other
+    edge, the sets are the spanning trees that hold `base` in the order
+    `spanning_tree_rank` counts.  Reaching set budget + 1 raises
     BudgetExceededError.
     """
     edges = g.edges
@@ -689,44 +691,6 @@ def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> 
             raise BudgetExceededError("spanning trees", count + 1, budget)
         count += 1
         yield chosen
-
-
-class SpanningTreeStream:
-    """Single-consumer stream of the spanning trees (edge masks) that hold
-    every edge of `forced`, empty if those edges close a cycle.
-
-    The trees are the `_bases` of the other edges over the components of
-    the forced edges, so they come in descending order of their indicator
-    vectors, edge 0 most significant (`spanning_tree_rank` inverts it).
-    `count` is the number of trees yielded so far.  Yields at most `budget`
-    trees; reaching tree budget + 1 raises BudgetExceededError.
-    """
-
-    def __init__(self, g: Graph, budget: int, forced: int = 0):
-        self.count = 0
-        self._gen = self._walk(g, budget, forced)
-
-    def __iter__(self):
-        return self._gen
-
-    def _walk(self, g: Graph, budget: int, forced: int):
-        need = g.n - 1 - forced.bit_count()
-        if component_count(g, forced) != need + 1:  # the forced edges close a cycle
-            return
-        free = [i for i in range(len(g.edges)) if not forced >> i & 1]
-        for tree in _bases(g, forced, free, need, budget):
-            self.count += 1
-            yield forced | tree
-
-
-def spanning_trees(g: Graph, budget: int = DEFAULT_BUDGET, forced: int = 0) -> SpanningTreeStream:
-    """Stream the distinct spanning trees of a connected graph.
-
-    `forced` is an edge mask every yielded tree must contain; if those edges
-    already close a cycle the stream is empty.
-    """
-    _require_connected(g)
-    return SpanningTreeStream(g, budget, forced)
 
 
 def _require_connected(g: Graph) -> None:

@@ -2,12 +2,14 @@
 
 Everything here works on plain (n, edges) pairs, where edges is a list of
 (u, v) tuples with u < v, and enumerates exhaustively.  Deliberately no
-imports from dpchroma: these are the reference implementations the fast
-code is checked against.
+imports from dpchroma beyond its budget error: these are the reference
+implementations the fast code is checked against.
 """
 
 from bisect import insort
 from itertools import combinations, permutations, product
+
+from dpchroma.errors import BudgetExceededError
 
 
 def components(n, edges, subset=None):
@@ -159,6 +161,43 @@ def spanning_tree_sets(n, edges):
         if len(components(n, edges, combo)) == 1:
             trees.append(frozenset(combo))
     return trees
+
+
+def spanning_trees_holding(n, edges, forced=frozenset(), budget=None):
+    """The spanning trees (frozensets of edge indices) that hold every edge
+    of `forced`, in descending order of their indicator vectors, edge 0 most
+    significant; none if the forced edges close a cycle.
+
+    Each other edge in turn is taken, where it joins two components of the
+    edges taken, before it is left out, where the edges not yet decided can
+    still join the graph (an edge inside a component joins nothing new).
+    Reaching tree budget + 1 raises BudgetExceededError.
+    """
+    free = [i for i in range(len(edges)) if i not in forced]
+    start = sorted(forced)
+    comps = components(n, edges, start)
+    if len(comps) != n - len(start) or len(components(n, edges, start + free)) != 1:
+        return
+    label = [0] * n  # label[v]: the component of v among the edges taken
+    for c, comp in enumerate(comps):
+        for v in comp:
+            label[v] = c
+    count = 0
+    stack = [(0, start, label)]  # (edges of free decided, edges taken, labels)
+    while stack:
+        k, chosen, label = stack.pop()
+        if k == len(free):
+            if count == budget:
+                raise BudgetExceededError("spanning trees", count + 1, budget)
+            count += 1
+            yield frozenset(chosen)
+            continue
+        u, v = edges[free[k]]
+        a, b = label[u], label[v]
+        if a == b or len(components(n, edges, chosen + free[k + 1:])) == 1:
+            stack.append((k + 1, chosen, label))  # left out, walked after the take
+        if a != b:
+            stack.append((k + 1, chosen + [free[k]], [a if x == b else x for x in label]))
 
 
 def bridges(n, edges, subset):

@@ -50,7 +50,7 @@ from dpchroma.classify import (
     _shortest_path_layers,
 )
 from dpchroma.girth import INFINITE
-from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2, spanning_trees
+from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2
 
 # the package re-exports the function `classify` under the module's name
 classify_module = importlib.import_module("dpchroma.classify")
@@ -223,36 +223,48 @@ def level_layers(g, girths):
 
 
 def levels_label(g, girths, tree, layers):
-    """The per-girth decision of `check_dp_good` on one candidate tree:
-    whether, for every odd girth of its other edges, `_place` labels them
-    on top of the tree's edges of that girth and every edge of smaller
-    girth."""
+    """The per-girth decision of `check_dp_good` on one candidate tree: for
+    each odd girth of its other edges, in increasing order, `_place` labels
+    them on top of the tree's edges of that girth and every edge of smaller
+    girth.  Returns the labels in the order placed, or None."""
     rest = g.full_mask() & ~tree
-    for value in {girths[e] for e in mask_indices(rest)}:
+    labeling = []
+    for value in sorted({girths[e] for e in mask_indices(rest)}):
         below = sum(1 << i for i, x in enumerate(girths) if x < value)
         pending = [e for e in mask_indices(rest) if girths[e] == value]
-        if _place(layers, pending, below | tree) is None:
-            return False
-    return True
+        order = _place(layers, pending, below | tree)
+        if order is None:
+            return None
+        labeling += order
+    return labeling
+
+
+def candidate_trees(g, budget=None):
+    """The oracle's spanning trees that hold every edge of even or infinite
+    girth, in descending indicator order."""
+    forced = set(mask_indices(unlabelable_mask(g)))
+    return oracles.spanning_trees_holding(g.n, list(g.edges), forced, budget)
 
 
 def assert_labelings_match(g, limit=None):
-    """Walk every candidate tree of g in the plain stream.  For each tree
+    """Walk every candidate tree of g in the oracle's order.  For each tree
     the per-girth decision holds exactly when the oracle labels the tree,
-    and the library's labeling equals the oracle's.  Returns the trees
-    compared and how many of them were labeled."""
+    and its labeling with the witness cycles of `_greedy_labeling` is the
+    oracle's certificate.  Returns the trees compared and how many of them
+    were labeled."""
     edges = list(g.edges)
     oracle_girths = oracles.edge_girths(g.n, edges)
     girths = _girth_values(g)
     assert [None if x == INFINITE else x for x in girths] == oracle_girths
-    forced = unlabelable_mask(g)
     layers = level_layers(g, girths)
     compared = labeled = 0
-    for tree in islice(spanning_trees(g, budget=10**6, forced=forced), limit):
-        want = oracles.dp_good_labeling(g.n, edges, oracle_girths, set(mask_indices(tree)))
-        assert levels_label(g, girths, tree, layers) is (want is not None), tree
-        cert = _greedy_labeling(g, tree, girths, layers)
-        assert (None if cert is None else cert.to_json()) == want, tree
+    for tree in islice(candidate_trees(g), limit):
+        want = oracles.dp_good_labeling(g.n, edges, oracle_girths, tree)
+        mask = mask_of(tree)
+        labeling = levels_label(g, girths, mask, layers)
+        assert (labeling is None) is (want is None), tree
+        if labeling is not None:
+            assert _greedy_labeling(g, mask, labeling, girths).to_json() == want, tree
         compared += 1
         labeled += want is not None
     return compared, labeled
@@ -358,20 +370,20 @@ def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-girth search against an oracle search over the plain tree stream
+# the per-girth search against an oracle search over the oracle's trees
 
 def oracle_dp_good_search(g, budget):
-    """Label the candidate trees of the plain stream in turn with the oracle:
-    (trees streamed up to the first labeled one, or all of them, and that
-    tree's certificate JSON or None).  The stream raises past `budget`."""
+    """Label the candidate trees in the oracle's order in turn with the
+    oracle: (trees walked up to the first labeled one, or all of them, and
+    that tree's certificate JSON or None).  The walk raises past `budget`."""
     edges = list(g.edges)
     girths = oracles.edge_girths(g.n, edges)
-    stream = spanning_trees(g, budget=budget, forced=unlabelable_mask(g))
-    for tree in stream:
-        want = oracles.dp_good_labeling(g.n, edges, girths, set(mask_indices(tree)))
+    count = 0
+    for count, tree in enumerate(candidate_trees(g, budget), 1):
+        want = oracles.dp_good_labeling(g.n, edges, girths, tree)
         if want is not None:
-            return stream.count, want
-    return stream.count, None
+            return count, want
+    return count, None
 
 
 def assert_search_matches_oracle(g, budget=10**6):
@@ -446,9 +458,10 @@ def test_fig1_budget_between_walked_trees_and_rank():
 
 def oracle_first_bases(g, tree):
     """Per odd girth that needs labels, the first set of edges of that girth,
-    in the stream's order, that makes a DP-good tree for the oracle when it
-    replaces the girth's part of `tree`; the sets have the size of that
-    part and join what it joins together with the edges of smaller girth."""
+    in descending indicator order, that makes a DP-good tree for the oracle
+    when it replaces the girth's part of `tree`; the sets have the size of
+    that part and join what it joins together with the edges of smaller
+    girth."""
     edges = list(g.edges)
     weight = oracle_weights(g)
     first = {}
@@ -472,8 +485,9 @@ def oracle_first_bases(g, tree):
 
 def assert_first_good_bases(g):
     """The certified tree's part at each girth is that girth's first good
-    basis: the library's `_first_basis` and the oracle's.  Returns the
-    girths that needed labels."""
+    basis, the library's `_first_basis` and the oracle's, and its labels of
+    that girth are the ones `_first_basis` placed.  Returns the girths that
+    needed labels."""
     verdict = check_dp_good(g)
     assert verdict.satisfied
     tree = verdict.certificate.tree
@@ -484,7 +498,9 @@ def assert_first_good_bases(g):
     assert set(want) == set(needed)
     for level, need in needed.items():
         part = tree & sum(1 << i for i, x in enumerate(girths) if x == level)
-        assert _first_basis(g, girths, level, need, layers, 10**6) == part == want[level]
+        basis, order = _first_basis(g, girths, level, need, layers, 10**6)
+        assert basis == part == want[level]
+        assert order == [e for e in verdict.certificate.labeling if girths[e] == level]
     return len(needed)
 
 
@@ -601,7 +617,7 @@ def test_rule_out_tests_match_their_definitions():
 
 def test_rule_outs_agree_with_the_oracle_search():
     # a ruled-out graph reports every candidate tree, or the same budget
-    # error, as the oracle search over the plain stream does; the oracle
+    # error, as the oracle search over the oracle's trees does; the oracle
     # labels every tree where there are at most 500 of them and the first
     # 500 elsewhere
     fired = Counter()
@@ -908,6 +924,8 @@ def test_crossing_edge_set_validation():
         check_crossing_edge_set(g, [0, 1], [1, 2])
     with pytest.raises(ValueError):
         check_crossing_edge_set(g, [0], [1], 1 << 1)  # edge (1,2) not crossing
+    with pytest.raises(ValueError, match="must be non-empty"):
+        check_crossing_edge_set(g, [0], [1], 0)
 
 
 def test_crossing_satisfied_implies_balanced_orientation(rng):

@@ -219,6 +219,9 @@ BAD_COVERS = {
     (["balance", "--fixture", "cycle:4", "--estar", "0,1>0", "--bound", "4"], 2),
     # a cover file whose keys "1" and "01" both name edge 1
     (["dpcount", "--fixture", "cycle:3", "--cover", "{edge_twice}"], 2),
+    # an empty edge set given to cor5, which is not all crossing edges
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", ""], 2),
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", " , "], 2),
 ])
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     files = {"m0": json.dumps({"m": 0}), "m_big": json.dumps({"m": 200000}),
@@ -246,6 +249,28 @@ def test_unoriented_edge_named_twice(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "given twice" in err
+
+
+NAMED_ERRORS = [
+    (["setgirth", "--fixture", "cycle:4", "--edges", "0>1>2"], "malformed edge '0>1>2'"),
+    (["setgirth", "--fixture", "cycle:4", "--edges", "1-2-3"], "malformed edge '1-2-3'"),
+    (["setgirth", "--fixture", "cycle:4", "--edges", "0,1-x"], "malformed edge '1-x'"),
+    (["twist", "--fixture", "cycle:4", "--m", "3", "--estar", "0>"], "malformed edge '0>'"),
+    (["setgirth", "--fixture", "cycle:4", "--edges", "0-2"], "no edge (0, 2)"),
+    (["thm5", "--fixture", "cycle:4", "--estar", "2>0"], "no edge (0, 2)"),
+    (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", ""],
+     "the oriented edge set must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NAMED_ERRORS,
+                         ids=[f"{a[0]} {a[-1]!r}" for a, _ in NAMED_ERRORS])
+def test_input_error_names_the_input(capsys, argv, message):
+    # the message names the bad token, without the quotes str() puts
+    # around a KeyError's message
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
 
 
 # inputs on a thousand-vertex path or cycle, far below MAX_VERTICES, whose

@@ -33,12 +33,11 @@ from dpchroma import (
     path_graph,
     search_quad_crossing,
     sloping_report,
-    spanning_trees,
     twisted_cover,
 )
 from dpchroma.covers import (MAX_FOLD, SWEEP_COUNTER, _best_matching, _invert, _orbit_heads,
                              _pair_counts)
-from dpchroma.graphs import _search_plan, bfs_tree
+from dpchroma.graphs import _bases, _search_plan, bfs_tree
 
 
 def random_cover(rng, g, m):
@@ -350,12 +349,12 @@ def test_node_budget_counts_every_search_node():
                                node_budget=6),
     lambda: count_incl_excl(complete_graph(5), canonical_cover(complete_graph(5), 3), cap=5),
     lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
-    lambda: list(spanning_trees(complete_graph(4), budget=5)),
+    lambda: list(_bases(complete_graph(4), 0, range(6), 3, budget=5)),
     lambda: check_dp_good(fig1_graph(), budget=2),
     lambda: check_vertex_order(fig1_graph(), budget=100),
     lambda: search_quad_crossing(fig1_graph(), budget=3),
 ], ids=["dp_exact", "count_transversals", "count_incl_excl", "enumerate_cycles",
-        "spanning_trees", "check_dp_good", "check_vertex_order", "search_quad_crossing"])
+        "_bases", "check_dp_good", "check_vertex_order", "search_quad_crossing"])
 def test_budget_error_reports_progress(run):
     with pytest.raises(BudgetExceededError) as err:
         run()

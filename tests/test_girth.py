@@ -191,17 +191,6 @@ def test_oriented_set_validation():
         OrientedEdgeSet.from_pairs(g, [(0, 2)])
 
 
-def test_shortest_odd_cycles_listing():
-    from dpchroma import shortest_odd_cycles
-
-    k4 = complete_graph(4)
-    cycles = shortest_odd_cycles(k4, 1 << k4.edge_index(0, 1))
-    assert [c.vertices for c in cycles] == [(0, 1, 2), (0, 1, 3)]
-    c4 = cycle_graph(4)
-    assert shortest_odd_cycles(c4, 0b101) == []
-    assert [c.vertices for c in shortest_odd_cycles(c4, 1)] == [(0, 1, 2, 3)]
-
-
 def test_girth_result_json():
     g = cycle_graph(4)
     data = edge_set_girth(g, 1).to_json()

@@ -21,9 +21,8 @@ from dpchroma import (
     parse_graph,
     path_graph,
     spanning_tree_count,
-    spanning_trees,
 )
-from dpchroma.graphs import MAX_VERTICES, _blocks, _search_plan, spanning_tree_rank
+from dpchroma.graphs import MAX_VERTICES, _bases, _blocks, _search_plan, spanning_tree_rank
 
 
 def mask_of(indices):
@@ -334,10 +333,18 @@ def test_cycle_rejects_non_cycles():
 # ---------------------------------------------------------------------------
 # spanning trees
 
+def tree_walk(g, base=0, budget=10**6):
+    """The `_bases` walk over every edge outside `base`, joining the
+    components of `base` into one; with `base` a forest, the spanning trees
+    that hold it, without it."""
+    free = [i for i in range(g.m) if not base >> i & 1]
+    return _bases(g, base, free, component_count(g, base) - 1, budget)
+
+
 def test_spanning_tree_counts():
-    assert len(list(spanning_trees(complete_graph(3)))) == 3
-    assert len(list(spanning_trees(cycle_graph(4)))) == 4
-    assert len(list(spanning_trees(complete_graph(4)))) == 16
+    assert len(list(tree_walk(complete_graph(3)))) == 3
+    assert len(list(tree_walk(cycle_graph(4)))) == 4
+    assert len(list(tree_walk(complete_graph(4)))) == 16
 
 
 def test_spanning_trees_are_trees(rng):
@@ -347,7 +354,7 @@ def test_spanning_trees_are_trees(rng):
         if not oracles.is_connected(n, edges):
             continue
         g = Graph(n, edges)
-        trees = list(spanning_trees(g))
+        trees = list(tree_walk(g))
         expected = oracles.spanning_tree_sets(n, edges)
         assert len(trees) == len(expected)
         assert {frozenset(i for i in range(g.m) if t >> i & 1) for t in trees} == set(expected)
@@ -358,31 +365,30 @@ def test_spanning_trees_are_trees(rng):
 
 def test_spanning_trees_truncation_flag():
     g = complete_graph(4)
-    stream = spanning_trees(g, budget=5)
-    trees = iter(stream)
+    trees = tree_walk(g, budget=5)
     got = [next(trees) for _ in range(5)]
     assert len(set(got)) == 5
-    assert stream.count == 5
     with pytest.raises(BudgetExceededError) as err:
         next(trees)
     assert (err.value.counter, err.value.attempted, err.value.budget) == ("spanning trees", 6, 5)
-    assert stream.count == 5
-    full = spanning_trees(g, budget=16)
-    assert len(list(full)) == 16
-    assert full.count == 16
+    assert len(list(tree_walk(g, budget=16))) == 16
+    with pytest.raises(BudgetExceededError):
+        next(tree_walk(g, budget=0))
 
 
 def test_spanning_trees_forced_edges():
     g = complete_graph(4)
     forced = 1 << g.edge_index(0, 1)
-    trees = list(spanning_trees(g, forced=forced))
-    assert all(t & forced for t in trees)
+    trees = list(tree_walk(g, forced))
+    assert all(not t & forced and component_count(g, t | forced) == 1 for t in trees)
     assert len(trees) == 8  # half of K4's 16 trees contain a fixed edge
 
 
 def test_spanning_trees_order_with_forced_edges(rng):
     # descending indicator vectors, edge 0 most significant: check_dp_good's
-    # trees_tried and its pinned certificates depend on this order
+    # trees_tried and its pinned certificates depend on this order.  A base
+    # that closes a cycle is joined as its spanning forest F is, by the
+    # trees that hold F, without F
     closing = 0
     for n in range(1, 6):
         for edges in connected_edge_sets(n):
@@ -390,11 +396,19 @@ def test_spanning_trees_order_with_forced_edges(rng):
             trees = oracles.spanning_tree_sets(n, list(edges))
             for _ in range(2):
                 forced = {i for i in range(g.m) if rng.random() < 0.3}
-                want = sorted((t for t in trees if forced <= t),
+                forest = []
+                for i in sorted(forced):
+                    grown = forest + [i]
+                    if len(oracles.components(n, edges, grown)) == n - len(grown):
+                        forest = grown
+                want = sorted((t for t in trees if set(forest) <= t),
                               key=lambda t: [i in t for i in range(g.m)], reverse=True)
-                closing += not want
-                assert list(spanning_trees(g, forced=mask_of(forced))) == [mask_of(t) for t in want]
-    assert closing > 0  # some forced sets close a cycle, so their stream is empty
+                assert (list(tree_walk(g, mask_of(forced)))
+                        == [mask_of(t - set(forest)) for t in want])
+                closing += len(forest) < len(forced)
+                holding = want if len(forest) == len(forced) else []
+                assert list(oracles.spanning_trees_holding(n, list(edges), forced)) == holding
+    assert closing > 0  # some forced sets close a cycle, so no tree holds them
 
 
 def test_spanning_tree_count_matches_oracle_sets(rng):
@@ -431,14 +445,15 @@ def test_spanning_tree_count_matches_oracle_sets(rng):
     assert closing > 50 and masked > 50
 
 
-def test_spanning_tree_rank_is_the_stream_position(rng):
+def test_spanning_tree_rank_is_the_oracle_order_position(rng):
     ranked = 0
     for n in range(1, 6):
         for edges in connected_edge_sets(n):
             g = Graph(n, edges)
-            for forced in (0, mask_of(i for i in range(g.m) if rng.random() < 0.3)):
-                for position, tree in enumerate(spanning_trees(g, forced=forced), 1):
-                    assert spanning_tree_rank(g, tree, forced) == position
+            for forced in (set(), {i for i in range(g.m) if rng.random() < 0.3}):
+                trees = oracles.spanning_trees_holding(n, list(edges), forced)
+                for position, tree in enumerate(trees, 1):
+                    assert spanning_tree_rank(g, mask_of(tree), mask_of(forced)) == position
                     ranked += position > 1
     assert ranked > 1000
 
@@ -464,13 +479,8 @@ def test_spanning_tree_count_matches_networkx(rng):
         assert spanning_tree_count(Graph(n, edges)) == round(nx.number_of_spanning_trees(h))
 
 
-def test_spanning_trees_disconnected_error():
-    with pytest.raises(ValueError):
-        spanning_trees(Graph(4, [(0, 1), (2, 3)]))
-
-
 def test_enumeration_count_on_all_small_connected():
     for n in range(2, 6):
         for edges in connected_edge_sets(n):
             g = Graph(n, edges)
-            assert len(list(spanning_trees(g))) == len(oracles.spanning_tree_sets(n, list(edges)))
+            assert len(list(tree_walk(g))) == len(oracles.spanning_tree_sets(n, list(edges)))
