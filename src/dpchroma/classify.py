@@ -13,7 +13,8 @@ test and the cycle-space rank test.  When neither rules every tree out,
 it searches one girth at a time: the DP-good trees are the forced edges
 plus one good basis of the edges of each odd girth, so the first of them
 holds the first good basis of every girth, and the labels placed on top of
-those bases, girth by girth, are its labeling.
+those bases, girth by girth, are its labeling.  One bounded BFS per label
+both decides that it can be placed and closes its witness cycle.
 
 The crossing-edge-set check is the balanced-orientation check plus one
 test on each shorter cycle, with the same set-girth gate and certificate.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import (
@@ -40,7 +41,6 @@ from .graphs import (
     Cycle,
     Graph,
     _bases,
-    _bfs_forest,
     _bfs_path,
     _require_connected,
     _union,
@@ -157,86 +157,32 @@ def _girth_values(g: Graph) -> tuple[float, ...]:
     return tuple(INFINITE if path is None else len(path) for path in paths)
 
 
-def _distances(g: Graph, mask: int, root: int) -> list[int]:
-    """BFS distances from `root` over the edges of `mask`, -1 if unreached."""
-    d = [-1] * g.n
-    d[root] = 0
-    for w, parent, _ in _bfs_forest(g, mask, [root])[1:]:
-        d[w] = d[parent] + 1
-    return d
-
-
-def _shortest_path_layers(g: Graph, e: int, girth: int) -> list[list[tuple[int, int, int]]]:
-    """The arcs of every shortest u-v path of G - e, for e = uv of finite
-    girth, in girth - 1 layers.
-
-    With d_u and d_v the distances in G - e, an arc x->y of an edge xy lies
-    on such a path exactly when d_u(x) + 1 + d_v(y) = girth - 1, and it goes
-    to layer d_u(x) as (bit of x, bit of y, bit of the edge).
-    """
-    rest = g.full_mask() ^ 1 << e
-    du, dv = (_distances(g, rest, root) for root in g.edges[e])
-    layers: list[list[tuple[int, int, int]]] = [[] for _ in range(girth - 1)]
-    for i in mask_indices(rest):
-        a, b = g.edges[i]
-        for x, y in ((a, b), (b, a)):
-            if du[x] + 1 + dv[y] == girth - 1:
-                layers[du[x]].append((1 << x, 1 << y, 1 << i))
-    return layers
-
-
-def _closes_cycle(layers: list[list[tuple[int, int, int]]], available: int) -> bool:
-    """Whether some shortest cycle through the edge of `layers` has all its
-    other edges in the edge mask `available`: a walk from u that keeps, layer
-    by layer, the heads of the available arcs leaving a reached vertex."""
-    reach = layers[0][0][0]  # every arc of layer 0 leaves u
-    for layer in layers:
-        nxt = 0
-        for x, y, edge in layer:
-            if reach & x and available & edge:
-                nxt |= y
-        if not nxt:
-            return False
-        reach = nxt
-    return True
-
-
-def _place(layers: Callable[[int], list], pending: Sequence[int], available: int):
-    """Label the edges of `pending`, all of one odd girth: each step places
-    the first pending edge some shortest cycle through which lies in
-    `available` plus the edges placed, which `_closes_cycle` decides on
-    `layers(e)`.  Returns the edges in the order placed, or None once no
-    pending edge can be placed.
+def _place(g: Graph, girth: int, pending: Sequence[int], available: int):
+    """Label the edges of `pending`, all of odd girth `girth`: each step
+    places the first pending edge uv whose endpoints a BFS over `available`
+    plus the edges placed joins within girth - 1 edges (no shorter path
+    exists, uv having that girth), and that path closed by uv is its
+    witness cycle.  Returns the (edge, witness cycle)
+    pairs in the order placed, or None once no pending edge can be placed.
 
     Placing any placeable edge is safe: available cycles only gain edges,
     so a placeable edge stays placeable and a valid order can always be
     rearranged to start with it.
     """
     pending = list(pending)
-    order: list[int] = []
+    placed: list[tuple[int, Cycle]] = []
     while pending:
-        e = next((e for e in pending if _closes_cycle(layers(e), available)), None)
-        if e is None:
+        for e in pending:
+            u, v = g.edges[e]
+            path = _bfs_path(g._incidence, available, u, v, girth - 1)
+            if path is not None:
+                break
+        else:
             return None
-        order.append(e)
+        placed.append((e, Cycle.from_vertices(g, path)))
         available |= 1 << e
         pending.remove(e)
-    return order
-
-
-def _greedy_labeling(g: Graph, tree: int, labeling: Sequence[int],
-                     girths: Sequence[float]) -> DpGoodCertificate:
-    """The certificate of a DP-good spanning tree from its girth-sorted
-    labeling: each witness cycle closes a BFS path over the tree plus the
-    edges labeled before its edge."""
-    available = tree
-    cycles = []
-    for e in labeling:
-        u, v = g.edges[e]
-        path = _bfs_path(g._incidence, available, u, v, int(girths[e]) - 1)
-        cycles.append(Cycle.from_vertices(g, path))
-        available |= 1 << e
-    return DpGoodCertificate(tree, tuple(labeling), tuple(cycles))
+    return placed
 
 
 def _labels_needed(g: Graph, girths: Sequence[float]) -> Optional[dict[int, int]]:
@@ -290,13 +236,12 @@ def _rank_test(g: Graph, needed: dict[int, int]) -> bool:
 
 
 def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
-                 layers: Callable[[int], list],
-                 budget: int) -> Optional[tuple[int, list[int]]]:
+                 budget: int) -> Optional[tuple[int, list[tuple[int, Cycle]]]]:
     """The first good basis of the edges of girth `girth`, in the order of
-    `_bases`, as (basis, its labels in the order placed), or None: a basis
-    over the components of the smaller girths whose other edges of that
-    girth, its `need` labels, `_place` labels on top of it and of every
-    edge of smaller girth.
+    `_bases`, as (basis, the (label, witness cycle) pairs `_place` placed
+    on it), or None: a basis over the components of the smaller girths
+    whose other edges of that girth, its `need` labels, `_place` labels on
+    top of it and of every edge of smaller girth.
     """
     below = at = 0
     for i, value in enumerate(girths):
@@ -306,9 +251,9 @@ def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
             at |= 1 << i
     free = list(mask_indices(at))
     for basis in _bases(g, below, free, len(free) - need, budget):
-        order = _place(layers, mask_indices(at & ~basis), below | basis)
-        if order is not None:
-            return basis, order
+        placed = _place(g, girth, mask_indices(at & ~basis), below | basis)
+        if placed is not None:
+            return basis, placed
     return None
 
 
@@ -328,9 +273,10 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     girths are disjoint coordinates of the descending indicator vectors of
     the candidate trees, edge 0 most significant, so the first DP-good tree
     holds the first good basis of every girth, and all edges of an odd
-    girth that needs no labels.  Its labeling is the labels each basis was
-    found with, in increasing girth, and `_greedy_labeling` closes their
-    witness cycles.
+    girth that needs no labels.  Its labeling and witness cycles are the
+    ones `_place` placed on each basis, in increasing girth: a g-cycle
+    has no edge of larger girth, so the tree's edges of larger girth would
+    not change them.
 
     `detail["trees_tried"]` is that of a search that labels the candidate
     trees in turn, in that order, counted by the matrix-tree theorem: the
@@ -362,18 +308,17 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     needed = _labels_needed(g, girths)
     cert = None
     if needed is not None and _rank_test(g, needed):
-        layers = lru_cache(maxsize=None)(
-            lambda e: _shortest_path_layers(g, e, int(girths[e])))
         tree = sum(1 << i for i, value in enumerate(girths) if value not in needed)
-        labeling: list[int] = []
+        placed: list[tuple[int, Cycle]] = []
         for girth, need in needed.items():
-            found = _first_basis(g, girths, girth, need, layers, budget)
+            found = _first_basis(g, girths, girth, need, budget)
             if found is None:
                 break
             tree |= found[0]
-            labeling += found[1]
+            placed += found[1]
         else:
-            cert = _greedy_labeling(g, tree, labeling, girths)
+            cert = DpGoodCertificate(tree, tuple(e for e, _ in placed),
+                                     tuple(c for _, c in placed))
     trees = (spanning_tree_count(g, forced) if cert is None
              else spanning_tree_rank(g, cert.tree, forced))
     if trees > budget:
@@ -683,38 +628,53 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
     """Bounded search for a crossing edge set of set-girth exactly four.
 
     Candidates are single edges and stars around a vertex; exhausting them
-    proves nothing, so the fallback is inconclusive.
+    proves nothing, so the fallback is inconclusive.  Between the two, the
+    cycle space stops the search: when the cycles of length at most 4 have
+    the rank of the triangles, every 4-cycle is a GF(2) sum of triangles,
+    so an edge set that meets every triangle evenly meets every 4-cycle
+    evenly and none has set girth four.
     More than `budget` candidates raise BudgetExceededError.
     """
     condition = "quad-girth-crossing-set"
     tried = 0
 
-    def candidates():
-        for i, (u, v) in enumerate(g.edges):
-            yield (u,), (v,), 1 << i
+    def first_fit(candidates):
+        nonlocal tried
+        for v1, v2, mask in candidates:
+            tried += 1
+            if tried > budget:
+                raise BudgetExceededError("quad candidates", tried, budget)
+            r = edge_set_girth(g, mask)
+            if r.is_finite and int(r.value) == 4:
+                return ClassifierVerdict(
+                    condition, SATISFIED, DP_LESS,
+                    certificate={"v1": list(v1), "v2": list(v2),
+                                 "edges": sorted(mask_indices(mask)),
+                                 "witness": r.witness},
+                )
+        return None
+
+    def stars():
         for v, pairs in enumerate(g._incidence):
             for size in range(2, len(pairs) + 1):
                 for sub in combinations(pairs, size):
                     yield (v,), tuple(w for w, _ in sub), sum(1 << i for _, i in sub)
 
-    for v1, v2, mask in candidates():
-        tried += 1
-        if tried > budget:
-            raise BudgetExceededError("quad candidates", tried, budget)
-        r = edge_set_girth(g, mask)
-        if r.is_finite and int(r.value) == 4:
-            return ClassifierVerdict(
-                condition, SATISFIED, DP_LESS,
-                certificate={"v1": list(v1), "v2": list(v2),
-                             "edges": sorted(mask_indices(mask)),
-                             "witness": r.witness},
-            )
-    return ClassifierVerdict(
-        condition, INCONCLUSIVE, UNKNOWN,
-        detail={"reason": "no candidate in the searched space has set-girth "
-                          "four; the search is not exhaustive",
-                "tried": tried},
-    )
+    def inconclusive(reason):
+        return ClassifierVerdict(condition, INCONCLUSIVE, UNKNOWN,
+                                 detail={"reason": reason, "tried": tried})
+
+    found = first_fit(((u,), (v,), 1 << i) for i, (u, v) in enumerate(g.edges))
+    if found is not None:
+        return found
+    # a target above any rank, so both ranks are exact
+    ranks = cycle_space_ranks(g, {3: g.m + 1, 4: g.m + 1})
+    if ranks[4] == ranks[3]:
+        return inconclusive("no edge set has set girth four: every 4-cycle "
+                            "is a sum of triangles")
+    return first_fit(stars()) or inconclusive(
+        "no candidate in the searched space has set-girth four; the search "
+        "is not exhaustive")
 
 
 def classify(g: Graph, budget: int = DEFAULT_BUDGET) -> list[ClassifierVerdict]:

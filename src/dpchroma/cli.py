@@ -80,7 +80,17 @@ def _oriented(g, text):
 
 
 def _vertices(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    """Parse a comma-separated vertex list."""
+    out = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"malformed vertex {tok!r}") from None
+    return out
 
 
 def _emit(args, lines, payload):

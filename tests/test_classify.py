@@ -35,19 +35,17 @@ from dpchroma import (
     mask_indices,
     path_graph,
     scan_even_girth,
+    search_quad_crossing,
     spanning_tree_count,
     twisted_cover,
     verify_dp_good_certificate,
 )
 from dpchroma.classify import (
-    _closes_cycle,
     _first_basis,
     _girth_values,
-    _greedy_labeling,
     _labels_needed,
     _place,
     _rank_test,
-    _shortest_path_layers,
 )
 from dpchroma.girth import INFINITE
 from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2
@@ -211,32 +209,22 @@ def unlabelable_mask(g):
     return mask
 
 
-def level_layers(g, girths):
-    """The `_shortest_path_layers` of each edge, built on first use."""
-    built = {}
-
-    def layers(e):
-        if e not in built:
-            built[e] = _shortest_path_layers(g, e, int(girths[e]))
-        return built[e]
-    return layers
-
-
-def levels_label(g, girths, tree, layers):
+def levels_label(g, girths, tree):
     """The per-girth decision of `check_dp_good` on one candidate tree: for
     each odd girth of its other edges, in increasing order, `_place` labels
     them on top of the tree's edges of that girth and every edge of smaller
-    girth.  Returns the labels in the order placed, or None."""
+    girth.  Returns the certificate of the (label, witness cycle) pairs in
+    the order placed, or None."""
     rest = g.full_mask() & ~tree
-    labeling = []
+    placed = []
     for value in sorted({girths[e] for e in mask_indices(rest)}):
         below = sum(1 << i for i, x in enumerate(girths) if x < value)
         pending = [e for e in mask_indices(rest) if girths[e] == value]
-        order = _place(layers, pending, below | tree)
-        if order is None:
+        found = _place(g, int(value), pending, below | tree)
+        if found is None:
             return None
-        labeling += order
-    return labeling
+        placed += found
+    return DpGoodCertificate(tree, tuple(e for e, _ in placed), tuple(c for _, c in placed))
 
 
 def candidate_trees(g, budget=None):
@@ -249,22 +237,20 @@ def candidate_trees(g, budget=None):
 def assert_labelings_match(g, limit=None):
     """Walk every candidate tree of g in the oracle's order.  For each tree
     the per-girth decision holds exactly when the oracle labels the tree,
-    and its labeling with the witness cycles of `_greedy_labeling` is the
-    oracle's certificate.  Returns the trees compared and how many of them
-    were labeled."""
+    and its labels with the witness cycles `_place` closed are the oracle's
+    certificate, whose BFS runs over the whole tree and the earlier labels.
+    Returns the trees compared and how many of them were labeled."""
     edges = list(g.edges)
     oracle_girths = oracles.edge_girths(g.n, edges)
     girths = _girth_values(g)
     assert [None if x == INFINITE else x for x in girths] == oracle_girths
-    layers = level_layers(g, girths)
     compared = labeled = 0
     for tree in islice(candidate_trees(g), limit):
         want = oracles.dp_good_labeling(g.n, edges, oracle_girths, tree)
-        mask = mask_of(tree)
-        labeling = levels_label(g, girths, mask, layers)
-        assert (labeling is None) is (want is None), tree
-        if labeling is not None:
-            assert _greedy_labeling(g, mask, labeling, girths).to_json() == want, tree
+        cert = levels_label(g, girths, mask_of(tree))
+        assert (cert is None) is (want is None), tree
+        if cert is not None:
+            assert cert.to_json() == want, tree
         compared += 1
         labeled += want is not None
     return compared, labeled
@@ -300,27 +286,28 @@ def test_labeling_matches_oracle_on_seeded_graphs(rng):
     assert labeled > 0
 
 
-def count_layer_builds(monkeypatch):
-    """Record the edge of every `_shortest_path_layers` call."""
-    built = []
+def count_place_calls(monkeypatch):
+    """Record (pending edges, result) of every `_place` call."""
+    calls = []
 
-    def counted(g, e, girth):
-        built.append(e)
-        return build(g, e, girth)
+    def counted(g, girth, pending, available):
+        pending = list(pending)
+        calls.append((pending, place(g, girth, pending, available)))
+        return calls[-1][1]
 
-    build = classify_module._shortest_path_layers
-    monkeypatch.setattr(classify_module, "_shortest_path_layers", counted)
-    return built
+    place = classify_module._place
+    monkeypatch.setattr(classify_module, "_place", counted)
+    return calls
 
 
 def test_fig3b_exhausts_every_candidate_tree(monkeypatch):
     # the rank test rules fig3b out (13 labels of girth 3, triangles of
-    # rank 12), so no basis is tried and no layers are built
-    built = count_layer_builds(monkeypatch)
+    # rank 12), so no basis is tried and nothing is placed
+    calls = count_place_calls(monkeypatch)
     verdict = check_dp_good(fig3b_graph())
     assert verdict.status == "violated"
     assert verdict.detail["trees_tried"] == 61370
-    assert built == []
+    assert calls == []
 
 
 # 8 vertices, 17 edges, every edge of girth 3: from a seeded family, one of
@@ -338,11 +325,11 @@ def test_rank_test_rules_out_a_graph_with_enough_triangles(monkeypatch):
     assert len(oracles.all_cycles(g.n, WALKED_EDGES, 3)) == 11
     assert oracles.cycle_space_rank(g.n, WALKED_EDGES, 3) == 9
     assert not _rank_test(g, {3: 10})
-    built = count_layer_builds(monkeypatch)
+    calls = count_place_calls(monkeypatch)
     verdict = check_dp_good(g)
     assert verdict.status == "violated"
     assert verdict.detail["trees_tried"] == 4305
-    assert built == []
+    assert calls == []
 
 
 # 9 vertices, 22 edges, every edge of girth 3, in a shuffled order whose
@@ -352,21 +339,25 @@ SEARCHED_EDGES = [(6, 4), (3, 1), (6, 1), (5, 1), (7, 5), (4, 2), (5, 2), (7, 2)
                   (5, 4), (7, 4), (7, 3), (7, 6)]
 
 
-def test_walk_builds_layers_at_most_once_per_edge(monkeypatch):
+def test_walk_places_once_per_basis_tried(monkeypatch):
     g = Graph(9, SEARCHED_EDGES)
     girths = _girth_values(g)
     assert set(girths) == {3} and _rank_test(g, _labels_needed(g, girths))
-    built = count_layer_builds(monkeypatch)
+    calls = count_place_calls(monkeypatch)
     verdict = check_dp_good(g)
     assert verdict.satisfied and verdict.detail["trees_tried"] == 13
-    assert built and len(built) == len(set(built))
+    assert len(calls) == 13
+    assert [found is None for _, found in calls] == [True] * 12 + [False]
 
 
-def test_layers_are_built_only_where_a_closure_stops(monkeypatch):
-    # the first basis leaves out the last edge, and its layers close the cycle
-    built = count_layer_builds(monkeypatch)
+def test_one_place_call_labels_a_long_cycle(monkeypatch):
+    # the first basis leaves out the last edge, whose BFS over the path of
+    # the other 300 edges closes the whole cycle
+    calls = count_place_calls(monkeypatch)
     assert check_dp_good(cycle_graph(301)).satisfied
-    assert built == [300]
+    assert [pending for pending, _ in calls] == [[300]]
+    [(e, witness)] = calls[0][1]
+    assert e == 300 and len(witness) == 301
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +477,22 @@ def oracle_first_bases(g, tree):
 def assert_first_good_bases(g):
     """The certified tree's part at each girth is that girth's first good
     basis, the library's `_first_basis` and the oracle's, and its labels of
-    that girth are the ones `_first_basis` placed.  Returns the girths that
-    needed labels."""
+    that girth, with their witness cycles, are the ones `_first_basis`
+    placed.  Returns the girths that needed labels."""
     verdict = check_dp_good(g)
     assert verdict.satisfied
     tree = verdict.certificate.tree
     girths = _girth_values(g)
     needed = _labels_needed(g, girths)
-    layers = level_layers(g, girths)
     want = oracle_first_bases(g, tree)
     assert set(want) == set(needed)
+    cert = verdict.certificate
     for level, need in needed.items():
         part = tree & sum(1 << i for i, x in enumerate(girths) if x == level)
-        basis, order = _first_basis(g, girths, level, need, layers, 10**6)
+        basis, placed = _first_basis(g, girths, level, need, 10**6)
         assert basis == part == want[level]
-        assert order == [e for e in verdict.certificate.labeling if girths[e] == level]
+        assert placed == [(e, c) for e, c in zip(cert.labeling, cert.witness_cycles)
+                          if girths[e] == level]
     return len(needed)
 
 
@@ -679,7 +671,6 @@ def test_shortest_path_walk_follows_reached_vertices():
     u, v, a, b, c, d, m = range(7)
     g = Graph(7, [(u, v), (u, a), (a, m), (m, b), (b, v),
                   (u, c), (c, m), (m, d), (d, v)])
-    layers = _shortest_path_layers(g, 0, 5)
 
     def available(*pairs):
         return sum(1 << g.edge_index(x, y) for x, y in pairs)
@@ -690,9 +681,13 @@ def test_shortest_path_walk_follows_reached_vertices():
     # reaches m
     broken = available((u, a), (c, m), (m, b), (b, v))
     for mask, placeable in ((switch, True), (broken, False)):
-        assert _closes_cycle(layers, mask) is placeable
+        placed = _place(g, 5, [0], mask)
+        assert (placed is not None) is placeable
         adj = oracles.sorted_adjacency(g.n, list(g.edges), mask_indices(mask))
-        assert (oracles.bfs_path(adj, u, v, 4) is not None) is placeable
+        path = oracles.bfs_path(adj, u, v, 4)
+        assert (path is not None) is placeable
+        if placeable:
+            assert placed == [(0, Cycle.from_vertices(g, path))]
 
 
 # ---------------------------------------------------------------------------
@@ -1056,6 +1051,43 @@ def test_classify_reports_all_four_checks():
         "even-girth-edge", "dp-good", "connected-back-neighborhood-order",
         "quad-girth-crossing-set",
     ]
+
+
+RANK_STOP = "no edge set has set girth four: every 4-cycle is a sum of triangles"
+
+
+def test_quad_rank_stop_ends_a_triangulation_search_at_once():
+    # every 4-cycle of a stacked triangulation is a sum of triangles, so the
+    # search stops after the single edges instead of trying every star
+    g = stacked_triangulation(30, random.Random(2022))
+    start = perf_counter()
+    verdicts = classify(g)
+    assert perf_counter() - start < 1.0
+    quad = verdicts[-1].to_json()
+    assert quad["status"] == "inconclusive"
+    assert quad["detail"] == {"reason": RANK_STOP, "tried": g.m}
+
+
+def test_quad_rank_stop_fires_only_without_set_girth_four():
+    # brute force over every non-empty edge set of the graph
+    fired = 0
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            verdict = search_quad_crossing(Graph(n, edges))
+            if verdict.detail.get("reason") != RANK_STOP:
+                continue
+            fired += 1
+            assert verdict.detail["tried"] == len(edges)
+            for k in range(1, len(edges) + 1):
+                for subset in combinations(range(len(edges)), k):
+                    assert oracles.edge_set_girth(n, list(edges), set(subset))[0] != 4
+    assert fired > 0
+    # the rank rises at 4 here, so the search goes on past the single
+    # edges, none of which has set girth four, to a star that has
+    g = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                  (2, 5), (3, 4)])
+    verdict = search_quad_crossing(g)
+    assert verdict.satisfied and verdict.certificate["v2"] == [2, 5]
 
 
 def test_classify_computes_edge_girths_once():

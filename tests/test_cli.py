@@ -260,6 +260,8 @@ NAMED_ERRORS = [
     (["thm5", "--fixture", "cycle:4", "--estar", "2>0"], "no edge (0, 2)"),
     (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", ""],
      "the oriented edge set must be non-empty"),
+    (["vorder", "--fixture", "cycle:4", "--order", "0,1,x"], "malformed vertex 'x'"),
+    (["cor5", "--fixture", "fig3b", "--v2", "1", "--v1", "0,x"], "malformed vertex 'x'"),
 ]
 
 
@@ -442,9 +444,9 @@ PINNED = [
                                "(exhaustive over all orders)"}},
          {"condition": "quad-girth-crossing-set", "status": "inconclusive",
           "implied": "unknown", "note": NOTE, "certificate": None, "witness": None,
-          "detail": {"reason": "no candidate in the searched space has set-girth "
-                               "four; the search is not exhaustive",
-                     "tried": 101}}],
+          "detail": {"reason": "no edge set has set girth four: every 4-cycle "
+                               "is a sum of triangles",
+                     "tried": 21}}],
       "implied": ["DP*"]}),
     # recorded before the BFS walks were merged: the argmin cover is stated
     # relative to the BFS tree from vertex 0

@@ -9,7 +9,6 @@ from dpchroma import (
     Graph,
     GraphParseError,
     complete_graph,
-    complete_multipartite,
     component_count,
     cycle_graph,
     cycle_space_ranks,
