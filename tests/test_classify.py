@@ -677,8 +677,8 @@ def test_shortest_path_walk_follows_reached_vertices():
 
     # switching from the path through a and b to the one through c and d at m
     switch = available((u, a), (a, m), (m, d), (d, v))
-    # every layer has an available arc, but a-m is missing, so nothing from u
-    # reaches m
+    # each step of the path has an available edge, but a-m is missing, so
+    # nothing from u reaches m
     broken = available((u, a), (c, m), (m, b), (b, v))
     for mask, placeable in ((switch, True), (broken, False)):
         placed = _place(g, 5, [0], mask)
