@@ -23,7 +23,7 @@ test on each shorter cycle, with the same set-girth gate and certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
@@ -414,9 +414,11 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
                        budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Orders where each vertex's earlier neighbors are non-empty and connected.
 
-    With an order given it is verified; without one, a subset dynamic program
-    searches for any valid order, and 2^n subsets over `budget` raise
-    BudgetExceededError.
+    With an order given it is verified. Without one, a top-down search over
+    vertex subsets finds the order whose last vertex, and each last vertex
+    before it, is the least that can end a valid order; it decides only the
+    subsets the full set reaches, but 2^n over `budget` still raises
+    BudgetExceededError before it starts.
     A satisfied verdict implies DP-good and hence the strict cover class.
     """
     _require_connected(g)
@@ -444,50 +446,39 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     if (1 << g.n) > budget:
         raise BudgetExceededError("vertex subsets", 1 << g.n, budget)
 
+    # last[mask]: the least v that can end a valid order of mask, or -1.  Such
+    # a v has a non-empty, connected back-neighbourhood in mask - v, and
+    # mask - v has a valid order.  A set is decided only when a larger set
+    # asks for it, on an explicit stack rather than by recursion
+    connected = cache(lambda back: back != 0 and _mask_connected(nbr, back))
     full = (1 << g.n) - 1
-    ok = bytearray(full + 1)
-    for v in range(g.n):
-        ok[1 << v] = 1
-    conn_memo: dict[int, bool] = {}
-
-    def last_vertex(mask: int) -> int:
-        """The lowest v whose removal leaves an `ok` subset with a non-empty,
-        connected back-neighbourhood of v, or -1."""
-        rest = mask
+    last = {1 << v: v for v in range(g.n)}
+    stack = [] if full in last else [(full, full)]
+    while stack:
+        mask, rest = stack.pop()
         while rest:
             low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
             prev = mask ^ low
-            if not ok[prev]:
-                continue
-            back = nbr[v] & prev
-            if back == 0:
-                continue
-            hit = conn_memo.get(back)
-            if hit is None:
-                hit = _mask_connected(nbr, back)
-                conn_memo[back] = hit
-            if hit:
-                return v
-        return -1
-
-    for mask in range(1, full + 1):
-        if mask.bit_count() > 1 and last_vertex(mask) >= 0:
-            ok[mask] = 1
-    if not ok[full]:
+            if last.get(prev, 0) >= 0 and connected(nbr[low.bit_length() - 1] & prev):
+                break
+            rest ^= low
+        if not rest:
+            last[mask] = -1
+        elif prev in last:
+            last[mask] = low.bit_length() - 1
+        else:  # decide prev first, then try the same v again
+            stack += ((mask, rest), (prev, prev))
+    if last[full] < 0:
         return ClassifierVerdict(
             condition, VIOLATED, UNKNOWN,
             detail={"reason": "no vertex order satisfies the condition "
                               "(exhaustive over all orders)"},
         )
-    # walk back from the full set, taking the vertex the forward loop took
     seq = []
     mask = full
     while mask:
-        v = last_vertex(mask) if mask.bit_count() > 1 else (mask.bit_length() - 1)
-        seq.append(v)
-        mask ^= 1 << v
+        seq.append(last[mask])
+        mask ^= 1 << seq[-1]
     seq.reverse()
     return ClassifierVerdict(condition, SATISFIED, DP_STAR,
                              certificate=tuple(seq))

@@ -227,7 +227,7 @@ def _cmd_dpgood(args):
 
 def _cmd_vorder(args):
     g = _load_graph(args)
-    order = _vertices(args.order) if args.order else None
+    order = _vertices(args.order) if args.order is not None else None
     verdict = check_vertex_order(g, order=order, budget=args.budget_trees)
     lines = _verdict_lines(verdict)
     if verdict.satisfied:

@@ -403,6 +403,29 @@ def dp_good_labeling(n, edges, girths, tree):
             "cycles": [canonical_cycle(path) for path in paths]}
 
 
+def vertex_order(n, edges):
+    """An order in which every vertex after the first has a non-empty,
+    connected set of earlier neighbours, or None.  The last vertex is the
+    least that can end such an order, and so on down; plain recursion."""
+    adjacent = set(edges) | {(v, u) for u, v in edges}
+
+    def order(rest):
+        if len(rest) == 1:
+            return sorted(rest)
+        for v in sorted(rest):
+            back = sorted(u for u in rest if (u, v) in adjacent)
+            index = {u: i for i, u in enumerate(back)}
+            inside = [(index[a], index[b]) for a, b in edges if a in index and b in index]
+            if not back or not is_connected(len(back), inside):
+                continue
+            head = order(rest - {v})
+            if head is not None:
+                return head + [v]
+        return None
+
+    return order(frozenset(range(n)))
+
+
 def cycle_graph(n):
     return n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 

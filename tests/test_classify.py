@@ -804,6 +804,49 @@ def test_complete_tripartite_is_orderable():
     assert verdict.satisfied and verdict.implied == DP_STAR
 
 
+def assert_vertex_order_matches_oracle(n, edges):
+    # the same status, and the same order: each last vertex the least that
+    # can end a valid order of what is left
+    expected = oracles.vertex_order(n, edges)
+    verdict = check_vertex_order(Graph(n, edges))
+    assert verdict.status == ("violated" if expected is None else "satisfied"), edges
+    assert verdict.certificate == (None if expected is None else tuple(expected)), edges
+    return expected is not None
+
+
+def test_vertex_order_search_matches_oracle_on_small_graphs():
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            assert_vertex_order_matches_oracle(n, edges)
+
+
+def test_vertex_order_search_matches_oracle_on_seeded_graphs(rng):
+    found = 0
+    for _ in range(150):
+        g = random_connected_graph(rng, lo=8, hi=10)
+        found += assert_vertex_order_matches_oracle(g.n, list(g.edges))
+    assert 0 < found < 150
+
+
+def test_vertex_order_and_census_on_the_graph_atlas():
+    # every connected graph on at most 7 vertices: the search agrees with the
+    # oracle, and classify gives each graph exactly one class but one, C7^2
+    nx = pytest.importorskip("networkx")
+    found = 0
+    census = Counter()
+    for atlas in nx.graph_atlas_g():
+        if atlas.number_of_nodes() == 0 or not nx.is_connected(atlas):
+            continue
+        n, edges = atlas.number_of_nodes(), sorted(tuple(sorted(e)) for e in atlas.edges())
+        found += assert_vertex_order_matches_oracle(n, edges)
+        implied = tuple(sorted({v.implied for v in classify(Graph(n, edges)) if v.satisfied}))
+        census[implied] += 1
+        if not implied:
+            assert nx.is_isomorphic(atlas, nx.circulant_graph(7, [1, 2]))
+    assert found == 505
+    assert census == {(DP_STAR,): 540, (DP_LESS,): 455, (): 1}
+
+
 def test_vertex_order_rejects_non_permutation():
     with pytest.raises(ValueError):
         check_vertex_order(cycle_graph(4), [0, 1, 2, 2])

@@ -261,6 +261,11 @@ NAMED_ERRORS = [
     (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7", "--estar", ""],
      "the oriented edge set must be non-empty"),
     (["vorder", "--fixture", "cycle:4", "--order", "0,1,x"], "malformed vertex 'x'"),
+    # an empty order is checked, not taken as no order at all
+    (["vorder", "--fixture", "cycle:4", "--order", ""],
+     "order must be a permutation of the vertices"),
+    (["vorder", "--fixture", "cycle:4", "--order="],
+     "order must be a permutation of the vertices"),
     (["cor5", "--fixture", "fig3b", "--v2", "1", "--v1", "0,x"], "malformed vertex 'x'"),
 ]
 
@@ -299,6 +304,17 @@ def test_long_path_and_cycle_verdicts(capsys, argv, expected):
         for part in key.split("."):
             got = got[part]
         assert got == value, key
+
+
+def test_vertex_subset_budget_past_the_index_size(capsys):
+    # a budget above 2^70 once sized a 2^70-byte table of vertex subsets and
+    # died with an OverflowError; the search decides only the subsets it meets
+    argv = ["--fixture", "path:70", "--budget-trees", str(10**30)]
+    data = run_json(capsys, "vorder", *argv)
+    assert (data["status"], data["certificate"]) == ("satisfied", list(range(69, -1, -1)))
+    verdicts = run_json(capsys, "classify", *argv)["verdicts"]
+    assert [v["status"] for v in verdicts if v["condition"] == data["condition"]] == \
+        ["satisfied"]
 
 
 @pytest.mark.parametrize("fixture_name, m, value, chromatic, minimizers", [
