@@ -433,7 +433,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
         for i, v in enumerate(seq):
             if i > 0:
                 back = nbr[v] & placed
-                if back == 0 or not _mask_connected(nbr, back):
+                if not _mask_connected(nbr, back):
                     return ClassifierVerdict(
                         condition, VIOLATED, UNKNOWN,
                         witness={"index": i, "vertex": v,
@@ -450,7 +450,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     # a v has a non-empty, connected back-neighbourhood in mask - v, and
     # mask - v has a valid order.  A set is decided only when a larger set
     # asks for it, on an explicit stack rather than by recursion
-    connected = cache(lambda back: back != 0 and _mask_connected(nbr, back))
+    connected = cache(lambda back: _mask_connected(nbr, back))
     full = (1 << g.n) - 1
     last = {1 << v: v for v in range(g.n)}
     stack = [] if full in last else [(full, full)]

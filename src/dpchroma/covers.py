@@ -32,8 +32,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import (DEFAULT_SUBSET_CAP, Graph, _bfs_forest, _require_connected, _search_plan,
-                     bfs_tree, mask_indices)
+from .graphs import (DEFAULT_SUBSET_CAP, Graph, _bfs, _require_connected, _search_plan, bfs_tree,
+                     mask_indices)
 
 DEFAULT_NODE_BUDGET = 10**7
 # largest fold count accepted: one edge alone takes m^2 search nodes, so no
@@ -191,8 +191,9 @@ def build_cover(g: Graph, m: int, assignment: Optional[Mapping[int, Sequence[int
     # path from vertex 0 so tree edges become identity when the matching
     # map is conjugated by the endpoint gauges
     gauge = [tuple(range(m))] * g.n
-    for v, p, i in _bfs_forest(g, g.full_mask(), [0])[1:]:
-        gauge[v] = _compose(_along(g, perms, i, p), gauge[p])
+    for v, p in _bfs(g._incidence, g.full_mask(), [0]).items():
+        if v != p:
+            gauge[v] = _compose(_along(g, perms, g.edge_index(p, v), p), gauge[p])
 
     normalized = []
     for i, (u, v) in enumerate(g.edges):
@@ -318,8 +319,9 @@ def matched_selection_count(g: Graph, cov: Cover, edge_mask: int) -> int:
     rho = [tuple(range(m))] * g.n
     root = list(range(g.n))
     forest = 0
-    for v, p, i in _bfs_forest(g, edge_mask, range(g.n)):
-        if p >= 0:
+    for v, p in _bfs(g._incidence, edge_mask, range(g.n)).items():
+        if v != p:
+            i = g.edge_index(p, v)
             rho[v] = _compose(_along(g, perms, i, p), rho[p])
             root[v] = root[p]
             forest |= 1 << i

@@ -22,8 +22,9 @@ builds neighbour lists of an edge subset:
   as one integer (Bareiss) determinant; `spanning_tree_rank` sums them;
 * `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
   one-edge blocks are its bridges;
-* `_bfs_path` and `_bfs_forest`: the BFS shortest path and the BFS forest
-  over incidence lists under a mask, each cut at a depth on request; the
+* `_bfs`: the one BFS walk over incidence lists under a mask, from a list
+  of roots, cut at a depth and stopped at a target on request, as a parent
+  dict in visiting order; `_bfs_path` reads shortest paths off it, and the
   ascending neighbour order fixes every witness cycle the package reports;
 * `cycle_space_ranks`: the GF(2) rank of the cycles up to each asked
   length, from Horton's candidate cycles;
@@ -174,16 +175,17 @@ def _canonical_rotation(vs: tuple[int, ...]) -> tuple[int, ...]:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: first data line n, then one "u v" per line.
 
-    Lines starting with '#' are comments.  Pairs are normalized to u < v and
-    de-duplicated keeping first-occurrence order.  A vertex count above
-    MAX_VERTICES is rejected before anything of that size is built.
+    '#' starts a comment that runs to the end of its line.  Pairs are
+    normalized to u < v and de-duplicated keeping first-occurrence order.  A
+    vertex count above MAX_VERTICES is rejected before anything of that size
+    is built.
     """
     n = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if n is None:
             try:
@@ -439,64 +441,55 @@ def _blocks(g: Graph, mask: int) -> list[list[int]]:
     return blocks
 
 
-def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int, v: int,
-              limit: Optional[int] = None) -> Optional[list[int]]:
-    """A shortest u-v path (u != v) over the edges of `mask`, as its vertex
-    list from u to v.
+def _bfs(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, roots: Iterable[int],
+         limit: Optional[int] = None, target: Optional[int] = None) -> dict[int, int]:
+    """The BFS forest over the edges of `mask`, as a dict from each vertex
+    reached to its parent, in visiting order, each root mapped to itself.
 
     `incidence` holds (neighbour, edge index) pairs per vertex, tried in
-    list order, so ascending lists give the same path every time.  Returns
-    None if v is not within `limit` edges of u.
+    list order, so ascending lists give the same forest every time.  A tree
+    starts at each root not yet reached; a vertex `limit` edges from its
+    root is not expanded, and the walk returns as soon as it reaches
+    `target`.
     """
-    parent = {u: u}
-    frontier = [u]
-    depth = 0
-    while frontier and (limit is None or depth < limit):
-        depth += 1
-        nxt = []
-        for x in frontier:
-            for w, i in incidence[x]:
-                if w in parent or not mask >> i & 1:
-                    continue
-                parent[w] = x
-                if w == v:
-                    path = [v]
-                    while x != u:
-                        path.append(x)
-                        x = parent[x]
-                    path.append(u)
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def _bfs_forest(g: Graph, mask: int, roots: Iterable[int],
-                cut: Optional[int] = None) -> list[tuple[int, int, int]]:
-    """BFS forest of the spanning subgraph with edge set `mask`, listed as
-    (vertex, parent, edge index) in visiting order.  A tree, whose root has
-    parent and edge index -1, starts at each root not yet reached; neighbours
-    are tried ascending.  A vertex at depth `cut`, if given, is not expanded."""
-    incidence = g._incidence
-    depth = [-1] * g.n
-    walk: list[tuple[int, int, int]] = []
-    head = 0  # walk[head:] is the BFS queue
+    parent: dict[int, int] = {}
     for root in roots:
-        if depth[root] >= 0:
+        if root in parent:
             continue
-        depth[root] = 0
-        walk.append((root, -1, -1))
-        while head < len(walk):
-            v = walk[head][0]
-            head += 1
-            if depth[v] == cut:
-                continue
-            for w, i in incidence[v]:
-                if depth[w] < 0 and mask >> i & 1:
-                    depth[w] = depth[v] + 1
-                    walk.append((w, v, i))
-    return walk
+        parent[root] = root
+        if root == target:
+            return parent
+        frontier = [root]
+        depth = 0
+        while frontier and (limit is None or depth < limit):
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for w, i in incidence[x]:
+                    if w in parent or not mask >> i & 1:
+                        continue
+                    parent[w] = x
+                    if w == target:
+                        return parent
+                    nxt.append(w)
+            frontier = nxt
+    return parent
+
+
+def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int, v: int,
+              limit: Optional[int] = None) -> Optional[list[int]]:
+    """A shortest u-v path over the edges of `mask`, as its vertex list from
+    u to v, read off `_bfs` from u; None if v is not within `limit` edges
+    of u."""
+    parent = _bfs(incidence, mask, [u], limit, v)
+    if v not in parent:
+        return None
+    path = [v]
+    while v != u:
+        v = parent[v]
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def _search_plan(g: Graph, keep: Iterable[int] = ()):
@@ -606,9 +599,10 @@ def _horton_candidates(g: Graph, cut: int) -> Iterator[tuple[int, int]]:
         depth = [-1] * g.n
         path = [0] * g.n  # edge mask of the BFS path from the root
         depth[root] = 0
-        for w, parent, i in _bfs_forest(g, full, [root], cut)[1:]:
-            depth[w] = depth[parent] + 1
-            path[w] = path[parent] | 1 << i
+        for w, p in _bfs(g._incidence, full, [root], cut).items():
+            if w != root:
+                depth[w] = depth[p] + 1
+                path[w] = path[p] | 1 << g.edge_index(p, w)
         for i, (x, y) in enumerate(g.edges):
             if depth[x] >= 0 and depth[y] >= 0:
                 yield depth[x] + depth[y] + 1, path[x] ^ path[y] ^ 1 << i
@@ -702,7 +696,5 @@ def _require_connected(g: Graph) -> None:
 def bfs_tree(g: Graph, root: int = 0) -> int:
     """Edge mask of the BFS spanning tree from `root` (vertex-order ties)."""
     _require_connected(g)
-    mask = 0
-    for _, _, i in _bfs_forest(g, g.full_mask(), [root])[1:]:
-        mask |= 1 << i
-    return mask
+    tree = _bfs(g._incidence, g.full_mask(), [root])
+    return g.edge_mask((p, v) for v, p in tree.items() if v != p)

@@ -7,6 +7,7 @@ implementations the fast code is checked against.
 """
 
 from bisect import insort
+from collections import deque
 from itertools import combinations, permutations, product
 
 from dpchroma.errors import BudgetExceededError
@@ -343,6 +344,32 @@ def bfs_path(adj, u, v, limit=None):
                 nxt.append(w)
         frontier = nxt
     return None
+
+
+def bfs_forest(n, edges, subset, roots, limit=None):
+    """The BFS forest of the edges with indices in subset, as (vertex,
+    parent) pairs in visiting order, each root its own parent: one FIFO
+    queue per root not yet reached, neighbours ascending, and a vertex limit
+    edges from its root not expanded."""
+    adj = sorted_adjacency(n, edges, subset)
+    depth = {}
+    out = []
+    for r in roots:
+        if r in depth:
+            continue
+        depth[r] = 0
+        out.append((r, r))
+        queue = deque([r])
+        while queue:
+            x = queue.popleft()
+            if depth[x] == limit:
+                continue
+            for w in adj[x]:
+                if w not in depth:
+                    depth[w] = depth[x] + 1
+                    out.append((w, x))
+                    queue.append(w)
+    return out
 
 
 def canonical_cycle(path):

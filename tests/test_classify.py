@@ -29,6 +29,7 @@ from dpchroma import (
     complete_multipartite,
     count_transversals,
     cycle_graph,
+    cycle_space_ranks,
     dp_exact,
     fig1_graph,
     fig3b_graph,
@@ -1131,6 +1132,46 @@ def test_quad_rank_stop_fires_only_without_set_girth_four():
                   (2, 5), (3, 4)])
     verdict = search_quad_crossing(g)
     assert verdict.satisfied and verdict.certificate["v2"] == [2, 5]
+
+
+# two graphs outside every condition classify checks
+G10 = Graph(10, [(0, 1), (0, 2), (0, 9), (1, 2), (1, 7), (1, 9), (2, 4), (2, 7), (3, 4),
+                 (3, 8), (3, 9), (4, 7), (4, 8), (5, 9), (6, 7), (8, 9)])
+C7_SQUARED = Graph(7, [(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
+
+
+def classify_timed(g):
+    start = perf_counter()
+    verdicts = classify(g)
+    assert perf_counter() - start < 0.5  # about 5 ms each
+    assert [v.status for v in verdicts[:3]] == ["violated"] * 3
+    assert verdicts[3].status == "inconclusive"
+    assert sorted({v.implied for v in verdicts if v.satisfied}) == []
+    return verdicts
+
+
+def test_g10_lies_outside_every_condition():
+    # no edge has even girth, and no tree is DP-good: it needs 7 labels of
+    # girth 3, but its triangles have rank 6 and its 5-cycles raise it to 7
+    verdicts = classify_timed(G10)
+    assert [v.condition for v in verdicts[:3]] == [
+        "even-girth-edge", "dp-good", "connected-back-neighborhood-order"]
+    needed = _labels_needed(G10, _girth_values(G10))
+    assert needed == {3: 7} and not _rank_test(G10, needed)
+    assert cycle_space_ranks(G10, {3: 17, 4: 17, 5: 17}) == {3: 6, 4: 6, 5: 7}
+    # so no edge set has set girth four either
+    assert verdicts[3].detail == {"reason": RANK_STOP, "tried": 16}
+
+
+def test_c7_squared_lies_outside_every_condition_but_a_class_pair():
+    verdicts = classify_timed(C7_SQUARED)
+    assert verdicts[3].detail == {
+        "reason": "no candidate in the searched space has set-girth four; the search "
+                  "is not exhaustive",
+        "tried": 91}
+    # the class pair V1 = {3, 4}, V2 = {5, 6} has set girth four
+    verdict = check_crossing_edge_set(C7_SQUARED, [3, 4], [5, 6])
+    assert verdict.satisfied and verdict.certificate["set_girth"] == 4
 
 
 def test_classify_computes_edge_girths_once():

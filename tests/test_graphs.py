@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import connected_edge_sets, random_edges
+from conftest import connected_edge_sets, random_connected_graph, random_edges
 
 from dpchroma import (
     BudgetExceededError,
@@ -16,12 +16,14 @@ from dpchroma import (
     fig1_graph,
     fig3b_graph,
     fixture,
+    mask_indices,
     non_bridge_edges,
     parse_graph,
     path_graph,
     spanning_tree_count,
 )
-from dpchroma.graphs import MAX_VERTICES, _bases, _blocks, _search_plan, spanning_tree_rank
+from dpchroma.graphs import (MAX_VERTICES, _bases, _bfs, _bfs_path, _blocks, _search_plan,
+                             spanning_tree_rank)
 
 
 def mask_of(indices):
@@ -62,6 +64,13 @@ def test_parse_rejects_bad_lines():
         parse_graph("3\n0 7")
     with pytest.raises(GraphParseError):
         parse_graph("")
+
+
+def test_parse_trailing_comments():
+    g = parse_graph("3  # vertices\n0 1 # spoke\n1 2#\n # indented\n0 2")
+    assert g.n == 3 and g.edges == ((0, 1), (1, 2), (0, 2))
+    with pytest.raises(GraphParseError, match="malformed edge at line 2"):
+        parse_graph("3\n0 1 2 # x")
 
 
 def test_parse_caps_the_vertex_count():
@@ -188,6 +197,48 @@ def test_blocks_against_oracle(rng):
             for a in range(len(spans)):
                 for c in range(a + 1, len(spans)):
                     assert len(spans[a] & spans[c]) <= 1
+
+
+# ---------------------------------------------------------------------------
+# breadth-first search
+
+def bfs_graphs(rng):
+    """Every connected graph with n <= 5, then seeded 6-10-vertex graphs."""
+    for n in range(1, 6):
+        for edges in connected_edge_sets(n):
+            yield Graph(n, edges)
+    for _ in range(60):
+        yield random_connected_graph(rng, lo=6, hi=10)
+
+
+def test_bfs_matches_the_queue_oracle(rng):
+    for g in bfs_graphs(rng):
+        edges = list(g.edges)
+        for mask in (g.full_mask(), rng.randrange(1 << g.m)):
+            subset = list(mask_indices(mask))
+            for roots in ([rng.randrange(g.n)], rng.sample(range(g.n), min(3, g.n)), range(g.n)):
+                for limit in (None, 0, 1, 2):
+                    expected = oracles.bfs_forest(g.n, edges, subset, roots, limit)
+                    assert list(_bfs(g._incidence, mask, roots, limit).items()) == expected
+                    # the walk stops right after reaching its target
+                    target = rng.randrange(g.n)
+                    reached = [v for v, _ in expected]
+                    if target in reached:
+                        expected = expected[:reached.index(target) + 1]
+                    got = _bfs(g._incidence, mask, roots, limit, target)
+                    assert list(got.items()) == expected
+
+
+def test_bfs_path_matches_the_oracle(rng):
+    for g in bfs_graphs(rng):
+        mask = rng.randrange(1 << g.m)
+        adj = oracles.sorted_adjacency(g.n, list(g.edges), list(mask_indices(mask)))
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    for limit in (None, 1, 2):
+                        assert _bfs_path(g._incidence, mask, u, v, limit) == \
+                            oracles.bfs_path(adj, u, v, limit)
 
 
 # ---------------------------------------------------------------------------
