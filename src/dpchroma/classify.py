@@ -619,7 +619,10 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
     """Bounded search for a crossing edge set of set-girth exactly four.
 
     Candidates are single edges and stars around a vertex; exhausting them
-    proves nothing, so the fallback is inconclusive.  Between the two, the
+    proves nothing, so the fallback is inconclusive.  A single edge's set
+    girth is its edge girth, so singles are read from `_girth_values` and
+    only the first edge of girth 4 runs `edge_set_girth`, for its witness;
+    each single still counts as a candidate.  Between the two, the
     cycle space stops the search: when the cycles of length at most 4 have
     the rank of the triangles, every 4-cycle is a GF(2) sum of triangles,
     so an edge set that meets every triangle evenly meets every 4-cycle
@@ -629,12 +632,14 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
     condition = "quad-girth-crossing-set"
     tried = 0
 
-    def first_fit(candidates):
+    def first_fit(candidates, may_fit=lambda mask: True):
         nonlocal tried
         for v1, v2, mask in candidates:
             tried += 1
             if tried > budget:
                 raise BudgetExceededError("quad candidates", tried, budget)
+            if not may_fit(mask):
+                continue
             r = edge_set_girth(g, mask)
             if r.is_finite and int(r.value) == 4:
                 return ClassifierVerdict(
@@ -655,7 +660,9 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
         return ClassifierVerdict(condition, INCONCLUSIVE, UNKNOWN,
                                  detail={"reason": reason, "tried": tried})
 
-    found = first_fit(((u,), (v,), 1 << i) for i, (u, v) in enumerate(g.edges))
+    girths = _girth_values(g)
+    found = first_fit((((u,), (v,), 1 << i) for i, (u, v) in enumerate(g.edges)),
+                      lambda mask: girths[mask.bit_length() - 1] == 4)
     if found is not None:
         return found
     # a target above any rank, so both ranks are exact

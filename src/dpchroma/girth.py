@@ -4,6 +4,12 @@ The girth of an edge set E0 is the length of a shortest cycle meeting E0
 in an odd number of edges.  It is found on the parity double cover: two
 layers of the graph, with E0 edges crossing between layers, so a shortest
 (v, 0) -> (v, 1) path projects to a shortest odd closed walk.
+
+Such a cycle holds an E0 edge, so it passes through every vertex cover of
+E0 at least once: BFS runs start only from a small cover to find the
+length L, and the witness is then the one a run from every vertex would
+report first, found by runs cut at L edges from the vertices below the
+first cover vertex that reaches L.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import DEFAULT_BUDGET
-from .graphs import Cycle, Graph, _bfs_path, enumerate_cycles
+from .graphs import Cycle, Graph, _bfs_path, enumerate_cycles, mask_indices
 
 INFINITE = math.inf
 
@@ -116,17 +122,63 @@ def _parity_cover(g: Graph, e0: int) -> list[list[tuple[int, int]]]:
     return cover
 
 
+def _vertex_cover(g: Graph, e0: int) -> list[int]:
+    """A vertex cover of the edges of e0, ascending: greedily, the vertices
+    by most e0 edges, ties to the lowest, each taken while one of its e0
+    edges is uncovered, so a star is covered by its centre alone."""
+    ends: list[list[int]] = [[] for _ in range(g.n)]
+    for i in mask_indices(e0):
+        u, v = g.edges[i]
+        ends[u].append(v)
+        ends[v].append(u)
+    cover: set[int] = set()
+    for v in sorted(range(g.n), key=lambda x: -len(ends[x])):  # stable: ties to the lowest
+        if any(w not in cover for w in ends[v]):
+            cover.add(v)
+    return sorted(cover)
+
+
 def edge_set_girth(g: Graph, e0: int) -> GirthResult:
-    """Shortest cycle with odd |E(C) & E0|, via the parity double cover."""
-    cover = _parity_cover(g, e0)
+    """Shortest cycle with odd |E(C) & E0|, via the parity double cover.
+
+    The witness is the first shortest one that a (v, 0) -> (v, 1) BFS from
+    each v = 0, 1, ... in turn finds, each run cut below the best length so
+    far.  Only the runs that can matter are made:
+
+    * a cycle meeting E0 oddly holds an E0 edge, so it passes through a
+      vertex of any vertex cover C of E0; the runs from C alone, ascending
+      and cut below the best so far, give the length L, and h, the first
+      vertex of C whose run reaches L;
+    * the witness comes from the first v that reaches L, which is h or a
+      vertex below it outside C (a vertex of C below h cannot reach L); a
+      run cut at L edges has the same parents as an uncut one up to the
+      moment it reaches (v, 1), so it returns the same path.
+
+    Raises ValueError when e0 is negative or has a bit at or above g.m.
+    """
+    if e0 < 0 or e0 >> g.m:
+        raise ValueError(f"edge mask is not a subset of the graph's {g.m} edges")
+    cover, full = _parity_cover(g, e0), g.full_mask()
+
+    def closed_walk(s: int, limit: Optional[int]) -> Optional[list[int]]:
+        path = _bfs_path(cover, full, 2 * s, 2 * s + 1, limit)
+        return None if path is None else [node >> 1 for node in path[:-1]]  # s once
+
+    sources = _vertex_cover(g, e0)
     best: Optional[list[int]] = None
-    for s in range(g.n):
-        limit = None if best is None else len(best) - 1
-        path = _bfs_path(cover, g.full_mask(), 2 * s, 2 * s + 1, limit)
-        if path is not None:
-            best = [node >> 1 for node in path[:-1]]  # closed walk, s once
+    for c in sources:
+        walk = closed_walk(c, None if best is None else len(best) - 1)
+        if walk is not None:
+            best, h = walk, c
     if best is None:
         return GirthResult(INFINITE, None)
+    skip = set(sources)
+    for s in range(h):
+        if s not in skip:
+            walk = closed_walk(s, len(best))
+            if walk is not None:
+                best = walk
+                break
     # a shortest odd closed walk is a simple cycle: a repeated vertex would
     # split it into two shorter closed walks, one of them odd
     assert len(set(best)) == len(best)

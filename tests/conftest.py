@@ -23,6 +23,33 @@ def random_connected_graph(rng: random.Random, lo=2, hi=6):
             return g
 
 
+def stacked_triangulation(n, rng):
+    """A plane triangulation grown from a triangle by putting each new
+    vertex inside a face and joining it to the face's three corners."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]  # inside and outside the first triangle
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return Graph(n, edges)
+
+
+def outer_path_near_triangulation(n, rng):
+    """A plane graph whose inner faces are triangles, grown from a triangle
+    by joining each new vertex to a path of 2 or more consecutive vertices
+    of the outer cycle; the path's inner vertices leave the outer cycle."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    outer = [0, 1, 2]
+    for v in range(3, n):
+        k = rng.randint(2, min(len(outer), 5))
+        i = rng.randrange(len(outer))
+        outer = outer[i:] + outer[:i]
+        edges += [(w, v) for w in outer[:k]]
+        outer = [outer[0], v] + outer[k - 1:]
+    return Graph(n, edges)
+
+
 def _connected(n, edges):
     if n <= 1:
         return True

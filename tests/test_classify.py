@@ -8,7 +8,12 @@ from time import perf_counter
 import pytest
 
 import oracles
-from conftest import connected_edge_sets, random_connected_graph
+from conftest import (
+    connected_edge_sets,
+    outer_path_near_triangulation,
+    random_connected_graph,
+    stacked_triangulation,
+)
 
 from dpchroma import (
     DP_LESS,
@@ -31,6 +36,7 @@ from dpchroma import (
     cycle_graph,
     cycle_space_ranks,
     dp_exact,
+    edge_set_girth,
     fig1_graph,
     fig3b_graph,
     mask_indices,
@@ -142,33 +148,6 @@ def test_emitted_certificates_always_verify(rng):
             seen_satisfied += 1
             assert verify_dp_good_certificate(g, verdict.certificate)
     assert seen_satisfied > 0
-
-
-def stacked_triangulation(n, rng):
-    """A plane triangulation grown from a triangle by putting each new
-    vertex inside a face and joining it to the face's three corners."""
-    edges = [(0, 1), (0, 2), (1, 2)]
-    faces = [(0, 1, 2), (0, 1, 2)]  # inside and outside the first triangle
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges += [(a, v), (b, v), (c, v)]
-        faces += [(a, b, v), (a, c, v), (b, c, v)]
-    return Graph(n, edges)
-
-
-def outer_path_near_triangulation(n, rng):
-    """A plane graph whose inner faces are triangles, grown from a triangle
-    by joining each new vertex to a path of 2 or more consecutive vertices
-    of the outer cycle; the path's inner vertices leave the outer cycle."""
-    edges = [(0, 1), (0, 2), (1, 2)]
-    outer = [0, 1, 2]
-    for v in range(3, n):
-        k = rng.randint(2, min(len(outer), 5))
-        i = rng.randrange(len(outer))
-        outer = outer[i:] + outer[:i]
-        edges += [(w, v) for w in outer[:k]]
-        outer = [outer[0], v] + outer[k - 1:]
-    return Graph(n, edges)
 
 
 def test_plane_near_triangulations_are_dp_good():
@@ -1132,6 +1111,66 @@ def test_quad_rank_stop_fires_only_without_set_girth_four():
                   (2, 5), (3, 4)])
     verdict = search_quad_crossing(g)
     assert verdict.satisfied and verdict.certificate["v2"] == [2, 5]
+
+
+def test_quad_singles_call_edge_set_girth_only_for_a_witness(monkeypatch, rng):
+    # a single edge's set girth is its edge girth, read from the girth table;
+    # only the first edge of girth 4 runs edge_set_girth, for its witness
+    calls = []
+
+    def spy(g, mask):
+        calls.append(mask)
+        return edge_set_girth(g, mask)
+
+    monkeypatch.setattr(classify_module, "edge_set_girth", spy)
+    graphs = [fig1_graph(), fig3b_graph()]
+    graphs += [random_connected_graph(rng, lo=4, hi=10) for _ in range(80)]
+    seen = Counter()
+    for g in graphs:
+        calls.clear()
+        verdict = search_quad_crossing(g)
+        singles = [mask for mask in calls if mask & mask - 1 == 0]
+        fours = [i for i, x in enumerate(oracle_weights(g)) if x == 4]
+        if fours:
+            assert calls == singles == [1 << fours[0]]
+            assert verdict.satisfied and verdict.certificate["edges"] == fours[:1]
+        else:
+            assert singles == []
+        seen[bool(fours), bool(calls)] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+
+
+def test_quad_budget_counts_every_single_and_star():
+    # fig3b has 22 single edges and no edge of girth 4, then 266 stars
+    g = fig3b_graph()
+    for budget in (1, 21, 22, 287):
+        with pytest.raises(BudgetExceededError) as info:
+            search_quad_crossing(g, budget=budget)
+        assert str(info.value) == (
+            f"quad candidates: reached {budget + 1}, over the budget of {budget}")
+    verdict = search_quad_crossing(g, budget=288)
+    assert verdict.status == "inconclusive" and verdict.detail["tried"] == 288
+    # fig1's rank stop ends its search after its 21 single edges
+    assert search_quad_crossing(fig1_graph(), budget=21).detail == {
+        "reason": RANK_STOP, "tried": 21}
+
+
+@pytest.mark.parametrize("name", ["outer-path-400", "stacked-400", "K10,10,10"])
+def test_classify_answers_on_large_near_triangulations_and_multipartite(name):
+    # about 0.3 s each on a shared 2-core host; before the quad search read
+    # its single edges off the girth table, 95 s, 18 s and 0.67 s
+    g = {"outer-path-400": lambda: outer_path_near_triangulation(400, random.Random(1)),
+         "stacked-400": lambda: stacked_triangulation(400, random.Random(1)),
+         "K10,10,10": lambda: complete_multipartite((10, 10, 10))}[name]()
+    start = perf_counter()
+    verdicts = classify(g)
+    assert perf_counter() - start < 10.0
+    assert [(v.condition, v.status) for v in verdicts] == [
+        ("even-girth-edge", "violated"),
+        ("dp-good", "satisfied"),
+        ("connected-back-neighborhood-order", "inconclusive"),
+        ("quad-girth-crossing-set", "inconclusive")]
+    assert verdicts[3].detail == {"reason": RANK_STOP, "tried": g.m}
 
 
 # two graphs outside every condition classify checks

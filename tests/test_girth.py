@@ -1,7 +1,14 @@
+from itertools import combinations
+
 import pytest
 
 import oracles
-from conftest import random_connected_graph, random_edges
+from conftest import (
+    outer_path_near_triangulation,
+    random_connected_graph,
+    random_edges,
+    stacked_triangulation,
+)
 
 from dpchroma import (
     INFINITE,
@@ -16,6 +23,7 @@ from dpchroma import (
     fig3b_graph,
     path_graph,
 )
+from dpchroma.girth import _vertex_cover
 
 
 def test_edge_girth_examples():
@@ -96,16 +104,72 @@ def test_edge_set_girth_matches_oracle(rng):
             assert got.value == expected
 
 
-def test_edge_set_girth_witness_matches_parity_cover_bfs(rng):
-    graphs = [(fig1_graph(), 30), (fig3b_graph(), 30)]
-    graphs += [(random_connected_graph(rng, 3, 9), 3) for _ in range(60)]
-    for g, draws in graphs:
+def stars(g):
+    """(centre, edge mask) of every star the quad search tries: two or more
+    edges at one vertex."""
+    for v in range(g.n):
+        at = [i for i, e in enumerate(g.edges) if v in e]
+        for size in range(2, len(at) + 1):
+            for sub in combinations(at, size):
+                yield v, sum(1 << i for i in sub)
+
+
+def witness_cases(rng):
+    """(graph, edge mask) pairs: seeded edge sets of small graphs, every star
+    of the figures, the crossing sets E(V1, V2) of seeded bipartitions, and
+    seeded edge sets of plane near-triangulations on 12 to 40 vertices."""
+    for g, draws in [(fig1_graph(), 30), (fig3b_graph(), 30)]:
         for _ in range(draws):
-            mask = rng.randrange(1, 1 << g.m)
-            sub = {i for i in range(g.m) if mask >> i & 1}
-            r = edge_set_girth(g, mask)
-            expected = oracles.set_girth_witness(g.n, list(g.edges), sub)
-            assert (list(r.witness.vertices) if r.witness else None) == expected
+            yield g, rng.randrange(1, 1 << g.m)
+        for _, mask in stars(g):
+            yield g, mask
+    for _ in range(60):
+        g = random_connected_graph(rng, 3, 9)
+        for _ in range(3):
+            yield g, rng.randrange(1, 1 << g.m)
+    for _ in range(60):
+        g = random_connected_graph(rng, 4, 12)
+        side = {v for v in range(g.n) if rng.random() < 0.5}
+        yield g, sum(1 << i for i, (u, v) in enumerate(g.edges) if (u in side) != (v in side))
+    for grow in (stacked_triangulation, outer_path_near_triangulation):
+        for n in (12, 17, 23, 30, 40):
+            g = grow(n, rng)
+            for _ in range(4):
+                yield g, rng.randrange(1, 1 << g.m)
+
+
+def test_edge_set_girth_witness_matches_parity_cover_bfs(rng):
+    # the oracle runs a BFS from every vertex; the library only from a
+    # vertex cover of the edge set, then cut at the length it found
+    finite = 0
+    for g, mask in witness_cases(rng):
+        sub = {i for i in range(g.m) if mask >> i & 1}
+        cover = _vertex_cover(g, mask)
+        assert cover == sorted(set(cover))
+        assert all(u in cover or v in cover for u, v in (g.edges[i] for i in sub))
+        r = edge_set_girth(g, mask)
+        expected = oracles.set_girth_witness(g.n, list(g.edges), sub)
+        assert (list(r.witness.vertices) if r.witness else None) == expected
+        finite += expected is not None
+    assert finite > 0
+
+
+def test_vertex_cover_of_a_star_is_its_centre():
+    # so each star of the quad search costs one BFS run for its length
+    for g in (fig1_graph(), fig3b_graph(), complete_graph(5)):
+        for v, mask in stars(g):
+            assert _vertex_cover(g, mask) == [v]
+    assert _vertex_cover(complete_graph(4), 0) == []
+
+
+def test_edge_set_girth_rejects_a_mask_outside_the_edges():
+    g = cycle_graph(4)
+    for mask in (1 << 100, 1 << 4, 0b11111, -1, -(1 << 4)):
+        with pytest.raises(ValueError):
+            edge_set_girth(g, mask)
+    assert edge_set_girth(g, 0).value == INFINITE
+    assert edge_set_girth(g, g.full_mask()).value == INFINITE
+    assert edge_set_girth(g, 0b0111).value == 4
 
 
 def test_singleton_set_girth_equals_edge_girth(rng):
