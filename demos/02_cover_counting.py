@@ -4,16 +4,14 @@ Covers and transversal counting
 
 A full m-fold cover assigns a permutation to every edge; a transversal
 picks one fibre index per vertex avoiding every matched pair.  The count
-can be obtained by a forward pass that keeps one prefix count per value of
-its frontier, or by inclusion-exclusion over edge subsets, and tree
-normalization never changes it.
+comes from a forward pass that keeps one prefix count per value of its
+frontier, and tree normalization never changes it.
 """
 
 from dpchroma import (
     build_cover,
     canonical_cover,
     chromatic_polynomial,
-    count_incl_excl,
     count_transversals,
     cycle_graph,
     sloping_report,
@@ -41,14 +39,7 @@ print(f"\nassigned a 3-shift to edge 0 {g.edges[0]}")
 print(f"after normalization the sloping edges are {report.to_json()['sloping']}")
 for e, size in report.x_sizes:
     print(f"  edge {e} {g.edges[e]}: {size} non-horizontal matching pairs")
-
-###############################################################################
-# Both counting routes agree on every cover.
-
-back = count_transversals(g, cov).value
-incl = count_incl_excl(g, cov).value
-print(f"\nfrontier search: {back}, inclusion-exclusion: {incl}")
-assert back == incl
+print(f"its transversals: {count_transversals(g, cov).value}")
 
 ###############################################################################
 # Normalization is a relabeling of fibres, so counts cannot change.

@@ -24,10 +24,8 @@ from .covers import (
     SlopingReport,
     build_cover,
     canonical_cover,
-    count_incl_excl,
     count_transversals,
     dp_exact,
-    matched_selection_count,
     sloping_report,
     twisted_cover,
 )

@@ -2,11 +2,13 @@
 
 Every checker returns a ClassifierVerdict.  A satisfied verdict carries a
 certificate an independent verifier can re-check; a violated verdict carries
-a witness for the failed clause.  A search that runs over its budget raises
-BudgetExceededError, and only `classify` turns that into an inconclusive
-verdict; the one other inconclusive verdict is the quad search's, whose
-candidates prove nothing when none of them fits.  The implied membership is
-always that of a sufficient condition, never an exact classification.
+a witness for the failed clause.  A budget caps the work a search does,
+never the size of an answer it has decided: a search that runs over its
+budget raises BudgetExceededError, and only `classify` turns that into an
+inconclusive verdict; the one other inconclusive verdict is the quad
+search's, whose candidates prove nothing when none of them fits.  The
+implied membership is always that of a sufficient condition, never an
+exact classification.
 
 The DP-good search first runs two tests that need no tree, the girth-MST
 test and the cycle-space rank test.  When neither rules every tree out,
@@ -282,11 +284,11 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     trees in turn, in that order, counted by the matrix-tree theorem: the
     certified tree's position (`spanning_tree_rank`), or with
     no witness cycle and no DP-good tree the number of candidate trees
-    (`spanning_tree_count`).  Over `budget` it raises that search's
-    BudgetExceededError, as does a girth that tries more than `budget`
-    bases: each of them, in place of that girth's part of the certified
-    tree, makes a different earlier tree.  The benchmark's answer checks
-    (`bench/checks.py`) pin both meanings.
+    (`spanning_tree_count`).  The benchmark's answer checks
+    (`bench/checks.py`) pin both meanings.  `budget` caps only the work
+    done: a girth whose walk tries more than `budget` bases raises
+    BudgetExceededError, and a decided verdict is returned however many
+    trees it counts.
     """
     _require_connected(g)
     girths = _girth_values(g)
@@ -321,8 +323,6 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
                                      tuple(c for _, c in placed))
     trees = (spanning_tree_count(g, forced) if cert is None
              else spanning_tree_rank(g, cert.tree, forced))
-    if trees > budget:
-        raise BudgetExceededError("spanning trees", max(budget, 0) + 1, budget)
     if cert is None:
         return ClassifierVerdict(
             "dp-good", VIOLATED, UNKNOWN,
@@ -417,8 +417,8 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     With an order given it is verified. Without one, a top-down search over
     vertex subsets finds the order whose last vertex, and each last vertex
     before it, is the least that can end a valid order; it decides only the
-    subsets the full set reaches, but 2^n over `budget` still raises
-    BudgetExceededError before it starts.
+    subsets the full set reaches, and deciding more than `budget` of them
+    raises BudgetExceededError.
     A satisfied verdict implies DP-good and hence the strict cover class.
     """
     _require_connected(g)
@@ -443,9 +443,6 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
         return ClassifierVerdict(condition, SATISFIED, DP_STAR,
                                  certificate=tuple(seq))
 
-    if (1 << g.n) > budget:
-        raise BudgetExceededError("vertex subsets", 1 << g.n, budget)
-
     # last[mask]: the least v that can end a valid order of mask, or -1.  Such
     # a v has a non-empty, connected back-neighbourhood in mask - v, and
     # mask - v has a valid order.  A set is decided only when a larger set
@@ -453,6 +450,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     connected = cache(lambda back: _mask_connected(nbr, back))
     full = (1 << g.n) - 1
     last = {1 << v: v for v in range(g.n)}
+    decided = 0  # the sets above the singletons
     stack = [] if full in last else [(full, full)]
     while stack:
         mask, rest = stack.pop()
@@ -462,12 +460,13 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
             if last.get(prev, 0) >= 0 and connected(nbr[low.bit_length() - 1] & prev):
                 break
             rest ^= low
-        if not rest:
-            last[mask] = -1
-        elif prev in last:
-            last[mask] = low.bit_length() - 1
-        else:  # decide prev first, then try the same v again
+        if rest and prev not in last:  # decide prev first, then try the same v again
             stack += ((mask, rest), (prev, prev))
+            continue
+        decided += 1
+        if decided > budget:
+            raise BudgetExceededError("vertex sets decided", decided, budget)
+        last[mask] = low.bit_length() - 1 if rest else -1
     if last[full] < 0:
         return ClassifierVerdict(
             condition, VIOLATED, UNKNOWN,

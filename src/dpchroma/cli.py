@@ -24,7 +24,6 @@ from .classify import (
 )
 from .covers import (
     Cover,
-    count_incl_excl,
     count_transversals,
     dp_exact,
     sloping_report,
@@ -118,16 +117,8 @@ def _cmd_dpcount(args):
     g = _load_graph(args)
     with open(args.cover, "r", encoding="utf-8") as fh:
         cov = Cover.from_json(g, json.load(fh))
-    back = count_transversals(g, cov)
-    incl = count_incl_excl(g, cov)
-    lines = [
-        f"backtracking count      = {back.value}",
-        f"inclusion-exclusion sum = {incl.value}",
-        "counts agree" if back.value == incl.value else "counts DISAGREE",
-    ]
-    _emit(args, lines, {"backtracking": back.to_json(),
-                        "inclusion_exclusion": incl.to_json(),
-                        "agree": back.value == incl.value})
+    report = count_transversals(g, cov)
+    _emit(args, [f"transversals = {report.value}"], report.to_json())
     return EXIT_OK
 
 
@@ -286,8 +277,8 @@ _BUDGET_HELP = {
     "covers": "cap on the cover sweep's work: 2^m column sets per orbit of all "
               "but the last non-tree edge, plus m! when S_m is listed",
     "cycles": "cap on enumerated cycles",
-    "trees": "cap on spanning trees (dpgood, classify), vertex subsets (vorder, "
-             "classify) and quad crossing candidates (classify)",
+    "trees": "cap on the bases tried at one girth (dpgood, classify), the vertex "
+             "sets decided (vorder, classify) and quad crossing candidates (classify)",
 }
 
 
@@ -325,7 +316,7 @@ def _build_parser():
     p.add_argument("--at", type=int, action="append",
                    help="evaluate at this m (repeatable)")
 
-    p = sub.add_parser("dpcount", help="count transversals of a cover, two ways")
+    p = sub.add_parser("dpcount", help="count the transversals of a cover")
     common(p)
     p.add_argument("--cover", required=True, help="path to a cover JSON file")
 

@@ -3,15 +3,14 @@
 A cover assigns each edge (u, v), u < v, a permutation sigma of range(m):
 cover vertex (u, i) is matched to (v, sigma(i)).  A transversal picks one
 index per vertex and is counted when no edge's matched pair is picked.
-`count_transversals` counts them by one forward pass that keeps, per value
-of the frontier (the placed vertices with an unplaced neighbour), the
-number of prefixes giving it, so its cost follows the width of the graph
-rather than the size of the count.  On a cyclic cover, one whose every
-matching is a rotation x -> x + s (mod m), as in shift covers, the
-canonical cover and every cover with m <= 2, adding one constant to every
-index is an automorphism, so a state is a class of frontier values up to a
-common shift;
-`count_incl_excl` is the second route, an alternating sum over edge subsets.
+`count_transversals`, the library's one route to that count, counts them
+by one forward pass that keeps, per value of the frontier (the placed
+vertices with an unplaced neighbour), the number of prefixes giving it,
+so its cost follows the width of the graph rather than the size of the
+count.  On a cyclic cover, one whose every matching is a rotation
+x -> x + s (mod m), as in shift covers, the canonical cover and every
+cover with m <= 2, adding one constant to every index is an automorphism,
+so a state is a class of frontier values up to a common shift.
 `dp_exact` minimizes the transversal count over all tree-normalized covers,
 which is the full cover space up to renaming of list vertices.  It takes one
 assignment of all but the last free edge per orbit under simultaneous
@@ -32,8 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import (DEFAULT_SUBSET_CAP, Graph, _bfs, _require_connected, _search_plan, bfs_tree,
-                     mask_indices)
+from .graphs import Graph, _bfs, _require_connected, _search_plan, bfs_tree, mask_indices
 
 DEFAULT_NODE_BUDGET = 10**7
 # largest fold count accepted: one edge alone takes m^2 search nodes, so no
@@ -94,12 +92,11 @@ class SlopingReport:
 @dataclass(frozen=True)
 class CountReport:
     value: int
-    method: str  # "backtracking" | "inclusion-exclusion"
     cover: Optional[Cover] = None
     minimizers: Optional[int] = None
 
     def to_json(self) -> dict:
-        out = {"value": str(self.value), "method": self.method}
+        out = {"value": str(self.value)}
         if self.cover is not None:
             out["cover"] = self.cover.to_json()
         if self.minimizers is not None:
@@ -283,7 +280,7 @@ def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUD
     of them per step instead of m^w.  Raises BudgetExceededError once it
     generates more than `node_budget` candidate values.
     """
-    return CountReport(_count(g, _search_plan(g), cov, node_budget).get((), 0), "backtracking")
+    return CountReport(_count(g, _search_plan(g), cov, node_budget).get((), 0))
 
 
 def _pair_counts(g: Graph, plan, cov: Cover, u: int, v: int,
@@ -304,48 +301,6 @@ def _pair_counts(g: Graph, plan, cov: Cover, u: int, v: int,
             i, j = (b, a) if flip else (a, b)
             pairs[i][j] += count // len(shifts)
     return pairs
-
-
-def matched_selection_count(g: Graph, cov: Cover, edge_mask: int) -> int:
-    """Selections (one index per vertex of G) matching every edge in the mask.
-
-    Per component of the spanning subgraph this is the number of fibre
-    indices consistent around every cycle; isolated vertices contribute a
-    factor m.
-    """
-    m = cov.m
-    perms = cov.perms
-    # rho[v]: index j at the root of v's BFS tree forces index rho[v][j] at v
-    rho = [tuple(range(m))] * g.n
-    root = list(range(g.n))
-    forest = 0
-    for v, p in _bfs(g._incidence, edge_mask, range(g.n)).items():
-        if v != p:
-            i = g.edge_index(p, v)
-            rho[v] = _compose(_along(g, perms, i, p), rho[p])
-            root[v] = root[p]
-            forest |= 1 << i
-    # good[r]: indices at tree root r that every closing edge so far keeps
-    good: list[Sequence[int]] = [range(m)] * g.n
-    for i in mask_indices(edge_mask & ~forest):
-        a, b = g.edges[i]
-        good[root[a]] = [j for j in good[root[a]] if perms[i][rho[a][j]] == rho[b][j]]
-    return math.prod(len(good[r]) for r in range(g.n) if root[r] == r)
-
-
-def count_incl_excl(g: Graph, cov: Cover, cap: int = DEFAULT_SUBSET_CAP) -> CountReport:
-    """Transversal count as the alternating sum over edge subsets."""
-    ne = len(g.edges)
-    if ne > cap:
-        raise BudgetExceededError("2^|E| subset terms", 2**ne, 2**cap)
-    total = 0
-    for mask in range(1 << ne):
-        term = matched_selection_count(g, cov, mask)
-        if mask.bit_count() % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return CountReport(total, "inclusion-exclusion")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +350,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     _check_sweep(m, q, budget)
     if not free:
         cov = canonical_cover(g, m)
-        return CountReport(count_transversals(g, cov, node_budget).value, "backtracking",
-                           cover=cov, minimizers=1)
+        return CountReport(count_transversals(g, cov, node_budget).value, cover=cov, minimizers=1)
 
     e = free[-1]
     rest = Graph(g.n, g.edges[:e] + g.edges[e + 1:])  # free[:-1] keep their indices
@@ -418,7 +372,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     best, best_combo, minimizers = _least(
         (value, combo, weight * ties) for (_, weight), (value, combo, ties) in zip(heads, results))
     argmin = _assignment_cover(g, m, free, best_combo)
-    return CountReport(best, "backtracking", cover=argmin, minimizers=minimizers)
+    return CountReport(best, cover=argmin, minimizers=minimizers)
 
 
 def _check_sweep(m: int, q: int, budget: int) -> None:

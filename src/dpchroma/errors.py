@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the default search budget."""
 
-DEFAULT_BUDGET = 10**6  # covers, cycles, spanning trees, vertex subsets, quad candidates
+DEFAULT_BUDGET = 10**6  # covers, cycles, bases per girth, decided vertex sets, quad candidates
 
 
 class GraphParseError(ValueError):

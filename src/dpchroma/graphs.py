@@ -43,7 +43,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 
-DEFAULT_SUBSET_CAP = 24  # largest |E| whose 2^|E| subset sums are attempted
 MAX_VERTICES = 10_000  # largest vertex count parse_graph accepts
 
 
@@ -651,7 +650,8 @@ def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> 
     `free` most significant.  With `base` a forest and `free` every other
     edge, the sets are the spanning trees that hold `base` in the order
     `spanning_tree_rank` counts.  Reaching set budget + 1 raises
-    BudgetExceededError.
+    BudgetExceededError; the DP-good search walks the bases of one girth
+    at a time, so its counter is named for them.
     """
     edges = g.edges
     parent = list(range(g.n))
@@ -682,7 +682,7 @@ def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> 
                 need -= 1
             k += 1
         if count >= budget:
-            raise BudgetExceededError("spanning trees", count + 1, budget)
+            raise BudgetExceededError("bases of one girth", count + 1, budget)
         count += 1
         yield chosen
 

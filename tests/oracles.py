@@ -110,6 +110,20 @@ def matched_count(n, edges, perms, m, subset):
     return total
 
 
+def cycle_matched_count(edges, perms, m, cycle):
+    """Index picks on the vertices of `cycle`, a vertex sequence, that match
+    every edge of it: the fixed points of the permutation composed around
+    the cycle, perms[i] read from the smaller end of edges[i]."""
+    index = {e: i for i, e in enumerate(edges)}
+    cycle = list(cycle)
+    around = list(range(m))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        sigma = perms[index[min(a, b), max(a, b)]]
+        step = sigma if a < b else [sigma.index(y) for y in range(m)]
+        around = [step[x] for x in around]
+    return sum(x == y for x, y in enumerate(around))
+
+
 def all_cycles(n, edges, max_len=None):
     """Every simple cycle, canonical (min vertex first, smaller neighbor next)."""
     adj = [set() for _ in range(n)]

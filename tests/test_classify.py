@@ -125,13 +125,16 @@ def test_fig1_is_dp_good_with_expected_girths():
 
 
 def test_dp_good_budget_returns_inconclusive():
-    # the checker raises; classify is the one place that reports the overrun
+    # the checker raises once the girth-3 walk of SEARCHED_EDGES tries its
+    # 13th basis; classify is the one place that reports the overrun
+    g = Graph(9, SEARCHED_EDGES)
     with pytest.raises(BudgetExceededError) as err:
-        check_dp_good(fig1_graph(), budget=2)
-    assert err.value.counter == "spanning trees"
-    verdict = {v.condition: v for v in classify(fig1_graph(), budget=2)}["dp-good"]
+        check_dp_good(g, budget=12)
+    assert (err.value.counter, err.value.attempted) == ("bases of one girth", 13)
+    verdict = {v.condition: v for v in classify(g, budget=12)}["dp-good"]
     assert verdict.status == "inconclusive"
-    assert "spanning trees" in verdict.detail["reason"]
+    assert "bases of one girth" in verdict.detail["reason"]
+    assert check_dp_good(g, budget=13).satisfied
 
 
 def test_dp_good_requires_connected():
@@ -358,16 +361,22 @@ def oracle_dp_good_search(g, budget):
 
 
 def assert_search_matches_oracle(g, budget=10**6):
-    """`check_dp_good` against the oracle search at `budget`: the same
-    budget error, or the same status, `trees_tried` and certificate; with no
+    """`check_dp_good` against the oracle search at `budget`.  Wherever the
+    oracle answers, the same status, `trees_tried` and certificate; with no
     candidate tree at all the unlabelable edges close the witness cycle.
-    Returns the oracle's tree count, None on a budget error."""
+    Where the oracle runs past `budget` trees, the search raises only when
+    one girth's walk tries more than `budget` bases, and otherwise gives
+    its verdict at the default budget.  Returns the oracle's tree count,
+    None where the oracle runs past `budget`."""
     try:
         trees, want = oracle_dp_good_search(g, budget)
-    except BudgetExceededError as plain:
-        with pytest.raises(BudgetExceededError) as err:
-            check_dp_good(g, budget=budget)
-        assert str(err.value) == str(plain)
+    except BudgetExceededError:
+        try:
+            verdict = check_dp_good(g, budget=budget)
+        except BudgetExceededError as err:
+            assert str(err) == str(BudgetExceededError("bases of one girth", budget + 1, budget))
+        else:
+            assert verdict == check_dp_good(g)
         return None
     verdict = check_dp_good(g, budget=budget)
     if want is not None:
@@ -419,12 +428,17 @@ def test_search_matches_oracle_on_figures():
 
 def test_fig1_budget_between_walked_trees_and_rank():
     # each girth takes its first basis, and the certified tree has rank
-    # 3,781: a budget of 0 stops the search at its first basis, and from
-    # 388 to 3,780 the rank is over the budget
-    for budget in (0, 388, 389, 390, 3780):
+    # 3,781: a budget of 0 stops the search at its first basis, and any
+    # budget from 1 on lets it answer, although up to 3,780 the oracle
+    # runs past it
+    for budget in (0, 1, 2, 388, 389, 390, 3780):
         assert assert_search_matches_oracle(fig1_graph(), budget) is None
-    verdict = check_dp_good(fig1_graph(), budget=3781)
-    assert verdict.satisfied and verdict.detail["trees_tried"] == 3781
+    with pytest.raises(BudgetExceededError) as err:
+        check_dp_good(fig1_graph(), budget=0)
+    assert err.value.counter == "bases of one girth"
+    for budget in (1, 2, 3780, 3781):
+        verdict = check_dp_good(fig1_graph(), budget=budget)
+        assert verdict.satisfied and verdict.detail["trees_tried"] == 3781
 
 
 def oracle_first_bases(g, tree):
@@ -602,10 +616,7 @@ def test_rule_outs_agree_with_the_oracle_search():
         test = ("girth-mst" if needed is None else None if _rank_test(g, needed) else "rank")
         fired[test] += 1
         if test is None:
-            try:
-                verdict = check_dp_good(g, budget=20000)
-            except BudgetExceededError:
-                continue  # a certified tree of rank over 20,000
+            verdict = check_dp_good(g, budget=20000)
             if verdict.satisfied:
                 assert is_girth_mst(g, verdict.certificate.tree)
             continue
@@ -614,21 +625,19 @@ def test_rule_outs_agree_with_the_oracle_search():
             assert assert_search_matches_oracle(g) == trees
         else:
             assert assert_search_matches_oracle(g, 500) is None
-            assert check_dp_good(g, budget=trees).detail["trees_tried"] == trees
         for budget in (1, 2, 5, 40):
             assert assert_search_matches_oracle(g, budget) == (trees if trees <= budget else None)
-        if trees > 1:
-            with pytest.raises(BudgetExceededError) as err:
-                check_dp_good(g, budget=trees - 1)
-            assert str(err.value) == str(BudgetExceededError("spanning trees", trees, trees - 1))
+        # a rule-out walks no basis, so no budget stops it
+        verdict = check_dp_good(g, budget=1)
+        assert verdict.status == "violated" and verdict.detail["trees_tried"] == trees
     assert fired["girth-mst"] and fired["rank"] and fired[None]
 
 
 def test_rank_test_stops_dense_violated_graphs_at_once():
     # three graphs of the family pass the girth-MST test and have a
     # distinct triangle per label, yet no DP-good tree; the rank test
-    # rules each out without a tree, with the verdict or budget error of
-    # labeling every candidate tree in turn
+    # rules each out without a tree, with the verdict of labeling every
+    # candidate tree in turn, however many there are
     family = rule_out_families()
     for index, trees in ((282, 592694), (359, 44702)):
         g = family[index]
@@ -639,10 +648,31 @@ def test_rank_test_stops_dense_violated_graphs_at_once():
     assert (g.n, g.m) == (10, 32)
     assert spanning_tree_count(g, unlabelable_mask(g)) == 3559283
     start = perf_counter()
-    with pytest.raises(BudgetExceededError) as err:
-        check_dp_good(g)
+    verdict = check_dp_good(g)
     assert perf_counter() - start < 1.0
-    assert str(err.value) == str(BudgetExceededError("spanning trees", 10**6 + 1, 10**6))
+    assert verdict.status == "violated" and verdict.detail["trees_tried"] == 3559283
+
+
+# 11 vertices, 30 edges, from a seeded comparison: the girth-MST test rules
+# it out, and it has more candidate trees than the default budget
+MST_RULED_OUT_EDGES = [(0, 5), (3, 6), (0, 9), (2, 10), (3, 8), (0, 8), (6, 8), (1, 8), (5, 6),
+                       (2, 9), (2, 8), (6, 9), (3, 5), (0, 4), (5, 9), (3, 7), (1, 4), (4, 5),
+                       (1, 5), (2, 3), (1, 3), (8, 9), (6, 7), (0, 7), (6, 10), (3, 4), (0, 6),
+                       (5, 10), (2, 7), (4, 9)]
+
+
+def test_girth_mst_rule_out_answers_past_the_tree_count():
+    # the budget caps the bases walked, and a rule-out walks none, so the
+    # verdict stands with its 1,222,286 candidate trees, at once
+    g = Graph(11, MST_RULED_OUT_EDGES)
+    assert _labels_needed(g, _girth_values(g)) is None
+    start = perf_counter()
+    verdict = check_dp_good(g)
+    assert perf_counter() - start < 0.5
+    assert verdict.status == "violated" and verdict.detail["trees_tried"] == 1222286
+    assert spanning_tree_count(g, unlabelable_mask(g)) == 1222286
+    dp_good = {v.condition: v for v in classify(g, budget=1)}["dp-good"]
+    assert dp_good.detail == verdict.detail
 
 
 def test_shortest_path_walk_follows_reached_vertices():
@@ -1158,7 +1188,8 @@ def test_quad_budget_counts_every_single_and_star():
 @pytest.mark.parametrize("name", ["outer-path-400", "stacked-400", "K10,10,10"])
 def test_classify_answers_on_large_near_triangulations_and_multipartite(name):
     # about 0.3 s each on a shared 2-core host; before the quad search read
-    # its single edges off the girth table, 95 s, 18 s and 0.67 s
+    # its single edges off the girth table, 95 s, 18 s and 0.67 s.  The
+    # vertex-order search decides few of the 2^n sets, so it answers too
     g = {"outer-path-400": lambda: outer_path_near_triangulation(400, random.Random(1)),
          "stacked-400": lambda: stacked_triangulation(400, random.Random(1)),
          "K10,10,10": lambda: complete_multipartite((10, 10, 10))}[name]()
@@ -1168,7 +1199,7 @@ def test_classify_answers_on_large_near_triangulations_and_multipartite(name):
     assert [(v.condition, v.status) for v in verdicts] == [
         ("even-girth-edge", "violated"),
         ("dp-good", "satisfied"),
-        ("connected-back-neighborhood-order", "inconclusive"),
+        ("connected-back-neighborhood-order", "satisfied"),
         ("quad-girth-crossing-set", "inconclusive")]
     assert verdicts[3].detail == {"reason": RANK_STOP, "tried": g.m}
 

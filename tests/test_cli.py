@@ -5,10 +5,13 @@ import time
 
 import pytest
 
+import oracles
+
 from dpchroma import Cover, DpGoodCertificate, Polynomial, verify_dp_good_certificate
 from dpchroma.cli import _build_parser, main
 from dpchroma.covers import SWEEP_COUNTER
 from dpchroma.graphs import fixture
+from test_classify import SEARCHED_EDGES
 
 
 def run_cli(capsys, *args):
@@ -135,13 +138,31 @@ def test_classify(capsys):
     assert data["implied"] == ["DP*"]
 
 
+SHIFT_ON_EDGE_0 = {"m": 3, "perms": {"0": [1, 2, 0]}}
+
+
 def test_dpcount_with_cover_file(capsys, tmp_path):
     cover_file = tmp_path / "cover.json"
-    cover_file.write_text(json.dumps({"m": 3, "perms": {"0": [1, 2, 0]}}))
-    data = run_json(capsys, "dpcount", "--fixture", "cycle:4",
-                    "--cover", str(cover_file))
-    assert data["agree"] is True
-    assert data["backtracking"]["value"] == "15"
+    cover_file.write_text(json.dumps(SHIFT_ON_EDGE_0))
+    argv = ["dpcount", "--fixture", "cycle:4", "--cover", str(cover_file)]
+    assert run_json(capsys, *argv) == {"value": "15"}
+    assert run_cli(capsys, *argv) == (0, "transversals = 15\n", "")
+
+
+@pytest.mark.parametrize("name, value", [("fig1", 255), ("fig3b", 6), ("complete:8", 0)])
+def test_dpcount_answers_on_the_figures(capsys, tmp_path, name, value):
+    # the brute force checks the counts up to 3^10 picks; fig1's 3^14 are
+    # too many, and its count is the one a sum over edge subsets agreed on
+    cover_file = tmp_path / "cover.json"
+    cover_file.write_text(json.dumps(SHIFT_ON_EDGE_0))
+    start = time.perf_counter()
+    data = run_json(capsys, "dpcount", "--fixture", name, "--cover", str(cover_file))
+    assert time.perf_counter() - start < 5.0
+    assert data == {"value": str(value)}
+    g = fixture(name)
+    if g.n <= 10:
+        perms = list(Cover.from_json(g, SHIFT_ON_EDGE_0).perms)
+        assert oracles.transversal_count(g.n, list(g.edges), perms, 3) == value
 
 
 def test_graph_file_input(capsys, tmp_path):
@@ -201,8 +222,8 @@ BAD_COVERS = {
     (["classify", "--fixture", "cycle:5", "--budget-trees", "-1"], 2),
     (["cor5", "--fixture", "fig3b", "--v1", "0,2,6", "--v2", "1,3,7",
       "--budget-cycles", "0"], 2),
-    (["dpgood", "--fixture", "fig1", "--budget-trees", "2"], 3),
-    (["vorder", "--fixture", "fig1", "--budget-trees", "100"], 3),
+    (["dpgood", "--graph", "{searched}", "--budget-trees", "12"], 3),
+    (["vorder", "--fixture", "fig1", "--budget-trees", "63"], 3),
     (["chromatic", "--graph", "{huge}", "--at", "3"], 2),
     (["chromatic", "--fixture", "cycle:100000"], 2),
     (["chromatic", "--fixture", "complete:100000"], 2),
@@ -226,7 +247,8 @@ BAD_COVERS = {
 def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     files = {"m0": json.dumps({"m": 0}), "m_big": json.dumps({"m": 200000}),
              "huge": "100000000\n0 1\n",
-             "edge_twice": json.dumps({"m": 3, "perms": {"1": [1, 2, 0], "01": [0, 1, 2]}})}
+             "edge_twice": json.dumps({"m": 3, "perms": {"1": [1, 2, 0], "01": [0, 1, 2]}}),
+             "searched": "9\n" + "".join(f"{u} {v}\n" for u, v in SEARCHED_EDGES)}
     files.update({name: json.dumps(data) for name, data in BAD_COVERS.items()})
     paths = {}
     for name, text in files.items():

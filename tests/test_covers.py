@@ -22,14 +22,12 @@ from dpchroma import (
     check_vertex_order,
     chromatic_polynomial,
     complete_graph,
-    count_incl_excl,
     count_transversals,
     cycle_graph,
     dp_exact,
     enumerate_cycles,
     fig1_graph,
     fig3b_graph,
-    matched_selection_count,
     path_graph,
     search_quad_crossing,
     sloping_report,
@@ -38,6 +36,7 @@ from dpchroma import (
 from dpchroma.covers import (MAX_FOLD, SWEEP_COUNTER, _best_matching, _invert, _orbit_heads,
                              _pair_counts)
 from dpchroma.graphs import _bases, _search_plan, bfs_tree
+from test_classify import SEARCHED_EDGES
 
 
 def random_cover(rng, g, m):
@@ -154,7 +153,7 @@ def test_twisted_direction_matters_for_perms():
 
 
 # ---------------------------------------------------------------------------
-# counting, two ways
+# counting, against the brute-force oracle
 
 def test_canonical_cover_counts_are_chromatic(rng):
     for _ in range(20):
@@ -163,17 +162,6 @@ def test_canonical_cover_counts_are_chromatic(rng):
         cov = canonical_cover(g, m)
         expected = chromatic_polynomial(g)(m)
         assert count_transversals(g, cov).value == expected
-        assert count_incl_excl(g, cov).value == expected
-
-
-def test_canonical_selection_counts_match_component_power(rng):
-    # with no sloping edges every subset term collapses to m^{c(A)}
-    g = random_connected_graph(rng, lo=3, hi=5)
-    cov = canonical_cover(g, 3)
-    for mask in range(1 << g.m):
-        comps = len(oracles.components(g.n, list(g.edges),
-                                       [i for i in range(g.m) if mask >> i & 1]))
-        assert matched_selection_count(g, cov, mask) == 3 ** comps
 
 
 def test_counting_methods_agree_on_random_covers(rng):
@@ -189,7 +177,6 @@ def test_counting_methods_agree_on_random_covers(rng):
         cov, _ = random_cover(rng, g, m)
         direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
         assert count_transversals(g, cov).value == direct
-        assert count_incl_excl(g, cov).value == direct
 
 
 def test_frontier_search_reuses_counts_on_a_long_path():
@@ -261,7 +248,6 @@ def test_shift_covers_match_both_oracles(rng):
         cov = Cover(g, m, tuple(rotation(m, rng.randrange(m)) for _ in g.edges))
         direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
         assert count_transversals(g, cov).value == direct
-        assert count_incl_excl(g, cov).value == direct
 
 
 @pytest.mark.parametrize("maker,arcs", [
@@ -313,18 +299,6 @@ def test_shift_cover_shares_counts_between_shifted_frontiers():
     assert (err.value.attempted, err.value.budget) == (696, 695)
 
 
-def test_matched_selection_count_oracle(rng):
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        g = Graph(n, random_edges(rng, n, 0.6))
-        m = rng.randint(1, 3)
-        cov, _ = random_cover(rng, g, m)
-        mask = rng.randrange(1 << g.m) if g.m else 0
-        sub = [i for i in range(g.m) if mask >> i & 1]
-        assert matched_selection_count(g, cov, mask) == \
-            oracles.matched_count(n, list(g.edges), list(cov.perms), m, sub)
-
-
 def test_node_budget_counts_every_search_node():
     # K3 at m=3 from vertex 0: the canonical cover is cyclic, so the states
     # are shift classes: 3 nodes for vertex 0, 2 for the one state (0,), and
@@ -347,13 +321,12 @@ def test_node_budget_counts_every_search_node():
     lambda: dp_exact(complete_graph(4), 3, budget=10),
     lambda: count_transversals(complete_graph(5), canonical_cover(complete_graph(5), 3),
                                node_budget=6),
-    lambda: count_incl_excl(complete_graph(5), canonical_cover(complete_graph(5), 3), cap=5),
     lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
     lambda: list(_bases(complete_graph(4), 0, range(6), 3, budget=5)),
-    lambda: check_dp_good(fig1_graph(), budget=2),
-    lambda: check_vertex_order(fig1_graph(), budget=100),
+    lambda: check_dp_good(Graph(9, SEARCHED_EDGES), budget=12),
+    lambda: check_vertex_order(fig1_graph(), budget=63),
     lambda: search_quad_crossing(fig1_graph(), budget=3),
-], ids=["dp_exact", "count_transversals", "count_incl_excl", "enumerate_cycles",
+], ids=["dp_exact", "count_transversals", "enumerate_cycles",
         "_bases", "check_dp_good", "check_vertex_order", "search_quad_crossing"])
 def test_budget_error_reports_progress(run):
     with pytest.raises(BudgetExceededError) as err:
@@ -369,8 +342,6 @@ def test_count_budget_error():
     g = complete_graph(5)
     with pytest.raises(BudgetExceededError):
         count_transversals(g, canonical_cover(g, 3), node_budget=6)
-    with pytest.raises(BudgetExceededError):
-        count_incl_excl(g, canonical_cover(g, 3), cap=5)
 
 
 def test_multiplicative_over_components(rng):
@@ -666,6 +637,17 @@ def test_dp_le_chromatic(rng):
 # ---------------------------------------------------------------------------
 # odd-intersection cycles of twisted covers have no matched copies
 
+def test_cycle_matched_count_is_the_matched_selection_oracle(rng):
+    # on a cycle graph the fixed points around the cycle are the picks
+    # of all m^n that match every edge
+    for _ in range(40):
+        n, m = rng.randint(3, 6), rng.randint(1, 4)
+        g = cycle_graph(n)
+        cov, _ = random_cover(rng, g, m)
+        assert oracles.cycle_matched_count(list(g.edges), cov.perms, m, range(n)) == \
+            oracles.matched_count(n, list(g.edges), cov.perms, m, range(g.m))
+
+
 def test_twisted_cycle_has_no_matched_copies_small():
     for n in (3, 5, 6):
         g = cycle_graph(n)
@@ -675,7 +657,7 @@ def test_twisted_cycle_has_no_matched_copies_small():
             est = OrientedEdgeSet.from_tails(g, {i: g.edges[i][0] for i in range(k)})
             for m in range(k + 1, 6):
                 cov = twisted_cover(g, est, m)
-                assert matched_selection_count(g, cov, g.full_mask()) == 0
+                assert oracles.cycle_matched_count(list(g.edges), cov.perms, m, range(n)) == 0
 
 
 def test_twisted_odd_intersection_cycles_die_in_any_graph(rng):
@@ -698,7 +680,8 @@ def test_twisted_odd_intersection_cycles_die_in_any_graph(rng):
                 continue
             for m in range(k + 1, k + 4):
                 cov = twisted_cover(g, est, m)
-                assert matched_selection_count(g, cov, cmask) == 0
+                assert oracles.cycle_matched_count(list(g.edges), cov.perms, m,
+                                                   cyc.vertices) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -720,5 +703,6 @@ def test_count_report_json():
     report = dp_exact(cycle_graph(4), 3)
     data = report.to_json()
     assert data["value"] == "15"
-    assert data["method"] == "backtracking"
-    assert "cover" in data and data["minimizers"] == 2
+    assert set(data) == {"value", "cover", "minimizers"} and data["minimizers"] == 2
+    assert count_transversals(cycle_graph(4), canonical_cover(cycle_graph(4), 3)).to_json() == \
+        {"value": "18"}

@@ -420,7 +420,8 @@ def test_spanning_trees_truncation_flag():
     assert len(set(got)) == 5
     with pytest.raises(BudgetExceededError) as err:
         next(trees)
-    assert (err.value.counter, err.value.attempted, err.value.budget) == ("spanning trees", 6, 5)
+    assert (err.value.counter, err.value.attempted, err.value.budget) == \
+        ("bases of one girth", 6, 5)
     assert len(list(tree_walk(g, budget=16))) == 16
     with pytest.raises(BudgetExceededError):
         next(tree_walk(g, budget=0))
