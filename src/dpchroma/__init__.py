@@ -1,6 +1,6 @@
 """Chromatic polynomials, DP color functions and cover certificates."""
 
-from .chromatic import Polynomial, chromatic_polynomial
+from .chromatic import Polynomial, chromatic_polynomial, chromatic_value
 from .classify import (
     DP_APPROX,
     DP_LESS,

@@ -336,10 +336,11 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     sum(M) - sum_i M[i][sigma(i)], so the best sigma is a maximum-weight
     matching on M (`_best_matching`).  `minimizers` still counts all
     (m!)^q assignments, and ties go to the lexicographically smallest.  The
-    search plan is built once per sweep.  The sweep has one chunk per head;
-    with `jobs` > 1 the chunks run on up to that many processes, never more
-    than there are chunks or CPUs.  Raises BudgetExceededError when the
-    work of `_check_sweep` passes `budget`.
+    search plan is built once per sweep and kept in the memo of the graph
+    without e, which every chunk carries, to a worker process too.  The
+    sweep has one chunk per head; with `jobs` > 1 the chunks run on up to
+    that many processes, never more than there are chunks or CPUs.  Raises
+    BudgetExceededError when the work of `_check_sweep` passes `budget`.
     """
     _check_fold(m)
     if jobs < 1:
@@ -355,8 +356,8 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     e = free[-1]
     rest = Graph(g.n, g.edges[:e] + g.edges[e + 1:])  # free[:-1] keep their indices
     heads = _orbit_heads(m, q - 1)
-    plan = _search_plan(rest, keep=g.edges[e])
-    chunks = [(rest, plan, m, free, g.edges[e], node_budget, head) for head, _ in heads]
+    _search_plan(rest, keep=g.edges[e])  # built here, and read from rest's memo by each chunk
+    chunks = [(rest, m, free, g.edges[e], node_budget, head) for head, _ in heads]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the executor module costs CLI start-up time
@@ -524,7 +525,8 @@ def _dp_chunk(args):
     """Count one prefix per orbit of the first q - 1 free edges that starts
     with `head`, each with every permutation on the last one: (min, argmin,
     ties), ties weighted by orbit size over the size of the head's class."""
-    rest, plan, m, free, (u, v), node_budget, head = args
+    rest, m, free, (u, v), node_budget, head = args
+    plan = _search_plan(rest, keep=(u, v))
     depth = len(free) - 1
     # with q <= 2 the walk has nothing to choose, and the sweep budget allows
     # an m too large to list S_m

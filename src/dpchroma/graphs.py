@@ -31,7 +31,10 @@ builds neighbour lists of an edge subset:
 * `_search_plan`: the greedy min-frontier vertex order and, per step, the
   back edges and the surviving slots of its frontier, which both exact
   counts (transversals and chromatic polynomials) walk forward; vertices
-  it is asked to keep stay on the frontier to the end;
+  it is asked to keep stay on the frontier to the end.  It is built once
+  per graph and keep set and memoised in `Graph._plans`, as
+  `Graph._incidence` is built once per graph, and each candidate's rank
+  reads two counters kept up to date as vertices are placed;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
@@ -49,7 +52,7 @@ MAX_VERTICES = 10_000  # largest vertex count parse_graph accepts
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "_index", "_incidence")
+    __slots__ = ("n", "edges", "adj", "_index", "_incidence", "_plans")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -76,6 +79,7 @@ class Graph:
         # _incidence[v]: (neighbour, edge index) pairs, ascending by neighbour
         self._incidence = tuple(tuple(sorted(a)) for a in pairs)
         self.adj = tuple(tuple(w for w, _ in a) for a in self._incidence)
+        self._plans: dict[tuple[int, ...], tuple] = {}  # _search_plan by keep set
 
     @property
     def m(self) -> int:
@@ -493,25 +497,48 @@ def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int,
 
 def _search_plan(g: Graph, keep: Iterable[int] = ()):
     """The vertex order that the frontier searches of `covers` and
-    `chromatic` walk, as (order, steps).  The frontier is the list of placed
-    vertices that still have an unplaced neighbour, in placement order; a
-    vertex in `keep` counts one unplaced neighbour more, so it stays on the
-    frontier to the end and the last frontier is `keep` in placement order.
+    `chromatic` walk, as (order, steps), built once per graph and keep set
+    by `_greedy_plan` and kept in `g._plans`; callers share it and do not
+    change it.  The frontier is the list of placed vertices that still have
+    an unplaced neighbour, in placement order; a vertex in `keep` counts one
+    unplaced neighbour more, so it stays on the frontier to the end and the
+    last frontier is `keep` in placement order.
 
     * `order`: greedy min-frontier: each step places, among the unplaced
       vertices next to a placed one (any unplaced vertex when there are
       none), one that leaves the fewest placed vertices with an unplaced
       neighbour, then one with the most placed neighbours, then the lowest;
+      the rank of a candidate is read in O(1) off counters that each
+      placement updates, not by a scan of its neighbours;
     * `steps[k]`: (back, kept) over the slots of order[k]'s step, which
       number the frontier before order[k] is placed, then order[k] itself.
       `back` holds (slot, edge index, earlier vertex) for each edge from
       order[k] back into the frontier, and `kept` the slots of the next
       frontier, order[k] last if it stays on it.
     """
+    key = tuple(sorted(set(keep)))
+    plan = g._plans.get(key)
+    if plan is None:
+        plan = g._plans[key] = _greedy_plan(g, key)
+    return plan
+
+
+def _greedy_plan(g: Graph, keep: tuple[int, ...]):
+    """The (order, steps) of `_search_plan`, built from scratch.
+
+    A candidate's rank reads two counters that each placement updates, so
+    ranking it costs O(1) instead of a scan of its neighbours: `nbrs[v]`,
+    the placed neighbours of v, and `drops[v]`, the placed neighbours whose
+    last unplaced neighbour v is, which leave the frontier once v is placed.
+    A placed vertex credits that one neighbour once, when its count of
+    unplaced neighbours falls to 1, so the updates cost O(|E|) in all.
+    """
     n = g.n
-    keep = set(keep)
+    adj = g.adj
     left = [g.degree(v) + (v in keep) for v in range(n)]  # unplaced neighbours
     placed = [False] * n
+    nbrs = [0] * n
+    drops = [0] * n
     order: list[int] = []
     steps = []
     frontier: list[int] = []
@@ -519,9 +546,7 @@ def _search_plan(g: Graph, keep: Iterable[int] = ()):
     for _ in range(n):
         best = None
         for v in near or (v for v in range(n) if not placed[v]):
-            nbrs = [w for w in g.adj[v] if placed[w]]
-            drops = sum(1 for w in nbrs if left[w] == 1)
-            rank = (len(frontier) - drops + (left[v] > 0), -len(nbrs), v)
+            rank = (len(frontier) - drops[v] + (left[v] > 0), -nbrs[v], v)
             if best is None or rank < best:
                 best = rank
         v = best[2]
@@ -529,10 +554,19 @@ def _search_plan(g: Graph, keep: Iterable[int] = ()):
         back = [(slot[w], i, w) for w, i in g._incidence[v] if w in slot]
         placed[v] = True
         order.append(v)
-        for w in g.adj[v]:
+        for w in adj[v]:
             left[w] -= 1
             if not placed[w]:
+                nbrs[w] += 1
                 near.add(w)
+        for w in (v, *adj[v]):
+            # w has just come down to one unplaced neighbour, or to none and
+            # is kept: that neighbour, if any, drops w from the frontier
+            if placed[w] and left[w] == 1:
+                for x in adj[w]:
+                    if not placed[x]:
+                        drops[x] += 1
+                        break
         near.discard(v)
         frontier.append(v)
         kept = [s for s, w in enumerate(frontier) if left[w] > 0]

@@ -467,6 +467,47 @@ def vertex_order(n, edges):
     return order(frozenset(range(n)))
 
 
+def search_plan(n, edges, keep=()):
+    """The greedy min-frontier plan of `graphs._search_plan` as (order,
+    steps), ranking each candidate by scanning its neighbours: among the
+    unplaced vertices next to a placed one (any unplaced one when there are
+    none), the fewest placed vertices left with an unplaced neighbour, then
+    the most placed neighbours, then the lowest vertex.  A vertex in `keep`
+    counts one unplaced neighbour more.  `steps[k]` is (back, kept): back
+    holds (frontier slot, edge index, earlier vertex) per edge from order[k]
+    into the frontier, ascending by that vertex, and kept the slots of the
+    next frontier, order[k] numbered last."""
+    incidence = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incidence[u].append((v, i))
+        incidence[v].append((u, i))
+    incidence = [sorted(a) for a in incidence]
+    adj = [[w for w, _ in a] for a in incidence]
+    left = [len(adj[v]) + (v in keep) for v in range(n)]
+    placed = [False] * n
+    order, steps, frontier = [], [], []
+    for _ in range(n):
+        near = [v for v in range(n) if not placed[v] and any(placed[w] for w in adj[v])]
+        best = None
+        for v in near or [v for v in range(n) if not placed[v]]:
+            nbrs = [w for w in adj[v] if placed[w]]
+            drops = sum(1 for w in nbrs if left[w] == 1)
+            rank = (len(frontier) - drops + (left[v] > 0), -len(nbrs), v)
+            if best is None or rank < best:
+                best = rank
+        v = best[2]
+        back = [(frontier.index(w), i, w) for w, i in incidence[v] if w in frontier]
+        placed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            left[w] -= 1
+        frontier.append(v)
+        kept = [s for s, w in enumerate(frontier) if left[w] > 0]
+        steps.append((back, kept))
+        frontier = [frontier[s] for s in kept]
+    return order, steps
+
+
 def cycle_graph(n):
     return n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 

@@ -7,6 +7,7 @@ from dpchroma import (
     Graph,
     Polynomial,
     chromatic_polynomial,
+    chromatic_value,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -188,22 +189,48 @@ def test_tree_closed_form():
     assert p == m * (m - Polynomial.one()) ** 4
 
 
-def test_closed_forms_of_large_graphs():
+def large_closed_forms():
+    """(graph, its chromatic polynomial in closed form) for three graphs far
+    past the oracles' reach."""
     m = Polynomial.x()
     one = Polynomial.one()
+    two = Polynomial((2,))
     # the cycle C_1000: (m-1)^1000 + (m-1)
-    assert chromatic_polynomial(cycle_graph(1000)) == (m - one) ** 1000 + (m - one)
+    yield cycle_graph(1000), (m - one) ** 1000 + (m - one)
     # the wheel with 30 rim vertices: m((m-2)^30 + (m-2))
     rim = [(i, i % 30 + 1) for i in range(1, 31)]
     wheel = Graph(31, [(0, i) for i in range(1, 31)] + rim)
-    two = Polynomial((2,))
-    assert chromatic_polynomial(wheel) == m * ((m - two) ** 30 + (m - two))
+    yield wheel, m * ((m - two) ** 30 + (m - two))
     # a depth-7 binary tree (127 vertices, 64 leaves) with a triangle on each
     # leaf: m(m-1)^126 ((m-1)(m-2))^64
     edges = [((v - 1) // 2, v) for v in range(1, 127)]
     for k, leaf in enumerate(range(63, 127)):
         a, b = 127 + 2 * k, 128 + 2 * k
         edges += [(leaf, a), (leaf, b), (a, b)]
-    tree = Graph(255, edges)
-    expected = m * (m - one) ** 126 * ((m - one) * (m - two)) ** 64
-    assert chromatic_polynomial(tree) == expected
+    yield Graph(255, edges), m * (m - one) ** 126 * ((m - one) * (m - two)) ** 64
+
+
+def test_closed_forms_of_large_graphs():
+    for g, expected in large_closed_forms():
+        assert chromatic_polynomial(g) == expected
+
+
+AT_M = [*range(9), 40]
+
+
+def test_value_at_m_matches_the_polynomial(rng):
+    # disconnected graphs, trees, isolated vertices, glued blocks, the graph
+    # with no vertex (P = 1) and one vertex (P = m), at m = 0 among others
+    graphs = shaped_graphs(rng, 80)
+    assert graphs[0] == Graph(0, [])
+    for g in graphs:
+        p = chromatic_polynomial(g)
+        assert [chromatic_value(g, m) for m in AT_M] == [p(m) for m in AT_M]
+    assert chromatic_value(Graph(0, []), 0) == 1
+    assert chromatic_value(Graph(2, [(0, 1)]), 0) == 0
+
+
+def test_value_at_m_on_large_closed_forms():
+    # the polynomials themselves are checked by test_closed_forms_of_large_graphs
+    for g, expected in large_closed_forms():
+        assert [chromatic_value(g, m) for m in AT_M] == [expected(m) for m in AT_M]

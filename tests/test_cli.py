@@ -89,6 +89,37 @@ def test_twist_on_fig1_at_forty_folds(capsys):
     assert data["count"] == "15722290665260235299840"
 
 
+TWIST_ARCS = {"fig1": "0>1", "fig3b": "2>3,2>7,6>3,0>3,2>1"}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3b"])
+def test_twist_and_dpexact_print_the_chromatic_value_at_m(capsys, name):
+    # twist and dpexact evaluate P(G, m) at their one m; chromatic --at
+    # reads it off the whole polynomial
+    folds = [1, *range(2, 9), 40]
+    at = [x for m in folds for x in ("--at", str(m))]
+    values = run_json(capsys, "chromatic", "--fixture", name, *at)["evaluations"]
+    for m in folds[1:]:
+        data = run_json(capsys, "twist", "--fixture", name, "--estar", TWIST_ARCS[name],
+                        "--m", str(m))
+        assert data["chromatic_value"] == values[str(m)]
+    for m in folds[:2]:  # the cover sweep at m = 1 and 2; m = 3 takes minutes
+        data = run_json(capsys, "dpexact", "--fixture", name, "--m", str(m))
+        assert data["chromatic_value"] == values[str(m)]
+
+
+def test_twist_on_fig3b_builds_one_search_plan(capsys, monkeypatch):
+    # fig3b is one block, so the chromatic search and the transversal count
+    # walk the same plan, built once and memoised on the graph
+    from dpchroma import graphs
+
+    built = []
+    builder = graphs._greedy_plan
+    monkeypatch.setattr(graphs, "_greedy_plan", lambda g, keep: built.append(keep) or builder(g, keep))
+    run_json(capsys, "twist", "--fixture", "fig3b", "--estar", TWIST_ARCS["fig3b"], "--m", "5")
+    assert built == [()]
+
+
 def test_girth_and_setgirth(capsys):
     data = run_json(capsys, "girth", "--fixture", "complete:4", "--edge", "0")
     assert data["value"] == 3

@@ -277,6 +277,30 @@ def test_search_plan_steps_replay(rng):
         replay_search_plan(Graph(n, a + [(u + k, v + k) for u, v in b]))
 
 
+def test_search_plan_matches_the_scanning_oracle(rng):
+    # the plan ranks each candidate from two counters updated per placement;
+    # the oracle rescans its neighbours, on connected and disconnected graphs
+    # with keep sets of 0, 1 and 2 vertices
+    for trial in range(600):
+        n = rng.randint(0, 13)
+        g = Graph(n, random_edges(rng, n, rng.uniform(0.05, 0.7)))
+        keep = rng.sample(range(n), min(trial % 3, n))
+        assert _search_plan(g, keep) == oracles.search_plan(n, list(g.edges), set(keep))
+    for g in (fig1_graph(), fig3b_graph()):
+        for keep in ((), (3,), (0, 7)):
+            assert _search_plan(g, keep) == oracles.search_plan(g.n, list(g.edges), set(keep))
+
+
+def test_search_plan_is_built_once_per_graph_and_keep_set():
+    g = fig3b_graph()
+    plan = _search_plan(g)
+    assert _search_plan(g) is plan and _search_plan(g, []) is plan
+    kept = _search_plan(g, (7, 2))
+    assert kept is not plan and _search_plan(g, [2, 7]) is kept
+    # an equal graph built apart has its own memo
+    assert _search_plan(fig3b_graph()) is not plan and _search_plan(fig3b_graph()) == plan
+
+
 # ---------------------------------------------------------------------------
 # cycles
 
