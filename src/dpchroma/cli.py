@@ -3,8 +3,9 @@
 Every operation is exposed as a subcommand over a graph given either as an
 edge-list file (--graph) or a named fixture (--fixture).  Output is a human
 summary by default or JSON with --format json.  Exit status: 0 on success,
-2 for input errors, 3 when a budget is exceeded; `classify` alone reports an
-overrun as an inconclusive verdict and exits 0.
+2 for input errors, 3 when a budget is exceeded, 141 when stdout is closed
+before the output is written; `classify` alone reports an overrun as an
+inconclusive verdict and exits 0.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .chromatic import chromatic_polynomial, chromatic_value
@@ -36,6 +38,7 @@ from .graphs import fixture, parse_graph
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # a shell's status for a writer killed by SIGPIPE
 
 
 def _load_graph(args):
@@ -92,16 +95,7 @@ def _vertices(text):
     return out
 
 
-def _emit(args, lines, payload):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_chromatic(args):
-    g = _load_graph(args)
+def _cmd_chromatic(g, args):
     p = chromatic_polynomial(g)
     lines = [f"P(G, m) = {p.format()}"]
     evals = {}
@@ -109,43 +103,31 @@ def _cmd_chromatic(args):
         value = p(m)
         evals[str(m)] = str(value)
         lines.append(f"P({m}) = {value}")
-    _emit(args, lines, {"polynomial": p.to_json(), "evaluations": evals})
-    return EXIT_OK
+    return lines, {"polynomial": p.to_json(), "evaluations": evals}
 
 
-def _cmd_dpcount(args):
-    g = _load_graph(args)
+def _cmd_dpcount(g, args):
     with open(args.cover, "r", encoding="utf-8") as fh:
         cov = Cover.from_json(g, json.load(fh))
     report = count_transversals(g, cov)
-    _emit(args, [f"transversals = {report.value}"], report.to_json())
-    return EXIT_OK
+    return [f"transversals = {report.value}"], report.to_json()
 
 
-def _cmd_dpexact(args):
-    g = _load_graph(args)
+def _cmd_dpexact(g, args):
     report = dp_exact(g, args.m, budget=args.budget_covers, jobs=args.jobs)
     p_value = chromatic_value(g, args.m)
     rel = "<" if report.value < p_value else "="
-    lines = [f"P_DP(G, {args.m}) = {report.value} {rel} P(G, {args.m}) = {p_value}"]
-    assert report.cover is not None
-    twists = {i: p for i, p in enumerate(report.cover.perms)
-              if not report.cover.is_identity(i)}
-    if twists:
-        desc = "; ".join(f"edge {i} {g.edges[i]} -> {list(p)}" for i, p in twists.items())
-        lines.append(f"argmin cover: {desc}")
-    else:
-        lines.append("argmin cover: the canonical cover (all identity)")
-    lines.append(f"minimizing covers: {report.minimizers}")
-    _emit(args, lines, {"dp_value": str(report.value),
-                        "chromatic_value": str(p_value),
-                        "argmin": report.cover.to_json(),
-                        "minimizers": report.minimizers})
-    return EXIT_OK
+    cov = report.cover
+    twists = "; ".join(f"edge {i} {g.edges[i]} -> {list(p)}"
+                       for i, p in enumerate(cov.perms) if not cov.is_identity(i))
+    lines = [f"P_DP(G, {args.m}) = {report.value} {rel} P(G, {args.m}) = {p_value}",
+             f"argmin cover: {twists or 'the canonical cover (all identity)'}",
+             f"minimizing covers: {report.minimizers}"]
+    return lines, {"dp_value": str(report.value), "chromatic_value": str(p_value),
+                   "argmin": cov.to_json(), "minimizers": report.minimizers}
 
 
-def _cmd_twist(args):
-    g = _load_graph(args)
+def _cmd_twist(g, args):
     oriented = _oriented(g, args.estar)
     cov = twisted_cover(g, oriented, args.m)
     count = count_transversals(g, cov).value
@@ -155,45 +137,36 @@ def _cmd_twist(args):
         f"twisted cover count = {count} {rel} P(G, {args.m}) = {p_value}",
         f"sloping edges: {sorted(i for i, _ in oriented.tails)}",
     ]
-    _emit(args, lines, {"count": str(count), "chromatic_value": str(p_value),
-                        "cover": cov.to_json(),
-                        "sloping": sloping_report(cov).to_json()})
-    return EXIT_OK
+    return lines, {"count": str(count), "chromatic_value": str(p_value),
+                   "cover": cov.to_json(), "sloping": sloping_report(cov).to_json()}
 
 
-def _cmd_girth(args):
-    g = _load_graph(args)
+def _girth_lines(label, r):
+    """The lines and payload of a GirthResult, `girth` and `setgirth` alike."""
+    lines = [f"{label}: {int(r.value) if r.is_finite else 'infinity'}"]
+    if r.witness:
+        lines.append(f"witness cycle: {list(r.witness.vertices)}")
+    return lines, r.to_json()
+
+
+def _cmd_girth(g, args):
     if not (0 <= args.edge < len(g.edges)):
         raise ValueError(f"edge index {args.edge} out of range")
-    r = edge_girth(g, args.edge)
-    value = int(r.value) if r.is_finite else "infinity"
-    lines = [f"girth of edge {args.edge} {g.edges[args.edge]}: {value}"]
-    if r.witness:
-        lines.append(f"witness cycle: {list(r.witness.vertices)}")
-    _emit(args, lines, r.to_json())
-    return EXIT_OK
+    return _girth_lines(f"girth of edge {args.edge} {g.edges[args.edge]}",
+                        edge_girth(g, args.edge))
 
 
-def _cmd_setgirth(args):
-    g = _load_graph(args)
-    r = edge_set_girth(g, _oriented(g, args.edges).edges)
-    value = int(r.value) if r.is_finite else "infinity"
-    lines = [f"set girth: {value}"]
-    if r.witness:
-        lines.append(f"witness cycle: {list(r.witness.vertices)}")
-    _emit(args, lines, r.to_json())
-    return EXIT_OK
+def _cmd_setgirth(g, args):
+    return _girth_lines("set girth", edge_set_girth(g, _oriented(g, args.edges).edges))
 
 
-def _cmd_balance(args):
-    g = _load_graph(args)
+def _cmd_balance(g, args):
     oriented = _oriented(g, args.estar)
     verdict = check_balance(g, oriented, args.bound, cycle_budget=args.budget_cycles)
     lines = [f"balanced below length {args.bound}: {verdict.balanced}"]
     if verdict.witness:
         lines.append(f"failing cycle: {list(verdict.witness.vertices)}")
-    _emit(args, lines, verdict.to_json())
-    return EXIT_OK
+    return lines, verdict.to_json()
 
 
 def _verdict_lines(v):
@@ -203,74 +176,44 @@ def _verdict_lines(v):
     return lines
 
 
-def _cmd_dpgood(args):
-    g = _load_graph(args)
+def _cmd_dpgood(g, args):
     verdict = check_dp_good(g, budget=args.budget_trees)
     lines = _verdict_lines(verdict)
     if verdict.satisfied:
         cert = verdict.certificate
-        lines.append(f"  tree edges: {cert.to_json()['tree']}")
-        lines.append(f"  labeling: {list(cert.labeling)}")
-        lines.append(f"  girths: {verdict.detail['girth_sequence']}")
-    _emit(args, lines, verdict.to_json())
-    return EXIT_OK
+        lines += [f"  tree edges: {cert.to_json()['tree']}", f"  labeling: {list(cert.labeling)}",
+                  f"  girths: {verdict.detail['girth_sequence']}"]
+    return lines, verdict.to_json()
 
 
-def _cmd_vorder(args):
-    g = _load_graph(args)
+def _cmd_vorder(g, args):
     order = _vertices(args.order) if args.order is not None else None
     verdict = check_vertex_order(g, order=order, budget=args.budget_trees)
     lines = _verdict_lines(verdict)
     if verdict.satisfied:
         lines.append(f"  order: {list(verdict.certificate)}")
-    _emit(args, lines, verdict.to_json())
-    return EXIT_OK
+    return lines, verdict.to_json()
 
 
-def _cmd_thm5(args):
-    g = _load_graph(args)
-    oriented = _oriented(g, args.estar)
-    verdict = check_balanced_orientation(g, oriented, cycle_budget=args.budget_cycles)
-    _emit(args, _verdict_lines(verdict), verdict.to_json())
-    return EXIT_OK
+def _cmd_thm5(g, args):
+    verdict = check_balanced_orientation(g, _oriented(g, args.estar),
+                                         cycle_budget=args.budget_cycles)
+    return _verdict_lines(verdict), verdict.to_json()
 
 
-def _cmd_cor5(args):
-    g = _load_graph(args)
+def _cmd_cor5(g, args):
     estar = _oriented(g, args.estar).edges if args.estar is not None else None
     verdict = check_crossing_edge_set(g, _vertices(args.v1), _vertices(args.v2), estar,
                                       cycle_budget=args.budget_cycles)
-    _emit(args, _verdict_lines(verdict), verdict.to_json())
-    return EXIT_OK
+    return _verdict_lines(verdict), verdict.to_json()
 
 
-def _cmd_classify(args):
-    g = _load_graph(args)
+def _cmd_classify(g, args):
     verdicts = classify(g, budget=args.budget_trees)
-    lines = []
-    for v in verdicts:
-        lines.extend(_verdict_lines(v))
+    lines = [line for v in verdicts for line in _verdict_lines(v)]
     implied = sorted({v.implied for v in verdicts if v.satisfied})
     lines.append(f"implied memberships: {', '.join(implied) if implied else 'none'}")
-    _emit(args, lines, {"verdicts": [v.to_json() for v in verdicts],
-                        "implied": implied})
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "chromatic": _cmd_chromatic,
-    "dpcount": _cmd_dpcount,
-    "dpexact": _cmd_dpexact,
-    "twist": _cmd_twist,
-    "girth": _cmd_girth,
-    "setgirth": _cmd_setgirth,
-    "balance": _cmd_balance,
-    "dpgood": _cmd_dpgood,
-    "vorder": _cmd_vorder,
-    "thm5": _cmd_thm5,
-    "cor5": _cmd_cor5,
-    "classify": _cmd_classify,
-}
+    return lines, {"verdicts": [v.to_json() for v in verdicts], "implied": implied}
 
 
 _BUDGET_HELP = {
@@ -294,7 +237,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *budgets):
+    def common(p, run, *budgets):
         def budget(text):
             value = int(text)
             if value < 1:
@@ -307,66 +250,67 @@ def _build_parser():
                          help="named graph: cycle:n, path:n, complete:n, "
                               "complete_multipartite:a,b,..., fig1, fig3b")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(run=run)
         for kind in budgets:
             p.add_argument(f"--budget-{kind}", type=budget, default=DEFAULT_BUDGET,
                            help=_BUDGET_HELP[kind])
 
     p = sub.add_parser("chromatic", help="chromatic polynomial")
-    common(p)
+    common(p, _cmd_chromatic)
     p.add_argument("--at", type=int, action="append",
                    help="evaluate at this m (repeatable)")
 
     p = sub.add_parser("dpcount", help="count the transversals of a cover")
-    common(p)
+    common(p, _cmd_dpcount)
     p.add_argument("--cover", required=True, help="path to a cover JSON file")
 
     p = sub.add_parser("dpexact", help="exact DP color function value at m")
-    common(p, "covers")
+    common(p, _cmd_dpexact, "covers")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over the cover space (at most the CPU count)")
 
     p = sub.add_parser("twist", help="build the shift cover on an edge set and count")
-    common(p)
+    common(p, _cmd_twist)
     p.add_argument("--estar", required=True,
                    help="directed edges 'u>v,...' (or edge indices, tail = "
                         "smaller endpoint)")
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("girth", help="girth of one edge")
-    common(p)
+    common(p, _cmd_girth)
     p.add_argument("--edge", type=int, required=True, help="edge index")
 
     p = sub.add_parser("setgirth", help="girth of an edge set (odd intersection)")
-    common(p)
+    common(p, _cmd_setgirth)
     p.add_argument("--edges", required=True,
                    help="edge list: indices or 'u-v' pairs, comma separated")
 
     p = sub.add_parser("balance", help="balance of an oriented edge set on short cycles")
-    common(p, "cycles")
+    common(p, _cmd_balance, "cycles")
     p.add_argument("--estar", required=True, help="directed edges 'u>v,...'")
     p.add_argument("--bound", type=int, required=True,
                    help="check cycles strictly shorter than this")
 
     p = sub.add_parser("dpgood", help="search for a DP-good certificate")
-    common(p, "trees")
+    common(p, _cmd_dpgood, "trees")
 
     p = sub.add_parser("vorder", help="connected back-neighborhood vertex order")
-    common(p, "trees")
+    common(p, _cmd_vorder, "trees")
     p.add_argument("--order", help="comma-separated vertex order to verify")
 
     p = sub.add_parser("thm5", help="even set-girth + balanced orientation check")
-    common(p, "cycles")
+    common(p, _cmd_thm5, "cycles")
     p.add_argument("--estar", required=True, help="directed edges 'u>v,...'")
 
     p = sub.add_parser("cor5", help="crossing edge set between two vertex classes")
-    common(p, "cycles")
+    common(p, _cmd_cor5, "cycles")
     p.add_argument("--v1", required=True, help="comma-separated vertex class")
     p.add_argument("--v2", required=True, help="comma-separated vertex class")
     p.add_argument("--estar", help="edge subset (defaults to all crossing edges)")
 
     p = sub.add_parser("classify", help="run every sufficient-condition check")
-    common(p, "trees")
+    common(p, _cmd_classify, "trees")
 
     return parser
 
@@ -376,7 +320,8 @@ def main(argv=None) -> int:
 
     It may be called any number of times in one process; each call parses
     its own arguments into a fresh namespace.  The parser is built on the
-    first call and reused by every later one.
+    first call and reused by every later one.  Subcommands return text lines
+    and a JSON payload; only this function loads, prints and maps errors.
     """
     # exact counts are printed in full, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
@@ -387,16 +332,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        lines, payload = args.run(_load_graph(args), args)
+        print(json.dumps(payload, indent=2, ensure_ascii=False) if args.format == "json"
+              else "\n".join(lines))
+        sys.stdout.flush()
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so that the interpreter's last flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (GraphParseError, ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         print(f"run dp-chroma {args.command} --help for usage", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

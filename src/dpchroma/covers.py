@@ -319,8 +319,7 @@ def _assignment_cover(g: Graph, m: int, free: list[int], combo) -> Cover:
 SWEEP_COUNTER = "prefix orbits x 2^m column sets + listed permutations"
 
 
-def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
-             node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1) -> CountReport:
+def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> CountReport:
     """Minimum transversal count over all tree-normalized m-fold covers.
 
     Fixes one BFS spanning tree with identity permutations and sweeps the
@@ -340,7 +339,8 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     without e, which every chunk carries, to a worker process too.  The
     sweep has one chunk per head; with `jobs` > 1 the chunks run on up to
     that many processes, never more than there are chunks or CPUs.  Raises
-    BudgetExceededError when the work of `_check_sweep` passes `budget`.
+    BudgetExceededError when the work of `_check_sweep` passes `budget`, or
+    when one count passes DEFAULT_NODE_BUDGET search nodes.
     """
     _check_fold(m)
     if jobs < 1:
@@ -351,13 +351,13 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET,
     _check_sweep(m, q, budget)
     if not free:
         cov = canonical_cover(g, m)
-        return CountReport(count_transversals(g, cov, node_budget).value, cover=cov, minimizers=1)
+        return CountReport(count_transversals(g, cov).value, cover=cov, minimizers=1)
 
     e = free[-1]
     rest = Graph(g.n, g.edges[:e] + g.edges[e + 1:])  # free[:-1] keep their indices
     heads = _orbit_heads(m, q - 1)
     _search_plan(rest, keep=g.edges[e])  # built here, and read from rest's memo by each chunk
-    chunks = [(rest, m, free, g.edges[e], node_budget, head) for head, _ in heads]
+    chunks = [(rest, m, free, g.edges[e], head) for head, _ in heads]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the executor module costs CLI start-up time
@@ -525,7 +525,7 @@ def _dp_chunk(args):
     """Count one prefix per orbit of the first q - 1 free edges that starts
     with `head`, each with every permutation on the last one: (min, argmin,
     ties), ties weighted by orbit size over the size of the head's class."""
-    rest, m, free, (u, v), node_budget, head = args
+    rest, m, free, (u, v), head = args
     plan = _search_plan(rest, keep=(u, v))
     depth = len(free) - 1
     # with q <= 2 the walk has nothing to choose, and the sweep budget allows
@@ -534,7 +534,7 @@ def _dp_chunk(args):
     results = []
     for combo, weight in _orbit_walk(perms, head, depth):
         pairs = _pair_counts(rest, plan, _assignment_cover(rest, m, free, combo), u, v,
-                             node_budget)
+                             DEFAULT_NODE_BUDGET)
         top, tied, sigma = _best_matching(pairs)
         results.append((sum(map(sum, pairs)) - top, combo + (sigma,), weight * tied))
     return _least(results)

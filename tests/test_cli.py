@@ -462,6 +462,19 @@ def test_module_entry_point():
     assert "P(3) = 18" in proc.stdout
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_ends_the_command_quietly(fmt):
+    # P(G, m) of a 2000-cycle is about 886 KB in either format, more than a
+    # pipe holds, so the write meets the closed pipe; it is not an input error
+    argv = [sys.executable, "-m", "dpchroma", "chromatic", "--fixture", "cycle:2000",
+            "--at", "3", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
 # --format json output of the paper's figures, recorded before the graph
 # primitives were merged; it fixes the BFS tie-breaking behind every witness
 FIG3B_ARGS = ("--fixture", "fig3b")
@@ -573,3 +586,59 @@ def test_pinned_json_on_a_square_with_a_handle(capsys, tmp_path, argv, expected)
     code, out, err = run_cli(capsys, *argv, "--graph", str(path), "--format", "json")
     assert code == 0, err
     assert out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+
+
+# the default text output of every subcommand, and the exact stderr of one
+# input error and one budget overrun; recorded before the subcommands
+# returned their lines to `main`.  "{cover}" names a 3-shift on edge 0
+FIG3B_ESTAR = "2>3,2>7,6>3,0>3,2>1"
+PINNED_TEXT = [
+    (("chromatic", "--fixture", "cycle:4", "--at", "3", "--at", "0"), 0,
+     "P(G, m) = m^4 - 4*m^3 + 6*m^2 - 3*m\nP(3) = 18\nP(0) = 0\n", ""),
+    (("dpcount", "--fixture", "fig1", "--cover", "{cover}"), 0, "transversals = 255\n", ""),
+    (("dpexact", "--fixture", "cycle:4", "--m", "3"), 0,
+     "P_DP(G, 3) = 15 < P(G, 3) = 18\nargmin cover: edge 2 (2, 3) -> [1, 2, 0]\n"
+     "minimizing covers: 2\n", ""),
+    (("twist", *FIG3B_ARGS, "--estar", FIG3B_ESTAR, "--m", "3"), 0,
+     "twisted cover count = 3 > P(G, 3) = 0\nsloping edges: [0, 1, 2, 3, 4]\n", ""),
+    (("girth", "--fixture", "fig1", "--edge", "5"), 0,
+     "girth of edge 5 (2, 6): 3\nwitness cycle: [2, 6, 11]\n", ""),
+    (("setgirth", *FIG3B_ARGS, "--edges", "2-3,2-7,3-6,0-3,1-2"), 0,
+     "set girth: 4\nwitness cycle: [0, 3, 5, 4]\n", ""),
+    (("balance", "--fixture", "fig1", "--estar", "0", "--bound", "5"), 0,
+     "balanced below length 5: False\nfailing cycle: [0, 1, 13]\n", ""),
+    (("dpgood", "--fixture", "fig1"), 0,
+     "dp-good: satisfied (implied class: DP*)\n"
+     "  tree edges: [0, 1, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 19]\n"
+     "  labeling: [10, 12, 14, 16, 18, 20, 2, 3]\n"
+     "  girths: [3, 3, 3, 3, 3, 3, 5, 5]\n", ""),
+    (("vorder", "--fixture", "complete:4"), 0,
+     "connected-back-neighborhood-order: satisfied (implied class: DP*)\n"
+     "  order: [3, 2, 1, 0]\n", ""),
+    (("thm5", *FIG3B_ARGS, "--estar", FIG3B_ESTAR), 0,
+     "balanced-orientation: satisfied (implied class: DP<)\n", ""),
+    (("cor5", *FIG3B_ARGS, "--v1", "0,2,6", "--v2", "1,3,7"), 0,
+     "crossing-edge-set: satisfied (implied class: DP<)\n", ""),
+    (("classify", "--fixture", "fig1"), 0,
+     "even-girth-edge: violated (implied class: unknown)\n"
+     "  reason: every edge has odd or infinite girth\n"
+     "dp-good: satisfied (implied class: DP*)\n"
+     "connected-back-neighborhood-order: violated (implied class: unknown)\n"
+     "  reason: no vertex order satisfies the condition (exhaustive over all orders)\n"
+     "quad-girth-crossing-set: inconclusive (implied class: unknown)\n"
+     "  reason: no edge set has set girth four: every 4-cycle is a sum of triangles\n"
+     "implied memberships: DP*\n", ""),
+    (("girth", "--fixture", "fig1", "--edge", "99"), 2, "",
+     "error: edge index 99 out of range\nrun dp-chroma girth --help for usage\n"),
+    (("dpexact", "--fixture", "cycle:4", "--m", "3", "--budget-covers", "1"), 3, "",
+     "budget exceeded: prefix orbits x 2^m column sets + listed permutations: "
+     "reached 8, over the budget of 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED_TEXT,
+                         ids=[" ".join(a) for a, *_ in PINNED_TEXT])
+def test_pinned_text_output(capsys, tmp_path, argv, code, out, err):
+    cover = tmp_path / "shift.json"
+    cover.write_text('{"m": 3, "perms": {"0": [1, 2, 0]}}')
+    assert run_cli(capsys, *(a.format(cover=cover) for a in argv)) == (code, out, err)
