@@ -25,7 +25,7 @@ test on each shorter cycle, with the same set-girth gate and certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
@@ -148,15 +148,14 @@ def _subgraph_cycle(g: Graph, mask: int) -> Optional[Cycle]:
     return Cycle.from_vertices(g, path)
 
 
-@lru_cache(maxsize=1)
 def _girth_values(g: Graph) -> tuple[float, ...]:
-    """The `edge_girth` value of every edge, without building its witness.
-
-    The last graph's values are kept, so the checks `classify` runs on one
-    graph compute them once."""
-    full = g.full_mask()
-    paths = (_bfs_path(g._incidence, full ^ 1 << i, u, v) for i, (u, v) in enumerate(g.edges))
-    return tuple(INFINITE if path is None else len(path) for path in paths)
+    """The `edge_girth` value of every edge, without its witness, kept in
+    `g._memo`: the checks `classify` runs on one graph compute them once."""
+    if "girths" not in g._memo:
+        full = g.full_mask()
+        paths = (_bfs_path(g._incidence, full ^ 1 << i, u, v) for i, (u, v) in enumerate(g.edges))
+        g._memo["girths"] = tuple(INFINITE if path is None else len(path) for path in paths)
+    return g._memo["girths"]
 
 
 def _place(g: Graph, girth: int, pending: Sequence[int], available: int):
@@ -232,9 +231,8 @@ def _rank_test(g: Graph, needed: dict[int, int]) -> bool:
     the girth-MST test that number is the cyclomatic number of the edges
     of girth at most g, which that rank can never exceed.
     """
-    targets = dict(zip(needed, accumulate(needed.values())))
-    ranks = cycle_space_ranks(g, targets)
-    return all(ranks[girth] >= target for girth, target in targets.items())
+    ranks = cycle_space_ranks(g, needed)
+    return all(ranks[girth] >= target for girth, target in zip(needed, accumulate(needed.values())))
 
 
 def _first_basis(g: Graph, girths: Sequence[float], girth: int, need: int,
@@ -533,11 +531,8 @@ def check_balanced_orientation(g: Graph, estar: OrientedEdgeSet,
 
 def crossing_edges(g: Graph, v1: Sequence[int], v2: Sequence[int]) -> int:
     s1, s2 = set(v1), set(v2)
-    mask = 0
-    for i, (u, v) in enumerate(g.edges):
-        if (u in s1 and v in s2) or (u in s2 and v in s1):
-            mask |= 1 << i
-    return mask
+    return sum(1 << i for i, (u, v) in enumerate(g.edges)
+               if (u in s1 and v in s2) or (u in s2 and v in s1))
 
 
 def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
@@ -664,8 +659,7 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
                       lambda mask: girths[mask.bit_length() - 1] == 4)
     if found is not None:
         return found
-    # a target above any rank, so both ranks are exact
-    ranks = cycle_space_ranks(g, {3: g.m + 1, 4: g.m + 1})
+    ranks = cycle_space_ranks(g, (3, 4))  # no pass once the rank test found that the triangles span
     if ranks[4] == ranks[3]:
         return inconclusive("no edge set has set girth four: every 4-cycle "
                             "is a sum of triangles")

@@ -3,9 +3,9 @@
 Every operation is exposed as a subcommand over a graph given either as an
 edge-list file (--graph) or a named fixture (--fixture).  Output is a human
 summary by default or JSON with --format json.  Exit status: 0 on success,
-2 for input errors, 3 when a budget is exceeded, 141 when stdout is closed
-before the output is written; `classify` alone reports an overrun as an
-inconclusive verdict and exits 0.
+1 when the output cannot be written, 2 for input errors, 3 when a budget is
+exceeded, 141 when stdout is closed before the output is written;
+`classify` alone reports an overrun as an inconclusive verdict and exits 0.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .girth import OrientedEdgeSet, check_balance, edge_girth, edge_set_girth
 from .graphs import fixture, parse_graph
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1  # the status coreutils give a write error
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141  # a shell's status for a writer killed by SIGPIPE
@@ -322,6 +323,8 @@ def main(argv=None) -> int:
     its own arguments into a fresh namespace.  The parser is built on the
     first call and reused by every later one.  Subcommands return text lines
     and a JSON payload; only this function loads, prints and maps errors.
+    An error while the output is written is not an input error: it gets no
+    usage hint.
     """
     # exact counts are printed in full, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
@@ -333,25 +336,31 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         lines, payload = args.run(_load_graph(args), args)
-        print(json.dumps(payload, indent=2, ensure_ascii=False) if args.format == "json"
-              else "\n".join(lines))
-        sys.stdout.flush()
+        text = (json.dumps(payload, indent=2, ensure_ascii=False) if args.format == "json"
+                else "\n".join(lines))
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to the null
-        # device, so that the interpreter's last flush stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE
     except (GraphParseError, ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         print(f"run dp-chroma {args.command} --help for usage", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # send what is still buffered to the null device, so that the
+        # interpreter's last flush stays quiet; a closed pipe means the
+        # reader is gone, which is no error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

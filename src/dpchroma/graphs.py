@@ -26,15 +26,16 @@ builds neighbour lists of an edge subset:
   of roots, cut at a depth and stopped at a target on request, as a parent
   dict in visiting order; `_bfs_path` reads shortest paths off it, and the
   ascending neighbour order fixes every witness cycle the package reports;
-* `cycle_space_ranks`: the GF(2) rank of the cycles up to each asked
+* `Graph._memo`: the one home of the tables a graph alone determines (search
+  plans, edge girths, cycle-space ranks), so no module state holds a graph;
+* `cycle_space_ranks`: the exact GF(2) rank of the cycles up to each asked
   length, from Horton's candidate cycles;
 * `_search_plan`: the greedy min-frontier vertex order and, per step, the
   back edges and the surviving slots of its frontier, which both exact
   counts (transversals and chromatic polynomials) walk forward; vertices
   it is asked to keep stay on the frontier to the end.  It is built once
-  per graph and keep set and memoised in `Graph._plans`, as
-  `Graph._incidence` is built once per graph, and each candidate's rank
-  reads two counters kept up to date as vertices are placed;
+  per graph and keep set, and each candidate's rank reads two counters
+  kept up to date as vertices are placed;
 * `_require_connected`: the connectivity rule, under which n = 0 fails.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 
@@ -52,7 +53,7 @@ MAX_VERTICES = 10_000  # largest vertex count parse_graph accepts
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "_index", "_incidence", "_plans")
+    __slots__ = ("n", "edges", "adj", "_index", "_incidence", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -79,7 +80,7 @@ class Graph:
         # _incidence[v]: (neighbour, edge index) pairs, ascending by neighbour
         self._incidence = tuple(tuple(sorted(a)) for a in pairs)
         self.adj = tuple(tuple(w for w, _ in a) for a in self._incidence)
-        self._plans: dict[tuple[int, ...], tuple] = {}  # _search_plan by keep set
+        self._memo: dict = {}  # tables derived from the graph alone, by name
 
     @property
     def m(self) -> int:
@@ -498,7 +499,7 @@ def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int,
 def _search_plan(g: Graph, keep: Iterable[int] = ()):
     """The vertex order that the frontier searches of `covers` and
     `chromatic` walk, as (order, steps), built once per graph and keep set
-    by `_greedy_plan` and kept in `g._plans`; callers share it and do not
+    by `_greedy_plan` and kept in `g._memo`; callers share it and do not
     change it.  The frontier is the list of placed vertices that still have
     an unplaced neighbour, in placement order; a vertex in `keep` counts one
     unplaced neighbour more, so it stays on the frontier to the end and the
@@ -516,11 +517,10 @@ def _search_plan(g: Graph, keep: Iterable[int] = ()):
       order[k] back into the frontier, and `kept` the slots of the next
       frontier, order[k] last if it stays on it.
     """
-    key = tuple(sorted(set(keep)))
-    plan = g._plans.get(key)
-    if plan is None:
-        plan = g._plans[key] = _greedy_plan(g, key)
-    return plan
+    key = ("plan", tuple(sorted(set(keep))))
+    if key not in g._memo:
+        g._memo[key] = _greedy_plan(g, key[1])
+    return g._memo[key]
 
 
 def _greedy_plan(g: Graph, keep: tuple[int, ...]):
@@ -641,10 +641,13 @@ def _horton_candidates(g: Graph, cut: int) -> Iterator[tuple[int, int]]:
                 yield depth[x] + depth[y] + 1, path[x] ^ path[y] ^ 1 << i
 
 
-def cycle_space_ranks(g: Graph, targets: dict[int, int]) -> dict[int, int]:
-    """For each length l in `targets`, the rank over GF(2) of the cycles of
-    length at most l.  The search stops as soon as every rank has reached
-    its target, so the ranks are exact whenever one of them does not.
+def cycle_space_ranks(g: Graph, lengths: Collection[int]) -> dict[int, int]:
+    """For each length l in `lengths`, the exact GF(2) rank of the cycles
+    of length at most l, kept in `g._memo`.  No rank exceeds the cyclomatic
+    number m - n + c, which every l >= n reaches, so the least known length
+    of that rank answers every longer one.  The lengths below it that the
+    memo lacks are built in one pass, which stops once the shortest reaches
+    that rank: each basis spans the bases of the shorter lengths.
 
     Horton's candidates span these cycles: with P the paths of a BFS tree
     from a vertex r of a cycle C of length l, C is the sum of
@@ -653,23 +656,26 @@ def cycle_space_ranks(g: Graph, targets: dict[int, int]) -> dict[int, int]:
     max(l) // 2, and a candidate joins the bases, keyed by top bit, of the
     lengths from its d(r, x) + d(r, y) + 1 up until one already spans it.
     """
-    lengths = sorted(targets)
-    bases: dict[int, dict[int, int]] = {length: {} for length in lengths}
-    missing = sum(1 for length in lengths if targets[length] > 0)
-    for first, cycle in _horton_candidates(g, max(lengths, default=0) // 2):
-        if not missing:
-            break
-        for length in lengths:
-            if length < first:
-                continue
-            basis = bases[length]
-            while cycle and cycle.bit_length() - 1 in basis:
-                cycle ^= basis[cycle.bit_length() - 1]
-            if not cycle:
-                break  # in the span of every longer basis too
-            basis[cycle.bit_length() - 1] = cycle
-            missing -= len(basis) == targets[length]
-    return {length: len(bases[length]) for length in lengths}
+    known = g._memo.setdefault("ranks", {})
+    cyclomatic = g.m - g.n + component_count(g, g.full_mask())
+    done = min((length for length, rank in known.items() if rank == cyclomatic), default=g.n)
+    todo = sorted({length for length in lengths if length < done and length not in known})
+    if todo and cyclomatic:
+        bases: dict[int, dict[int, int]] = {length: {} for length in todo}
+        for first, cycle in _horton_candidates(g, todo[-1] // 2):
+            for length in todo:
+                if length < first:
+                    continue
+                basis = bases[length]
+                while cycle and cycle.bit_length() - 1 in basis:
+                    cycle ^= basis[cycle.bit_length() - 1]
+                if not cycle:
+                    break  # in the span of every longer basis too
+                basis[cycle.bit_length() - 1] = cycle
+            if len(bases[todo[0]]) == cyclomatic:
+                break
+        known.update((length, len(bases[length])) for length in todo)
+    return {length: known.get(length, cyclomatic) for length in lengths}
 
 
 def _bases(g: Graph, base: int, free: Sequence[int], need: int, budget: int) -> Iterator[int]:

@@ -100,5 +100,17 @@ def is_chordal(n, edges):
 
 
 @pytest.fixture
+def horton_calls(monkeypatch):
+    """The BFS cut of every call of `graphs._horton_candidates`, in order."""
+    from dpchroma import graphs
+
+    calls = []
+    horton = graphs._horton_candidates
+    monkeypatch.setattr(graphs, "_horton_candidates",
+                        lambda g, cut: calls.append(cut) or horton(g, cut))
+    return calls
+
+
+@pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import sys
 from collections import Counter
 from itertools import combinations, islice
 from time import perf_counter
@@ -1186,10 +1187,13 @@ def test_quad_budget_counts_every_single_and_star():
 
 
 @pytest.mark.parametrize("name", ["outer-path-400", "stacked-400", "K10,10,10"])
-def test_classify_answers_on_large_near_triangulations_and_multipartite(name):
+def test_classify_answers_on_large_near_triangulations_and_multipartite(name, horton_calls):
     # about 0.3 s each on a shared 2-core host; before the quad search read
     # its single edges off the girth table, 95 s, 18 s and 0.67 s.  The
-    # vertex-order search decides few of the 2^n sets, so it answers too
+    # vertex-order search decides few of the 2^n sets, so it answers too.
+    # The triangles span the cycle space, so the quad search's rank stop
+    # reads the ranks the DP-good rank test left on the graph: Horton's
+    # candidates are generated once
     g = {"outer-path-400": lambda: outer_path_near_triangulation(400, random.Random(1)),
          "stacked-400": lambda: stacked_triangulation(400, random.Random(1)),
          "K10,10,10": lambda: complete_multipartite((10, 10, 10))}[name]()
@@ -1202,6 +1206,7 @@ def test_classify_answers_on_large_near_triangulations_and_multipartite(name):
         ("connected-back-neighborhood-order", "satisfied"),
         ("quad-girth-crossing-set", "inconclusive")]
     assert verdicts[3].detail == {"reason": RANK_STOP, "tried": g.m}
+    assert horton_calls == [1]
 
 
 # two graphs outside every condition classify checks
@@ -1228,7 +1233,7 @@ def test_g10_lies_outside_every_condition():
         "even-girth-edge", "dp-good", "connected-back-neighborhood-order"]
     needed = _labels_needed(G10, _girth_values(G10))
     assert needed == {3: 7} and not _rank_test(G10, needed)
-    assert cycle_space_ranks(G10, {3: 17, 4: 17, 5: 17}) == {3: 6, 4: 6, 5: 7}
+    assert cycle_space_ranks(G10, (3, 4, 5)) == {3: 6, 4: 6, 5: 7}
     # so no edge set has set girth four either
     assert verdicts[3].detail == {"reason": RANK_STOP, "tried": 16}
 
@@ -1244,10 +1249,37 @@ def test_c7_squared_lies_outside_every_condition_but_a_class_pair():
     assert verdict.satisfied and verdict.certificate["set_girth"] == 4
 
 
+class CountingMemo(dict):
+    """A graph memo that records every table stored in it by name."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = Counter()
+
+    def __setitem__(self, key, value):
+        self.stored[key] += 1
+        super().__setitem__(key, value)
+
+
 def test_classify_computes_edge_girths_once():
-    _girth_values.cache_clear()
-    classify(fig1_graph())
-    assert _girth_values.cache_info().misses == 1
+    # every check of classify reads one girth table, built on the graph's
+    # first call and kept on the graph for every later one
+    family = [fig1_graph(), fig3b_graph(), fig1_graph()]
+    for g in family:
+        g._memo = CountingMemo()
+        for _ in range(2):
+            classify(g)
+    assert [g._memo.stored["girths"] for g in family] == [1, 1, 1]
+    assert all(_girth_values(g) is g._memo["girths"] for g in family)
+
+
+def test_classify_keeps_no_reference_to_the_graph():
+    # the tables classify builds live on the graph, so once it returns no
+    # module state holds the graph
+    for g in (fig1_graph(), complete_multipartite((2, 3, 4)), G10):
+        before = sys.getrefcount(g)
+        classify(g)
+        assert sys.getrefcount(g) == before
 
 
 def test_scan_even_girth_odd_graph():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -473,6 +474,19 @@ def test_closed_stdout_ends_the_command_quietly(fmt):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_write_error_is_not_an_input_error(fmt):
+    # every write to /dev/full fails with ENOSPC: one error line, no usage
+    # hint, exit 1, and the interpreter's last flush adds nothing
+    argv = [sys.executable, "-m", "dpchroma", "chromatic", "--fixture", "cycle:4",
+            "--format", fmt]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write the output: [Errno 28] No space left on device\n")
 
 
 # --format json output of the paper's figures, recorded before the graph

@@ -4,7 +4,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from dpchroma import (
     check_dp_good,
     check_vertex_order,
     chromatic_polynomial,
+    chromatic_value,
     complete_graph,
     count_transversals,
     cycle_graph,
@@ -554,6 +555,55 @@ def test_dp_exact_matches_brute_force(rng):
             continue
         for m in (2, 3):
             assert dp_exact(g, m).value == oracles.dp_minimum(g.n, list(g.edges), m)
+
+
+def _relabeled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _two_tree(rng, n):
+    """A 2-tree: a triangle grown by joining each new vertex to both ends
+    of an edge already there."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        u, w = rng.choice(edges)
+        edges += [(u, v), (w, v)]
+    return _relabeled(rng, n, edges)
+
+
+def _fan(rng, n):
+    """A hub joined to every vertex of a path on the other n - 1."""
+    return _relabeled(rng, n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def _elimination_product(g, m):
+    """prod (m - d(v)) over a reversed perfect elimination order, d(v) the
+    neighbours of v before it; each such set is a clique, so in any m-fold
+    cover v has at least m - d(v) choices left, and in the canonical cover
+    exactly that many: the product bounds P_DP below and equals P."""
+    alive = set(range(g.n))
+    order = []
+    while alive:  # strip a simplicial vertex; a chordal graph always has one
+        v = next(v for v in sorted(alive) if all(
+            g.has_edge(a, b) for a, b in combinations(sorted(set(g.adj[v]) & alive), 2)))
+        order.append(v)
+        alive.remove(v)
+    order.reverse()
+    place = {v: k for k, v in enumerate(order)}
+    return math.prod(m - sum(place[w] < place[v] for w in g.adj[v]) for v in order)
+
+
+def test_dp_exact_equals_chromatic_on_chordal_graphs():
+    # 2-trees and fans on 5-8 vertices have q = n - 2 non-tree edges: m = 3
+    # up to q = 6, m = 4 up to q = 4; under a second in all
+    rng = random.Random(2022)
+    for n in range(5, 9):
+        for g in (_two_tree(rng, n), _fan(rng, n)):
+            for m in (3, 4) if n <= 6 else (3,):
+                want = _elimination_product(g, m)
+                assert dp_exact(g, m).value == chromatic_value(g, m) == want, (g, m)
 
 
 def test_dp_exact_budget_error():

@@ -343,30 +343,52 @@ def _all_edge_sets(n):
 def test_cycle_space_ranks_examples():
     # fig1: six pendant triangles, then two 5-cycles; fig3b: twelve
     # triangles, then one 4-cycle; a cycle alone has rank 1 at its length
-    lengths = range(1, 9)
-    assert cycle_space_ranks(fig1_graph(), dict.fromkeys(lengths, 99)) == {
+    assert cycle_space_ranks(fig1_graph(), range(1, 9)) == {
         1: 0, 2: 0, 3: 6, 4: 6, 5: 8, 6: 8, 7: 8, 8: 8}
-    assert cycle_space_ranks(fig3b_graph(), {3: 99, 4: 99, 5: 99}) == {3: 12, 4: 13, 5: 13}
-    assert cycle_space_ranks(cycle_graph(7), {6: 9, 7: 9}) == {6: 0, 7: 1}
-    assert cycle_space_ranks(cycle_graph(1101), {1101: 1}) == {1101: 1}
-    assert cycle_space_ranks(complete_graph(5), {}) == {}
+    assert cycle_space_ranks(fig3b_graph(), (3, 4, 5)) == {3: 12, 4: 13, 5: 13}
+    assert cycle_space_ranks(cycle_graph(7), (6, 7)) == {6: 0, 7: 1}
+    assert cycle_space_ranks(cycle_graph(1101), (1101,)) == {1101: 1}
+    assert cycle_space_ranks(complete_graph(5), ()) == {}
+    assert cycle_space_ranks(path_graph(5), (3, 4, 5)) == {3: 0, 4: 0, 5: 0}
+
+
+def test_cycle_space_ranks_in_pieces_equal_one_call(horton_calls):
+    # fig3b's triangles do not span its cycle space, so asking for 4 and 5
+    # after 3 makes a second pass, for them alone; K5's triangles do, so
+    # once rank(3) is known no longer length builds a candidate
+    g = fig3b_graph()
+    assert cycle_space_ranks(g, (3,)) == {3: 12}
+    assert cycle_space_ranks(g, (3, 4, 5)) == cycle_space_ranks(fig3b_graph(), (3, 4, 5))
+    assert horton_calls == [1, 2, 2]
+    want = {length: oracles.cycle_space_rank(10, list(g.edges), length) for length in (3, 4, 5)}
+    assert cycle_space_ranks(g, (3, 4, 5)) == want and len(horton_calls) == 3
+    k5 = complete_graph(5)
+    assert cycle_space_ranks(k5, (3,)) == {3: 6}
+    assert cycle_space_ranks(k5, (3, 4, 5, 9)) == {3: 6, 4: 6, 5: 6, 9: 6}
+    assert horton_calls[3:] == [1]
 
 
 def test_cycle_space_ranks_match_elimination_over_all_cycles(rng):
-    # every length from 1 to n + 1, once with targets no rank reaches (exact
-    # ranks) and once with the exact ranks as targets, where the search
-    # may stop early but never short of a target
+    # every length from 1 to n + 1, in one call and one length at a time on
+    # fresh graphs, then in random pieces on one graph, where each call
+    # builds only what the ranks kept on the graph do not answer
     checked = 0
     while checked < 150:
         n = rng.randint(3, 8)
         edges = random_edges(rng, n, rng.uniform(0.3, 0.8))
-        g = Graph(n, edges)
         want = {length: oracles.cycle_space_rank(n, edges, length) for length in range(1, n + 2)}
-        assert cycle_space_ranks(g, dict.fromkeys(want, g.m + 1)) == want, edges
-        assert cycle_space_ranks(g, want) == want, edges
+        assert cycle_space_ranks(Graph(n, edges), range(1, n + 2)) == want, edges
         for length in want:
-            lone = cycle_space_ranks(g, {length: g.m + 1})
+            lone = cycle_space_ranks(Graph(n, edges), [length])
             assert lone == {length: want[length]}, (edges, length)
+        g = Graph(n, edges)
+        lengths = list(want)
+        rng.shuffle(lengths)
+        while lengths:
+            piece = lengths[:rng.randint(1, 3)]
+            lengths = lengths[len(piece):]
+            assert cycle_space_ranks(g, piece) == {length: want[length] for length in piece}, edges
+        assert cycle_space_ranks(g, range(1, n + 2)) == want, edges
         checked += 1
 
 
@@ -382,9 +404,8 @@ def test_cycle_space_ranks_match_networkx_minimum_cycle_basis(rng):
             continue
         h = nx.Graph(edges)
         lengths = sorted(len(c) for c in nx.minimum_cycle_basis(h))
-        targets = dict.fromkeys(range(3, n + 1), len(edges) + 1)
-        want = {length: sum(x <= length for x in lengths) for length in targets}
-        assert cycle_space_ranks(Graph(n, edges), targets) == want, edges
+        want = {length: sum(x <= length for x in lengths) for length in range(3, n + 1)}
+        assert cycle_space_ranks(Graph(n, edges), range(3, n + 1)) == want, edges
         checked += 1
 
 
