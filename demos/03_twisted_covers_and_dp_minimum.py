@@ -31,7 +31,7 @@ est = OrientedEdgeSet.from_pairs(c4, [(0, 1)])
 p4 = chromatic_polynomial(c4)
 print("C4 with one shifted edge:")
 for m in range(2, 7):
-    twisted = count_transversals(c4, twisted_cover(c4, est, m)).value
+    twisted = count_transversals(twisted_cover(c4, est, m)).value
     print(f"  m={m}: twisted {twisted} vs chromatic {p4(m)}")
 
 ###############################################################################
@@ -42,7 +42,7 @@ est3 = OrientedEdgeSet.from_pairs(c3, [(0, 1)])
 p3 = chromatic_polynomial(c3)
 print("\nC3 with one shifted edge:")
 for m in range(2, 7):
-    twisted = count_transversals(c3, twisted_cover(c3, est3, m)).value
+    twisted = count_transversals(twisted_cover(c3, est3, m)).value
     print(f"  m={m}: twisted {twisted} vs chromatic {p3(m)}")
 
 ###############################################################################

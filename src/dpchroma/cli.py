@@ -3,9 +3,9 @@
 Every operation is exposed as a subcommand over a graph given either as an
 edge-list file (--graph) or a named fixture (--fixture).  Output is a human
 summary by default or JSON with --format json.  Exit status: 0 on success,
-1 when the output cannot be written, 2 for input errors, 3 when a budget is
-exceeded, 141 when stdout is closed before the output is written;
-`classify` alone reports an overrun as an inconclusive verdict and exits 0.
+1 when the output cannot be written (stdout closed at start included), 2 for
+input errors, 3 when a budget is exceeded, 141 when a pipe's reader closes
+it early; `classify` alone reports an overrun as an inconclusive verdict and exits 0.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _cmd_chromatic(g, args):
 def _cmd_dpcount(g, args):
     with open(args.cover, "r", encoding="utf-8") as fh:
         cov = Cover.from_json(g, json.load(fh))
-    report = count_transversals(g, cov)
+    report = count_transversals(cov)
     return [f"transversals = {report.value}"], report.to_json()
 
 
@@ -131,7 +131,7 @@ def _cmd_dpexact(g, args):
 def _cmd_twist(g, args):
     oriented = _oriented(g, args.estar)
     cov = twisted_cover(g, oriented, args.m)
-    count = count_transversals(g, cov).value
+    count = count_transversals(cov).value
     p_value = chromatic_value(g, args.m)
     rel = "<" if count < p_value else ("=" if count == p_value else ">")
     lines = [
@@ -347,6 +347,9 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         print(f"run dp-chroma {args.command} --help for usage", file=sys.stderr)
         return EXIT_INPUT
+    if sys.stdout is None:  # started with stdout closed, so print would drop the text
+        print("error: cannot write the output: stdout is closed", file=sys.stderr)
+        return EXIT_OUTPUT
     try:
         print(text)
         sys.stdout.flush()

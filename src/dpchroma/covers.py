@@ -157,6 +157,7 @@ def _along(g: Graph, perms: Sequence[tuple[int, ...]], i: int, v: int) -> tuple[
 
 def canonical_cover(g: Graph, m: int) -> Cover:
     """The all-identity cover; its transversal count is P(G, m)."""
+    _check_fold(m)
     ident = tuple(range(m))
     return Cover(g, m, (ident,) * len(g.edges))
 
@@ -221,8 +222,8 @@ def _rotations(cov: Cover) -> bool:
     return cov.m > 0 and all(p == ident[p[0]:] + ident[:p[0]] for p in cov.perms)
 
 
-def _count(g: Graph, plan, cov: Cover, node_budget: int) -> dict[tuple[int, ...], int]:
-    """The last states of a forward pass over the steps of `plan`.
+def _count(cov: Cover, keep: tuple[int, ...], node_budget: int) -> dict[tuple[int, ...], int]:
+    """The last states of a forward pass along `_search_plan(cov.graph, keep)`.
 
     `states` maps the frontier values to the number of prefixes that give
     them, or on a cover of rotations the values minus the first of them to
@@ -231,8 +232,8 @@ def _count(g: Graph, plan, cov: Cover, node_budget: int) -> dict[tuple[int, ...]
     values instead.  Every candidate of every state is a node; more than
     `node_budget` of them raise BudgetExceededError.
     """
-    _, steps = plan
-    m = cov.m
+    g, m = cov.graph, cov.m
+    _, steps = _search_plan(g, keep)
     cyclic = _rotations(cov)
     states = {(): 1}
     width = nodes = 0  # width: the frontier size before the vertex placed
@@ -264,8 +265,8 @@ def _count(g: Graph, plan, cov: Cover, node_budget: int) -> dict[tuple[int, ...]
     return states
 
 
-def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
-    """Exact transversal count by a forward pass over frontier values.
+def count_transversals(cov: Cover, node_budget: int = DEFAULT_NODE_BUDGET) -> CountReport:
+    """Exact transversal count of `cov` by a forward pass over frontier values.
 
     The pass places the vertices in the greedy min-frontier order of
     `_search_plan` and keeps the number of prefixes per value of the
@@ -277,25 +278,31 @@ def count_transversals(g: Graph, cov: Cover, node_budget: int = DEFAULT_NODE_BUD
     shift covers of `twisted_cover`, the canonical cover, any cover with
     m <= 2), adding c to every index maps transversals to transversals, so a
     state is a class of frontier values up to a common shift, about m^(w-1)
-    of them per step instead of m^w.  Raises BudgetExceededError once it
+    of them per step instead of m^w.  Raises ValueError unless `cov` holds
+    one permutation of range(m) per edge of its graph, 1 <= m <= MAX_FOLD,
+    as `Cover.from_json` requires; raises BudgetExceededError once it
     generates more than `node_budget` candidate values.
     """
-    return CountReport(_count(g, _search_plan(g), cov, node_budget).get((), 0))
+    edges = len(cov.graph.edges)
+    if len(cov.perms) != edges:
+        raise ValueError(f"{len(cov.perms)} permutations for a graph of {edges} edges")
+    _assigned_perms(cov.graph, cov.m, dict(enumerate(cov.perms)))
+    return CountReport(_count(cov, (), node_budget).get((), 0))
 
 
-def _pair_counts(g: Graph, plan, cov: Cover, u: int, v: int,
-                 node_budget: int) -> list[list[int]]:
+def _pair_counts(cov: Cover, u: int, v: int) -> list[list[int]]:
     """M[i][j], the transversals of `cov` with x_u = i and x_v = j, read off
-    the last states of one pass along `plan`, a plan that keeps u and v.
+    the last states of one pass that keeps u and v, under DEFAULT_NODE_BUDGET.
 
     A shift class (0, d) of a cover of rotations splits evenly over its m
     shifts, since adding one constant to every index is an automorphism.
     """
     m = cov.m
-    flip = plan[0].index(u) > plan[0].index(v)  # the last frontier is (v, u)
+    order, _ = _search_plan(cov.graph, (u, v))
+    flip = order.index(u) > order.index(v)  # the last frontier is (v, u)
     shifts = range(m) if _rotations(cov) else (0,)
     pairs = [[0] * m for _ in range(m)]
-    for key, count in _count(g, plan, cov, node_budget).items():
+    for key, count in _count(cov, (u, v), DEFAULT_NODE_BUDGET).items():
         for z in shifts:
             a, b = [(x + z) % m for x in key]
             i, j = (b, a) if flip else (a, b)
@@ -351,7 +358,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> C
     _check_sweep(m, q, budget)
     if not free:
         cov = canonical_cover(g, m)
-        return CountReport(count_transversals(g, cov).value, cover=cov, minimizers=1)
+        return CountReport(count_transversals(cov).value, cover=cov, minimizers=1)
 
     e = free[-1]
     rest = Graph(g.n, g.edges[:e] + g.edges[e + 1:])  # free[:-1] keep their indices
@@ -526,15 +533,13 @@ def _dp_chunk(args):
     with `head`, each with every permutation on the last one: (min, argmin,
     ties), ties weighted by orbit size over the size of the head's class."""
     rest, m, free, (u, v), head = args
-    plan = _search_plan(rest, keep=(u, v))
     depth = len(free) - 1
     # with q <= 2 the walk has nothing to choose, and the sweep budget allows
     # an m too large to list S_m
     perms = list(permutations(range(m))) if len(head) < depth else []
     results = []
     for combo, weight in _orbit_walk(perms, head, depth):
-        pairs = _pair_counts(rest, plan, _assignment_cover(rest, m, free, combo), u, v,
-                             DEFAULT_NODE_BUDGET)
+        pairs = _pair_counts(_assignment_cover(rest, m, free, combo), u, v)
         top, tied, sigma = _best_matching(pairs)
         results.append((sum(map(sum, pairs)) - top, combo + (sigma,), weight * tied))
     return _least(results)

@@ -5,9 +5,9 @@ u < v; the position of a pair in that tuple is the edge's index, stable
 for the lifetime of the graph.  Edge subsets are plain int bitmasks over
 those indices.
 
-The package's graph primitives live here, once each.  A subgraph is
-always the graph's own incidence lists read under an edge mask; no module
-builds neighbour lists of an edge subset:
+The package's graph primitives live here, once each; the walks read a
+subgraph under an edge mask, and a subgraph searched on its own (a block in
+`chromatic._split`, `rest` in `covers.dp_exact`) is built as a `Graph`:
 
 * `Graph._incidence`: ascending (neighbour, edge index) pairs per vertex,
   built once per graph;

@@ -1070,7 +1070,7 @@ def test_twist_beats_chromatic_on_balanced_fixtures():
         p = chromatic_polynomial(g)
         for m in range(2, 9):
             cov = twisted_cover(g, est, m)
-            assert count_transversals(g, cov).value < p(m)
+            assert count_transversals(cov).value < p(m)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,10 @@ def test_dpexact_json_cover_reverifies(capsys):
     cov = Cover.from_json(g, data["argmin"])
     from dpchroma import build_cover, count_transversals
 
-    assert count_transversals(g, cov).value == int(data["dp_value"]) == 15
+    assert count_transversals(cov).value == int(data["dp_value"]) == 15
     # the emitted permutations feed back through the normalizing constructor
     rebuilt, _ = build_cover(g, 3, {int(k): v for k, v in data["argmin"]["perms"].items()})
-    assert count_transversals(g, rebuilt).value == 15
+    assert count_transversals(rebuilt).value == 15
 
 
 def test_chromatic_prints_integers_of_any_length(capsys, tmp_path):
@@ -119,6 +119,21 @@ def test_twist_on_fig3b_builds_one_search_plan(capsys, monkeypatch):
     monkeypatch.setattr(graphs, "_greedy_plan", lambda g, keep: built.append(keep) or builder(g, keep))
     run_json(capsys, "twist", "--fixture", "fig3b", "--estar", TWIST_ARCS["fig3b"], "--m", "5")
     assert built == [()]
+
+
+def test_dpexact_sweep_builds_its_keep_plan_once(capsys, monkeypatch):
+    # K4's tree from 0 leaves edges 12, 13 and 23 free; the sweep counts K4
+    # without 23 once per orbit of the first two, each pass keeping 2 and 3
+    from dpchroma import covers, graphs
+
+    built, passes = [], []
+    builder, counter = graphs._greedy_plan, covers._pair_counts
+    monkeypatch.setattr(graphs, "_greedy_plan", lambda g, keep: built.append(keep) or builder(g, keep))
+    monkeypatch.setattr(covers, "_pair_counts", lambda *a: passes.append(a[1:]) or counter(*a))
+    data = run_json(capsys, "dpexact", "--fixture", "complete:4", "--m", "3", "--jobs", "1")
+    assert data["dp_value"] == data["chromatic_value"] == "0"
+    assert len(passes) > 1 and set(passes) == {(2, 3)}
+    assert built.count((2, 3)) == 1
 
 
 def test_girth_and_setgirth(capsys):
@@ -474,6 +489,20 @@ def test_closed_stdout_ends_the_command_quietly(fmt):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_missing_stdout_is_a_write_error(fmt):
+    # started with fd 1 closed, the interpreter sets sys.stdout to None and
+    # print drops the text: one error line, no usage hint, exit 1
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dpchroma", "chromatic",
+            "--fixture", "cycle:4", "--format", fmt]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr and "--help" not in proc.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

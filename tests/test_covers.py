@@ -103,8 +103,8 @@ def test_normalization_preserves_counts(rng):
         cov, _ = build_cover(g, m, raw_perms)
         direct = oracles.transversal_count(g.n, list(g.edges),
                                            [tuple(raw_perms[i]) for i in range(g.m)], m)
-        assert count_transversals(g, raw).value == direct
-        assert count_transversals(g, cov).value == direct
+        assert count_transversals(raw).value == direct
+        assert count_transversals(cov).value == direct
 
 
 def test_sloping_report_sizes_match():
@@ -121,7 +121,7 @@ def test_twisted_empty_set_is_canonical():
     g = cycle_graph(4)
     cov = twisted_cover(g, OrientedEdgeSet.from_tails(g, {}), 3)
     assert cov.perms == canonical_cover(g, 3).perms
-    assert count_transversals(g, cov).value == chromatic_polynomial(g)(3)
+    assert count_transversals(cov).value == chromatic_polynomial(g)(3)
 
 
 @pytest.mark.parametrize("maker,m,expected", [
@@ -133,15 +133,15 @@ def test_twisted_c4(maker, m, expected):
     est = OrientedEdgeSet.from_tails(g, {0: 0})
     cov = twisted_cover(g, est, m)
     assert sloping_report(cov).sloping == 1
-    assert count_transversals(g, cov).value == expected
+    assert count_transversals(cov).value == expected
 
 
 def test_twisted_c3_exceeds_chromatic_count():
     g = cycle_graph(3)
     est = OrientedEdgeSet.from_tails(g, {0: 0})
-    assert count_transversals(g, twisted_cover(g, est, 3)).value == 9
+    assert count_transversals(twisted_cover(g, est, 3)).value == 9
     assert chromatic_polynomial(g)(3) == 6
-    assert count_transversals(g, twisted_cover(g, est, 2)).value == 2
+    assert count_transversals(twisted_cover(g, est, 2)).value == 2
     assert chromatic_polynomial(g)(2) == 0
 
 
@@ -162,7 +162,7 @@ def test_canonical_cover_counts_are_chromatic(rng):
         m = rng.randint(1, 3)
         cov = canonical_cover(g, m)
         expected = chromatic_polynomial(g)(m)
-        assert count_transversals(g, cov).value == expected
+        assert count_transversals(cov).value == expected
 
 
 def test_counting_methods_agree_on_random_covers(rng):
@@ -177,7 +177,7 @@ def test_counting_methods_agree_on_random_covers(rng):
         g = Graph(n, random_edges(rng, n, p))
         cov, _ = random_cover(rng, g, m)
         direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
-        assert count_transversals(g, cov).value == direct
+        assert count_transversals(cov).value == direct
 
 
 def test_frontier_search_reuses_counts_on_a_long_path():
@@ -186,15 +186,15 @@ def test_frontier_search_reuses_counts_on_a_long_path():
     # then 2 for the one state (0,) at each of the 39 others, 81 in all.
     # Renamed, it keeps one state per value: 3 + 39 * 3*2 = 237 nodes
     g = path_graph(40)
-    assert count_transversals(g, canonical_cover(g, 3), node_budget=81).value == 3 * 2**39
+    assert count_transversals(canonical_cover(g, 3), node_budget=81).value == 3 * 2**39
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, canonical_cover(g, 3), node_budget=80)
+        count_transversals(canonical_cover(g, 3), node_budget=80)
     assert (err.value.attempted, err.value.budget) == (81, 80)
     other = renamed(canonical_cover(g, 3), random.Random(40))
     assert not is_cyclic(other)
-    assert count_transversals(g, other, node_budget=237).value == 3 * 2**39
+    assert count_transversals(other, node_budget=237).value == 3 * 2**39
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, other, node_budget=236)
+        count_transversals(other, node_budget=236)
     assert (err.value.attempted, err.value.budget) == (237, 236)
 
 
@@ -226,13 +226,13 @@ def test_frontier_search_stores_nothing_on_a_complete_graph():
     assert budget == 13699
     cov = renamed(canonical_cover(g, 7), random.Random(7))
     assert not is_cyclic(cov)
-    assert count_transversals(g, cov, node_budget=budget).value == 5040
+    assert count_transversals(cov, node_budget=budget).value == 5040
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, cov, node_budget=budget - 1)
+        count_transversals(cov, node_budget=budget - 1)
     assert (err.value.attempted, err.value.budget) == (13699, 13698)
-    assert count_transversals(g, canonical_cover(g, 7), node_budget=1963).value == 5040
+    assert count_transversals(canonical_cover(g, 7), node_budget=1963).value == 5040
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, canonical_cover(g, 7), node_budget=1962)
+        count_transversals(canonical_cover(g, 7), node_budget=1962)
     assert (err.value.attempted, err.value.budget) == (1963, 1962)
 
 
@@ -248,7 +248,7 @@ def test_shift_covers_match_both_oracles(rng):
         cases += 1
         cov = Cover(g, m, tuple(rotation(m, rng.randrange(m)) for _ in g.edges))
         direct = oracles.transversal_count(n, list(g.edges), list(cov.perms), m)
-        assert count_transversals(g, cov).value == direct
+        assert count_transversals(cov).value == direct
 
 
 @pytest.mark.parametrize("maker,arcs", [
@@ -262,7 +262,7 @@ def test_renamed_shift_cover_counts_without_the_shift(maker, arcs, m):
     cov = twisted_cover(g, OrientedEdgeSet.from_pairs(g, arcs), m)
     other = renamed(cov, random.Random(m))
     assert is_cyclic(cov) and not is_cyclic(other)
-    assert count_transversals(g, other).value == count_transversals(g, cov).value
+    assert count_transversals(other).value == count_transversals(cov).value
 
 
 def test_rotations_and_one_transposition_match_the_oracle(rng):
@@ -273,7 +273,7 @@ def test_rotations_and_one_transposition_match_the_oracle(rng):
         perms[rng.randrange(g.m)] = (1, 0, 2, 3)
         cov = Cover(g, m, tuple(perms))
         assert not is_cyclic(cov)
-        assert count_transversals(g, cov).value == \
+        assert count_transversals(cov).value == \
             oracles.transversal_count(g.n, list(g.edges), perms, m)
 
 
@@ -288,15 +288,15 @@ def test_shift_cover_shares_counts_between_shifted_frontiers():
     # + 36*5 + (6*5 + 30*4) = 696 nodes
     g = cycle_graph(6)
     cov = twisted_cover(g, OrientedEdgeSet.from_pairs(g, [(0, 1)]), 6)
-    assert count_transversals(g, cov, node_budget=121).value == 5**6 - 1
+    assert count_transversals(cov, node_budget=121).value == 5**6 - 1
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, cov, node_budget=120)
+        count_transversals(cov, node_budget=120)
     assert (err.value.attempted, err.value.budget) == (121, 120)
     other = renamed(cov, random.Random(6))
     assert not is_cyclic(other)
-    assert count_transversals(g, other, node_budget=696).value == 5**6 - 1
+    assert count_transversals(other, node_budget=696).value == 5**6 - 1
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, other, node_budget=695)
+        count_transversals(other, node_budget=695)
     assert (err.value.attempted, err.value.budget) == (696, 695)
 
 
@@ -306,22 +306,21 @@ def test_node_budget_counts_every_search_node():
     # 1 for each of the states (0, 1) and (0, 2): 3 + 2 + 2 = 7 nodes, 6
     # transversals.  Renamed, it keeps the plain states: 3 + 3*2 + 6*1 = 15
     g, cov = complete_graph(3), canonical_cover(complete_graph(3), 3)
-    assert count_transversals(g, cov, node_budget=7).value == 6
+    assert count_transversals(cov, node_budget=7).value == 6
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, cov, node_budget=6)
+        count_transversals(cov, node_budget=6)
     assert (err.value.attempted, err.value.budget) == (7, 6)
     other = renamed(cov, random.Random(3))
     assert not is_cyclic(other)
-    assert count_transversals(g, other, node_budget=15).value == 6
+    assert count_transversals(other, node_budget=15).value == 6
     with pytest.raises(BudgetExceededError) as err:
-        count_transversals(g, other, node_budget=14)
+        count_transversals(other, node_budget=14)
     assert (err.value.attempted, err.value.budget) == (15, 14)
 
 
 @pytest.mark.parametrize("run", [
     lambda: dp_exact(complete_graph(4), 3, budget=10),
-    lambda: count_transversals(complete_graph(5), canonical_cover(complete_graph(5), 3),
-                               node_budget=6),
+    lambda: count_transversals(canonical_cover(complete_graph(5), 3), node_budget=6),
     lambda: enumerate_cycles(complete_graph(5), 5, budget=3),
     lambda: list(_bases(complete_graph(4), 0, range(6), 3, budget=5)),
     lambda: check_dp_good(Graph(9, SEARCHED_EDGES), budget=12),
@@ -342,7 +341,7 @@ def test_count_budget_error():
     # K5 has no 3-colouring, and the pass finds that in 7 nodes (3 + 2 + 2)
     g = complete_graph(5)
     with pytest.raises(BudgetExceededError):
-        count_transversals(g, canonical_cover(g, 3), node_budget=6)
+        count_transversals(canonical_cover(g, 3), node_budget=6)
 
 
 def test_multiplicative_over_components(rng):
@@ -356,8 +355,8 @@ def test_multiplicative_over_components(rng):
         c1, _ = random_cover(rng, g1, m)
         c2, _ = random_cover(rng, g2, m)
         cj = Cover(joint, m, c1.perms + c2.perms)
-        assert count_transversals(joint, cj).value == \
-            count_transversals(g1, c1).value * count_transversals(g2, c2).value
+        assert count_transversals(cj).value == \
+            count_transversals(c1).value * count_transversals(c2).value
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,7 @@ def plain_sweep(g, m):
         perms = [tuple(range(m))] * g.m
         for i, sigma in zip(free, combo):
             perms[i] = sigma
-        value = count_transversals(g, Cover(g, m, tuple(perms))).value
+        value = count_transversals(Cover(g, m, tuple(perms))).value
         if best is None or value < best:
             best, argmin, ties = value, tuple(perms), 1
         elif value == best:
@@ -468,7 +467,7 @@ def test_dp_exact_past_the_full_sweep(g, m, value, minimizers):
     # orbit of all q free edges under the default budget
     report = dp_exact(g, m)
     assert (report.value, report.minimizers) == (value, minimizers)
-    assert count_transversals(g, report.cover).value == value
+    assert count_transversals(report.cover).value == value
 
 
 def test_pair_counts_match_the_tally(rng):
@@ -485,7 +484,7 @@ def test_pair_counts_match_the_tally(rng):
         u, v = sorted(rng.sample(range(g.n), 2))
         plan = _search_plan(g, keep=(u, v))
         orders[plan[0].index(u) < plan[0].index(v)] += 1
-        assert _pair_counts(g, plan, cov, u, v, 10**6) == \
+        assert _pair_counts(cov, u, v) == \
             oracles.pair_counts(g.n, list(g.edges), list(cov.perms), m, u, v)
     assert orders[True] and orders[False]  # u placed first, and v placed first
 
@@ -545,7 +544,7 @@ def test_dp_exact_c4_with_argmin():
     twisted = [i for i in range(4) if not cov.is_identity(i)]
     assert len(twisted) == 1
     assert cov.perms[twisted[0]] in {(1, 2, 0), (2, 0, 1)}
-    assert count_transversals(cycle_graph(4), cov).value == 15
+    assert count_transversals(cov).value == 15
 
 
 def test_dp_exact_matches_brute_force(rng):
@@ -621,9 +620,22 @@ def test_fold_counts_above_the_cap_are_rejected():
     est = OrientedEdgeSet.from_pairs(g, [(0, 1)])
     for build in (lambda m: twisted_cover(g, est, m),
                   lambda m: Cover.from_json(g, {"m": m}),
-                  lambda m: dp_exact(g, m)):
+                  lambda m: dp_exact(g, m),
+                  lambda m: canonical_cover(g, m)):
         with pytest.raises(ValueError, match=f"above the limit of {MAX_FOLD}"):
             build(MAX_FOLD + 1)
+
+
+def test_count_rejects_a_hand_built_cover_that_is_not_one():
+    # a constant map is no matching: counted, C4 would give 24, not P(C4, 3) = 18
+    g = cycle_graph(4)
+    ident = tuple(range(3))
+    for perms in [((0, 0, 0),) * 4, (ident,) * 3, (ident,) * 5, ((1, 2, 0, 3),) + (ident,) * 3]:
+        with pytest.raises(ValueError):
+            count_transversals(Cover(g, 3, perms))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        count_transversals(Cover(g, 0, ((),) * 4))
+    assert count_transversals(Cover(g, 3, (ident,) * 4)).value == 18
 
 
 def test_dp_exact_disconnected_error():
@@ -754,5 +766,5 @@ def test_count_report_json():
     data = report.to_json()
     assert data["value"] == "15"
     assert set(data) == {"value", "cover", "minimizers"} and data["minimizers"] == 2
-    assert count_transversals(cycle_graph(4), canonical_cover(cycle_graph(4), 3)).to_json() == \
+    assert count_transversals(canonical_cover(cycle_graph(4), 3)).to_json() == \
         {"value": "18"}
