@@ -25,6 +25,7 @@ from .classify import (
     classify,
 )
 from .covers import (
+    POOL_WORK,
     Cover,
     count_transversals,
     dp_exact,
@@ -268,8 +269,10 @@ def _build_parser():
     p = sub.add_parser("dpexact", help="exact DP color function value at m")
     common(p, _cmd_dpexact, "covers")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers over the cover space (at most the CPU count)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="parallel workers over the cover space, at most the CPUs this "
+                        f"process may use; a sweep of under {POOL_WORK} work units "
+                        "(see --budget-covers) runs in this process whatever N is")
 
     p = sub.add_parser("twist", help="build the shift cover on an edge set and count")
     common(p, _cmd_twist)

@@ -324,6 +324,14 @@ def _assignment_cover(g: Graph, m: int, free: list[int], combo) -> Cover:
 # the sweep's work: one subset DP over 2^m column sets per orbit of all but
 # the last free edge, plus the m! permutations `_orbit_walk` lists when q >= 3
 SWEEP_COUNTER = "prefix orbits x 2^m column sets + listed permutations"
+# the least sweep work that starts worker processes.  A pool of two costs
+# 25-30 ms to import, fork and join, and a unit of work 7-63 us by the width
+# of the pass (K5 and Petersen at m = 3, both 11,150 units), so every sweep
+# measured below it ran slower on a pool (K4 at m = 5: 5,272 units, 39 ms in
+# this process, 66 ms on two workers) and one under it runs here for at most
+# about 0.5 s at the widths measured; the count ignores the cost of a pass,
+# so a change to the pass should measure it again
+POOL_WORK = 8192
 
 
 def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> CountReport:
@@ -345,9 +353,11 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> C
     search plan is built once per sweep and kept in the memo of the graph
     without e, which every chunk carries, to a worker process too.  The
     sweep has one chunk per head; with `jobs` > 1 the chunks run on up to
-    that many processes, never more than there are chunks or CPUs.  Raises
-    BudgetExceededError when the work of `_check_sweep` passes `budget`, or
-    when one count passes DEFAULT_NODE_BUDGET search nodes.
+    that many processes, never more than there are chunks or CPUs this
+    process may use, but only when the work of `_check_sweep` reaches
+    POOL_WORK: a smaller sweep runs in this process whatever `jobs` is.
+    Raises BudgetExceededError when that work passes `budget`, or when one
+    count passes DEFAULT_NODE_BUDGET search nodes.
     """
     _check_fold(m)
     if jobs < 1:
@@ -355,7 +365,7 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> C
     tree = bfs_tree(g, root=0)  # raises for disconnected graphs
     free = [i for i in range(len(g.edges)) if not (tree >> i & 1)]
     q = len(free)
-    _check_sweep(m, q, budget)
+    work = _check_sweep(m, q, budget)
     if not free:
         cov = canonical_cover(g, m)
         return CountReport(count_transversals(cov).value, cover=cov, minimizers=1)
@@ -365,8 +375,8 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> C
     heads = _orbit_heads(m, q - 1)
     _search_plan(rest, keep=g.edges[e])  # built here, and read from rest's memo by each chunk
     chunks = [(rest, m, free, g.edges[e], head) for head, _ in heads]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
+    workers = min(jobs, len(chunks), _usable_cpus())
+    if workers > 1 and work >= POOL_WORK:
         # imported here: the executor module costs CLI start-up time
         from concurrent.futures import ProcessPoolExecutor
 
@@ -383,9 +393,20 @@ def dp_exact(g: Graph, m: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> C
     return CountReport(best, cover=argmin, minimizers=minimizers)
 
 
-def _check_sweep(m: int, q: int, budget: int) -> None:
-    """Raise BudgetExceededError if the sweep of `dp_exact` would pass
-    `budget`, before anything of its size is built.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: `os.process_cpu_count` where it
+    exists (Python 3.13+), else the size of the affinity mask, else the
+    CPUs of the host."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_sweep(m: int, q: int, budget: int) -> int:
+    """The work of the sweep of `dp_exact`; raises BudgetExceededError if it
+    would pass `budget`, before anything of its size is built.
 
     Its work is 1 for a tree, else 2^m column sets per orbit of the first
     q - 1 free edges, Burnside's sum over the classes of S_m of
@@ -394,7 +415,7 @@ def _check_sweep(m: int, q: int, budget: int) -> None:
     can have millions of digits.
     """
     if q == 0:
-        return
+        return 1
     cap = max(budget, 2**64)
     columns = 1
     for _ in range(m):
@@ -418,6 +439,7 @@ def _check_sweep(m: int, q: int, budget: int) -> None:
     work = orbits * columns + listed
     if work > budget:
         raise BudgetExceededError(SWEEP_COUNTER, work, budget)
+    return work
 
 
 def _best_matching(pairs: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:

@@ -478,6 +478,26 @@ def test_module_entry_point():
     assert "P(3) = 18" in proc.stdout
 
 
+def test_small_sweep_never_imports_the_process_pool():
+    # K4 at m = 4 is under POOL_WORK, so --jobs 2 starts no worker; K5 at
+    # m = 3 is over it and starts them wherever two CPUs are usable
+    script = """if True:
+        import contextlib, io, json, sys
+        from dpchroma.cli import main
+        from dpchroma.covers import _usable_cpus
+        seen = []
+        for fixture, m in (("complete:4", "4"), ("complete:5", "3")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["dpexact", "--fixture", fixture, "--m", m, "--jobs", "2"]) == 0
+            seen.append("concurrent.futures.process" in sys.modules)
+        print(json.dumps([seen, _usable_cpus() > 1]))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen, pooled = json.loads(proc.stdout)
+    assert seen == [False, pooled]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_ends_the_command_quietly(fmt):
     # P(G, m) of a 2000-cycle is about 886 KB in either format, more than a
@@ -582,7 +602,7 @@ PINNED = [
      {"dp_value": "15", "chromatic_value": "18",
       "argmin": {"m": 3, "perms": {"2": [1, 2, 0]}}, "minimizers": 2}),
     # recorded from the full (m!)^q sweep, before it ran over orbit heads;
-    # the parallel sweep prints the same bytes
+    # with --jobs 2 the same bytes: a sweep this small runs in this process
     (("dpexact", "--fixture", "complete:4", "--m", "4"), K4_M4),
     (("dpexact", "--fixture", "complete:4", "--m", "4", "--jobs", "2"), K4_M4),
 ]

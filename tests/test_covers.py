@@ -34,8 +34,10 @@ from dpchroma import (
     sloping_report,
     twisted_cover,
 )
-from dpchroma.covers import (MAX_FOLD, SWEEP_COUNTER, _best_matching, _invert, _orbit_heads,
-                             _pair_counts)
+from dpchroma import covers
+from dpchroma.covers import (MAX_FOLD, SWEEP_COUNTER, _best_matching, _check_sweep, _compose,
+                             _invert, _orbit_heads, _pair_counts, _usable_cpus)
+from dpchroma.errors import DEFAULT_BUDGET
 from dpchroma.graphs import _bases, _search_plan, bfs_tree
 from test_classify import SEARCHED_EDGES
 
@@ -648,7 +650,9 @@ def test_dp_exact_disconnected_error():
 C4_CHORD = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
 
-def test_dp_exact_parallel_matches_serial():
+def test_dp_exact_parallel_matches_serial(monkeypatch):
+    # the sweep is far under POOL_WORK, so the pool starts only with it at 0
+    monkeypatch.setattr(covers, "POOL_WORK", 0)
     g = C4_CHORD
     serial = dp_exact(g, 3, jobs=1)
     parallel = dp_exact(g, 3, jobs=2)
@@ -657,9 +661,11 @@ def test_dp_exact_parallel_matches_serial():
     assert parallel.cover.perms == serial.cover.perms
 
 
-def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch):
-    # a recording stand-in for the process pool: it runs the chunks in this
-    # process and keeps the worker count it was asked for
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A recording stand-in for the process pool: it runs the chunks in this
+    process and keeps the worker counts it was asked for, in the list it
+    returns."""
     asked = []
 
     class RecordingExecutor:
@@ -676,15 +682,66 @@ def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return asked
+
+
+def test_dp_exact_workers_bounded_by_chunks_and_cpus(monkeypatch, recording_pool):
+    monkeypatch.setattr(covers, "POOL_WORK", 0)
     g = C4_CHORD
     # (cpus, jobs, m, workers asked for); one chunk per orbit head of the
     # first free edge (as many as the partitions of m), no pool for one worker
     for cpus, jobs, m, workers in ((3, 64, 3, [3]), (64, 64, 2, [2]),
                                    (8, 2, 3, [2]), (1, 64, 3, []), (8, 1, 3, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        asked.clear()
+        monkeypatch.setattr(covers, "_usable_cpus", lambda: cpus)
+        recording_pool.clear()
         assert dp_exact(g, m, jobs=jobs) == dp_exact(g, m)
-        assert asked == workers
+        assert recording_pool == workers
+
+
+def test_dp_exact_starts_a_pool_only_from_pool_work(monkeypatch, recording_pool):
+    assert 712 < covers.POOL_WORK <= 11150
+    monkeypatch.setattr(covers, "_usable_cpus", lambda: 2)
+    # K4 at m = 4 (712 units) runs in this process whatever jobs says
+    assert dp_exact(complete_graph(4), 4, jobs=64) == dp_exact(complete_graph(4), 4)
+    assert recording_pool == []
+    # K5 at m = 3 (11,150 units): 3 chunks, one per class of S_3, on 2 CPUs
+    assert dp_exact(complete_graph(5), 3, jobs=64) == dp_exact(complete_graph(5), 3)
+    assert recording_pool == [2]
+
+
+def test_sweep_work_is_the_burnside_count():
+    # (m, q): orbits of the first q - 1 free edges under conjugation, times
+    # 2^m column sets, plus m! once q >= 3.  K4 (q = 3) at m = 4: the
+    # centralizers of the five classes of S_4 have 24 + 4 + 8 + 3 + 4 = 43
+    # elements; K5 (q = 6) at m = 3: the classes of S_3 give 6^4 + 2^4 + 3^4
+    # = 1,393; C4 with a chord (q = 2) at m = 3: the 3 classes
+    assert _check_sweep(4, 3, DEFAULT_BUDGET) == 43 * 16 + 24 == 712
+    assert _check_sweep(3, 6, DEFAULT_BUDGET) == 1393 * 8 + 6 == 11150
+    assert _check_sweep(3, 2, DEFAULT_BUDGET) == 3 * 8
+    assert _check_sweep(5, 0, DEFAULT_BUDGET) == 1
+    # the orbits counted one by one: the least conjugate of each tuple
+    for m, q in ((1, 3), (2, 4), (3, 1), (3, 3), (3, 4), (4, 2), (4, 3)):
+        group = list(permutations(range(m)))
+        orbits = {min(tuple(_compose(p, _compose(s, _invert(p))) for s in combo)
+                      for p in group)
+                  for combo in product(group, repeat=q - 1)}
+        listed = math.factorial(m) if q >= 3 else 0
+        assert _check_sweep(m, q, DEFAULT_BUDGET) == len(orbits) * 2 ** m + listed, (m, q)
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    # pinned to one CPU of eight, the process may use one
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _usable_cpus() == 1
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "process_cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+    monkeypatch.delattr(os, "process_cpu_count")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _usable_cpus() == 8
 
 
 def test_dp_le_chromatic(rng):
