@@ -2,7 +2,6 @@
 
 from .chromatic import Polynomial, chromatic_polynomial, chromatic_value
 from .classify import (
-    DP_APPROX,
     DP_LESS,
     DP_STAR,
     UNKNOWN,
@@ -53,7 +52,6 @@ from .graphs import (
     fig3b_graph,
     fixture,
     mask_indices,
-    non_bridge_edges,
     parse_graph,
     path_graph,
     spanning_tree_count,

@@ -148,7 +148,7 @@ def _split(g: Graph) -> tuple[int, list[Graph]]:
     the search plan built for g serves every search of g."""
     bridges = 0
     out = []
-    for block in _blocks(g, g.full_mask()):
+    for block in _blocks(g):
         if len(block) == 1:
             bridges += 1
             continue

@@ -50,13 +50,13 @@ from .graphs import (
     cycle_space_ranks,
     enumerate_cycles,
     mask_indices,
-    non_bridge_edges,
     spanning_tree_count,
     spanning_tree_rank,
 )
 
+# the implied class of a satisfied DP-good or vertex-order verdict: the
+# paper's DP≈, the graphs with P_DP(G, m) = P(G, m) for all large enough m
 DP_STAR = "DP*"
-DP_APPROX = "DP≈"
 DP_LESS = "DP<"
 UNKNOWN = "unknown"
 
@@ -137,15 +137,23 @@ def _jsonify(obj):
 # DP-good search and verification
 
 def _subgraph_cycle(g: Graph, mask: int) -> Optional[Cycle]:
-    """Some cycle inside the spanning subgraph, or None if it is a forest."""
-    cyclic = non_bridge_edges(g, mask)
-    if cyclic == 0:
+    """A shortest cycle through the least edge of `mask` that lies on a
+    cycle of the spanning subgraph, or None if it is a forest.
+
+    One union-find pass over the edges of `mask` in descending index order:
+    the last edge whose ends are already joined is that least edge, whose
+    cycle has only larger edges besides it.  The cycle is the BFS path
+    between its ends over `mask` without it, closed by the edge.
+    """
+    parent = list(range(g.n))
+    least = None
+    for i in reversed(list(mask_indices(mask))):
+        if not _union(parent, [g.edges[i]]):  # its ends were already joined
+            least = i
+    if least is None:
         return None
-    start_edge = next(mask_indices(cyclic))
-    u, v = g.edges[start_edge]
-    # shortest u-v path avoiding the edge itself, within the cyclic part
-    path = _bfs_path(g._incidence, cyclic ^ 1 << start_edge, u, v)
-    return Cycle.from_vertices(g, path)
+    u, v = g.edges[least]
+    return Cycle.from_vertices(g, _bfs_path(g._incidence, mask ^ 1 << least, u, v))
 
 
 def _girth_values(g: Graph) -> tuple[float, ...]:

@@ -189,7 +189,7 @@ def build_cover(g: Graph, m: int, assignment: Optional[Mapping[int, Sequence[int
     # path from vertex 0 so tree edges become identity when the matching
     # map is conjugated by the endpoint gauges
     gauge = [tuple(range(m))] * g.n
-    for v, p in _bfs(g._incidence, g.full_mask(), [0]).items():
+    for v, p in _bfs(g._incidence, g.full_mask(), 0).items():
         if v != p:
             gauge[v] = _compose(_along(g, perms, g.edge_index(p, v), p), gauge[p])
 

@@ -11,7 +11,9 @@ subgraph under an edge mask, and a subgraph searched on its own (a block in
 
 * `Graph._incidence`: ascending (neighbour, edge index) pairs per vertex,
   built once per graph;
-* `_find` and `_union`: union-find and its merge loop;
+* `_find` and `_union`: union-find and its merge loop; one `_union` pass
+  over an edge mask in descending index order also finds the cycle that
+  the forced edges of `classify`'s DP-good search close;
 * `_bases`: the one take-before-leave-out walk over the edge sets that join
   the components of a base edge mask, which the DP-good search of
   `classify` runs once per odd girth; it keeps its components as flat
@@ -20,10 +22,10 @@ subgraph under an edge mask, and a subgraph searched on its own (a block in
 * `spanning_tree_count`: the spanning trees that hold a forced edge set
   and take their other edges from an edge mask, by the matrix-tree theorem
   as one integer (Bareiss) determinant; `spanning_tree_rank` sums them;
-* `_blocks`: the lowpoint DFS that splits a subgraph into its blocks, whose
-  one-edge blocks are its bridges;
-* `_bfs`: the one BFS walk over incidence lists under a mask, from a list
-  of roots, cut at a depth and stopped at a target on request, as a parent
+* `_blocks`: the lowpoint DFS that splits the whole graph into its blocks,
+  whose one-edge blocks are its bridges, for `chromatic._split`;
+* `_bfs`: the one BFS walk over incidence lists under a mask, a tree from
+  one root, cut at a depth and stopped at a target on request, as a parent
   dict in visiting order; `_bfs_path` reads shortest paths off it, and the
   ascending neighbour order fixes every witness cycle the package reports;
 * `Graph._memo`: the one home of the tables a graph alone determines (search
@@ -48,6 +50,7 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GraphParseError
 
 MAX_VERTICES = 10_000  # largest vertex count parse_graph accepts
+MAX_EDGES = 2_000_000  # largest edge count parse_graph accepts
 
 
 class Graph:
@@ -181,8 +184,8 @@ def parse_graph(text: str) -> Graph:
 
     '#' starts a comment that runs to the end of its line.  Pairs are
     normalized to u < v and de-duplicated keeping first-occurrence order.  A
-    vertex count above MAX_VERTICES is rejected before anything of that size
-    is built.
+    vertex count above MAX_VERTICES, or a distinct edge past MAX_EDGES, is
+    rejected before anything of that size is built.
     """
     n = None
     edges: list[tuple[int, int]] = []
@@ -215,6 +218,9 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"endpoint out of range at line {lineno}: {line!r}")
         e = (u, v) if u < v else (v, u)
         if e not in seen:
+            if len(edges) == MAX_EDGES:
+                raise GraphParseError(f"edge {MAX_EDGES + 1} at line {lineno} is above "
+                                      f"the limit of {MAX_EDGES}")
             seen.add(e)
             edges.append(e)
     if n is None:
@@ -287,26 +293,33 @@ def fig3b_graph() -> Graph:
     return Graph(10, _FIG3B_EDGES)
 
 
-def _capped(n: int) -> int:
+def _capped(n: int, m: int) -> int:
     if n > MAX_VERTICES:
         raise ValueError(f"{n} vertices is above the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges is above the limit of {MAX_EDGES}")
     return n
 
 
 def fixture(name: str) -> Graph:
     """Resolve a fixture name like "cycle:4" or "fig1" to a Graph.
 
-    A family member with more than MAX_VERTICES vertices is rejected before
-    anything of that size is built.
+    A family member with more than MAX_VERTICES vertices or MAX_EDGES edges
+    is rejected by its closed-form counts before anything is built.
     """
     base, _, arg = name.partition(":")
-    families = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph}
+    families = {"cycle": (cycle_graph, lambda n: n), "path": (path_graph, lambda n: n - 1),
+                "complete": (complete_graph, lambda n: max(n, 0) * (n - 1) // 2)}
     try:
         if base in families:
-            return families[base](_capped(int(arg)))
+            build, edge_count = families[base]
+            n = int(arg)
+            return build(_capped(n, edge_count(n)))
         if base == "complete_multipartite":
             sizes = [int(s) for s in arg.split(",")]
-            _capped(sum(sizes))
+            total = sum(sizes)
+            # an invalid size is left for complete_multipartite to name
+            _capped(total, (total * total - sum(s * s for s in sizes)) // 2 if min(sizes) > 0 else 0)
             return complete_multipartite(sizes)
         if base == "fig1" and not arg:
             return fig1_graph()
@@ -400,11 +413,10 @@ def _determinant(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _blocks(g: Graph, mask: int) -> list[list[int]]:
-    """The blocks of the spanning subgraph with edge set `mask`, each as the
-    indices of its edges.  A block is a maximal 2-connected subgraph or a
-    bridge, so every edge of `mask` lies in exactly one block and the
-    bridges are the one-edge blocks."""
+def _blocks(g: Graph) -> list[list[int]]:
+    """The blocks of g, each as the indices of its edges.  A block is a
+    maximal 2-connected subgraph or a bridge, so every edge lies in exactly
+    one block and the bridges are the one-edge blocks."""
     incidence = g._incidence
     disc = [-1] * g.n
     low = [0] * g.n
@@ -423,7 +435,7 @@ def _blocks(g: Graph, mask: int) -> list[list[int]]:
         while stack:
             v, pedge, it, mark = stack[-1]
             for w, i in it:
-                if i == pedge or not mask >> i & 1:
+                if i == pedge:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
@@ -445,38 +457,32 @@ def _blocks(g: Graph, mask: int) -> list[list[int]]:
     return blocks
 
 
-def _bfs(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, roots: Iterable[int],
+def _bfs(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, root: int,
          limit: Optional[int] = None, target: Optional[int] = None) -> dict[int, int]:
-    """The BFS forest over the edges of `mask`, as a dict from each vertex
-    reached to its parent, in visiting order, each root mapped to itself.
+    """The BFS tree from `root` over the edges of `mask`, as a dict from
+    each vertex reached to its parent, in visiting order, the root mapped to
+    itself.
 
     `incidence` holds (neighbour, edge index) pairs per vertex, tried in
-    list order, so ascending lists give the same forest every time.  A tree
-    starts at each root not yet reached; a vertex `limit` edges from its
-    root is not expanded, and the walk returns as soon as it reaches
-    `target`.
+    list order, so ascending lists give the same tree every time.  A vertex
+    `limit` edges from the root is not expanded, and the walk returns as
+    soon as it reaches `target`.
     """
-    parent: dict[int, int] = {}
-    for root in roots:
-        if root in parent:
-            continue
-        parent[root] = root
-        if root == target:
-            return parent
-        frontier = [root]
-        depth = 0
-        while frontier and (limit is None or depth < limit):
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for w, i in incidence[x]:
-                    if w in parent or not mask >> i & 1:
-                        continue
-                    parent[w] = x
-                    if w == target:
-                        return parent
-                    nxt.append(w)
-            frontier = nxt
+    parent = {root: root}
+    frontier = [] if root == target else [root]  # the walk ends at its target
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for w, i in incidence[x]:
+                if w in parent or not mask >> i & 1:
+                    continue
+                parent[w] = x
+                if w == target:
+                    return parent
+                nxt.append(w)
+        frontier = nxt
     return parent
 
 
@@ -485,7 +491,7 @@ def _bfs_path(incidence: Sequence[Sequence[tuple[int, int]]], mask: int, u: int,
     """A shortest u-v path over the edges of `mask`, as its vertex list from
     u to v, read off `_bfs` from u; None if v is not within `limit` edges
     of u."""
-    parent = _bfs(incidence, mask, [u], limit, v)
+    parent = _bfs(incidence, mask, u, limit, v)
     if v not in parent:
         return None
     path = [v]
@@ -580,14 +586,6 @@ def component_count(g: Graph, mask: int) -> int:
     return g.n - _union(list(range(g.n)), (g.edges[i] for i in mask_indices(mask)))
 
 
-def non_bridge_edges(g: Graph, mask: int) -> int:
-    """Edges of `mask` that lie on a cycle of the spanning subgraph."""
-    for block in _blocks(g, mask):
-        if len(block) == 1:
-            mask ^= 1 << block[0]
-    return mask
-
-
 def enumerate_cycles(g: Graph, max_len: int, budget: int = DEFAULT_BUDGET) -> list[Cycle]:
     """All simple cycles of length <= max_len, each once, in canonical form.
 
@@ -632,7 +630,7 @@ def _horton_candidates(g: Graph, cut: int) -> Iterator[tuple[int, int]]:
         depth = [-1] * g.n
         path = [0] * g.n  # edge mask of the BFS path from the root
         depth[root] = 0
-        for w, p in _bfs(g._incidence, full, [root], cut).items():
+        for w, p in _bfs(g._incidence, full, root, cut).items():
             if w != root:
                 depth[w] = depth[p] + 1
                 path[w] = path[p] | 1 << g.edge_index(p, w)
@@ -736,5 +734,5 @@ def _require_connected(g: Graph) -> None:
 def bfs_tree(g: Graph, root: int = 0) -> int:
     """Edge mask of the BFS spanning tree from `root` (vertex-order ties)."""
     _require_connected(g)
-    tree = _bfs(g._incidence, g.full_mask(), [root])
+    tree = _bfs(g._incidence, g.full_mask(), root)
     return g.edge_mask((p, v) for v, p in tree.items() if v != p)

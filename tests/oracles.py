@@ -360,29 +360,24 @@ def bfs_path(adj, u, v, limit=None):
     return None
 
 
-def bfs_forest(n, edges, subset, roots, limit=None):
-    """The BFS forest of the edges with indices in subset, as (vertex,
-    parent) pairs in visiting order, each root its own parent: one FIFO
-    queue per root not yet reached, neighbours ascending, and a vertex limit
-    edges from its root not expanded."""
+def bfs_tree(n, edges, subset, root, limit=None):
+    """The BFS tree from root over the edges with indices in subset, as
+    (vertex, parent) pairs in visiting order, the root its own parent: one
+    FIFO queue, neighbours ascending, and a vertex limit edges from the root
+    not expanded."""
     adj = sorted_adjacency(n, edges, subset)
-    depth = {}
-    out = []
-    for r in roots:
-        if r in depth:
+    depth = {root: 0}
+    out = [(root, root)]
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        if depth[x] == limit:
             continue
-        depth[r] = 0
-        out.append((r, r))
-        queue = deque([r])
-        while queue:
-            x = queue.popleft()
-            if depth[x] == limit:
-                continue
-            for w in adj[x]:
-                if w not in depth:
-                    depth[w] = depth[x] + 1
-                    out.append((w, x))
-                    queue.append(w)
+        for w in adj[x]:
+            if w not in depth:
+                depth[w] = depth[x] + 1
+                out.append((w, x))
+                queue.append(w)
     return out
 
 

@@ -13,6 +13,7 @@ from conftest import (
     connected_edge_sets,
     outer_path_near_triangulation,
     random_connected_graph,
+    random_edges,
     stacked_triangulation,
 )
 
@@ -54,6 +55,7 @@ from dpchroma.classify import (
     _labels_needed,
     _place,
     _rank_test,
+    _subgraph_cycle,
 )
 from dpchroma.girth import INFINITE
 from dpchroma.graphs import FIG3B_CROSSING, FIG3B_V1, FIG3B_V2
@@ -141,6 +143,31 @@ def test_dp_good_budget_returns_inconclusive():
 def test_dp_good_requires_connected():
     with pytest.raises(ValueError):
         check_dp_good(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_forced_cycle_matches_the_bridge_and_bfs_oracles(rng):
+    """The cycle a violated verdict names among the forced edges: the least
+    edge of the mask that is no bridge of it, closed by the BFS path over
+    the mask without that edge; None exactly when the mask is a forest."""
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        g = Graph(n, random_edges(rng, n, rng.uniform(0.2, 0.7)))
+        edges = list(g.edges)
+        mask = rng.randrange(1 << g.m)
+        subset = list(mask_indices(mask))
+        cyclic = sorted(set(subset) - set(oracles.bridges(n, edges, subset)))
+        got = _subgraph_cycle(g, mask)
+        kinds["cyclic" if cyclic else "forest"] += 1
+        kinds["disconnected"] += len(oracles.components(n, edges, subset)) > 1
+        if not cyclic:
+            assert got is None
+            continue
+        u, v = edges[cyclic[0]]
+        adj = oracles.sorted_adjacency(n, edges, [i for i in subset if i != cyclic[0]])
+        assert got == Cycle.from_vertices(g, oracles.bfs_path(adj, u, v))
+    # the draw holds forests, cyclic masks and disconnected masks
+    assert min(kinds["cyclic"], kinds["forest"], kinds["disconnected"]) >= 100, kinds
 
 
 def test_emitted_certificates_always_verify(rng):

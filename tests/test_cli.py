@@ -306,6 +306,15 @@ def test_rejected_input_exit_code(capsys, tmp_path, argv, expected):
     assert out == ""
 
 
+def test_fixture_over_the_edge_limit_is_refused_before_it_is_built(capsys):
+    # K_10000 has 49,995,000 edges, far more memory than a test may take
+    # if it were built; its closed-form edge count refuses it at once
+    code, out, err = run_cli(capsys, "girth", "--fixture", "complete:10000", "--edge", "0")
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: bad fixture 'complete:10000': 49995000 edges is above the limit of 2000000"]
+
+
 @pytest.mark.parametrize("argv", [
     ["setgirth", "--fixture", "cycle:4", "--edges", "0,0"],
     ["setgirth", "--fixture", "cycle:4", "--edges", "0-1,1>0"],

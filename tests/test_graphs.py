@@ -17,13 +17,13 @@ from dpchroma import (
     fig3b_graph,
     fixture,
     mask_indices,
-    non_bridge_edges,
     parse_graph,
     path_graph,
     spanning_tree_count,
 )
-from dpchroma.graphs import (MAX_VERTICES, _bases, _bfs, _bfs_path, _blocks, _search_plan,
-                             spanning_tree_rank)
+from dpchroma import graphs
+from dpchroma.graphs import (MAX_EDGES, MAX_VERTICES, _bases, _bfs, _bfs_path, _blocks,
+                             _search_plan, spanning_tree_rank)
 
 
 def mask_of(indices):
@@ -79,6 +79,14 @@ def test_parse_caps_the_vertex_count():
         parse_graph("# huge\n100000000\n0 1")
 
 
+def test_parse_caps_the_distinct_edge_count(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+    # repeats are not counted; the fourth distinct edge is refused
+    assert parse_graph("4\n0 1\n1 0\n1 2\n2 3").m == 3
+    with pytest.raises(GraphParseError, match="edge 4 at line 6 is above the limit of 3"):
+        parse_graph("4\n0 1\n1 0\n1 2\n2 3\n0 3")
+
+
 def test_graph_rejects_duplicates_and_loops():
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 0)])
@@ -104,6 +112,15 @@ def test_fixture_names():
     for name in [f"cycle:{MAX_VERTICES + 1}", "complete:100000",
                  f"complete_multipartite:{MAX_VERTICES},1"]:
         with pytest.raises(ValueError, match=f"above the limit of {MAX_VERTICES}"):
+            fixture(name)
+    # so are edge counts, from each family's closed form
+    for name, edges in [("complete:2001", 2001 * 2000 // 2),
+                        ("complete_multipartite:1500,1500", 1500 * 1500)]:
+        with pytest.raises(ValueError, match=f"{edges} edges is above the limit of {MAX_EDGES}"):
+            fixture(name)
+    # a negative size is still named as such, whatever its closed form gives
+    for name in ["complete:-3000", "complete_multipartite:3000,3000,-5000"]:
+        with pytest.raises(ValueError, match="negative|positive"):
             fixture(name)
 
 
@@ -135,49 +152,16 @@ def test_component_count_matches_forest_rank(rng):
         assert component_count(g, mask) == len(oracles.components(n, list(g.edges), sub))
 
 
-def test_non_bridge_edges_examples():
-    p4 = path_graph(4)
-    assert non_bridge_edges(p4, p4.full_mask()) == 0
-    c4 = cycle_graph(4)
-    assert non_bridge_edges(c4, c4.full_mask()) == c4.full_mask()
-    g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert non_bridge_edges(g, g.full_mask()) == mask_of([0, 1, 2])
-
-
-def test_non_bridge_edges_against_oracle(rng):
-    for _ in range(80):
-        n = rng.randint(2, 7)
-        g = Graph(n, random_edges(rng, n, 0.5))
-        mask = rng.randrange(1 << g.m) if g.m else 0
-        sub = [i for i in range(g.m) if mask >> i & 1]
-        expected = set(sub) - set(oracles.bridges(n, list(g.edges), sub))
-        got = non_bridge_edges(g, mask)
-        assert got == mask_of(expected)
-        assert got & ~mask == 0
-
-
-def test_bridge_removal_changes_components_one_by_one(rng):
-    for _ in range(40):
-        n = rng.randint(2, 7)
-        g = Graph(n, random_edges(rng, n, 0.5))
-        mask = rng.randrange(1 << g.m) if g.m else 0
-        bridges = mask & ~non_bridge_edges(g, mask)
-        base = component_count(g, mask)
-        for i in range(g.m):
-            if bridges >> i & 1:
-                assert component_count(g, mask ^ (1 << i)) == base + 1
-
-
 def test_blocks_against_oracle(rng):
     for _ in range(120):
         n = rng.randint(0, 8)
         edges = random_edges(rng, n, rng.uniform(0.15, 0.7))
-        g = Graph(n, edges)
-        # the whole edge set, then a random subset of it
-        for mask in (g.full_mask(), rng.randrange(1 << g.m)):
-            subset = [i for i in range(g.m) if mask >> i & 1]
-            blocks = _blocks(g, mask)
-            # every edge of the subset lies in exactly one block
+        # the whole edge set, then the graph on a random subset of it
+        for mask in ((1 << len(edges)) - 1, rng.randrange(1 << len(edges))):
+            subset = [i for i in range(len(edges)) if mask >> i & 1]
+            g = Graph(n, [edges[i] for i in subset])
+            blocks = [[subset[i] for i in b] for b in _blocks(g)]
+            # every edge lies in exactly one block
             assert sorted(i for b in blocks for i in b) == subset
             # the one-edge blocks are the bridges
             bridges = sorted(b[0] for b in blocks if len(b) == 1)
@@ -216,17 +200,17 @@ def test_bfs_matches_the_queue_oracle(rng):
         edges = list(g.edges)
         for mask in (g.full_mask(), rng.randrange(1 << g.m)):
             subset = list(mask_indices(mask))
-            for roots in ([rng.randrange(g.n)], rng.sample(range(g.n), min(3, g.n)), range(g.n)):
-                for limit in (None, 0, 1, 2):
-                    expected = oracles.bfs_forest(g.n, edges, subset, roots, limit)
-                    assert list(_bfs(g._incidence, mask, roots, limit).items()) == expected
-                    # the walk stops right after reaching its target
-                    target = rng.randrange(g.n)
-                    reached = [v for v, _ in expected]
-                    if target in reached:
-                        expected = expected[:reached.index(target) + 1]
-                    got = _bfs(g._incidence, mask, roots, limit, target)
-                    assert list(got.items()) == expected
+            root = rng.randrange(g.n)
+            for limit in (None, 0, 1, 2):
+                expected = oracles.bfs_tree(g.n, edges, subset, root, limit)
+                assert list(_bfs(g._incidence, mask, root, limit).items()) == expected
+                # the walk stops right after reaching its target
+                target = rng.randrange(g.n)
+                reached = [v for v, _ in expected]
+                if target in reached:
+                    expected = expected[:reached.index(target) + 1]
+                got = _bfs(g._incidence, mask, root, limit, target)
+                assert list(got.items()) == expected
 
 
 def test_bfs_path_matches_the_oracle(rng):
