@@ -37,8 +37,8 @@ shift = (1, 2, 0)
 cov, report = build_cover(g, 3, {0: shift})
 print(f"\nassigned a 3-shift to edge 0 {g.edges[0]}")
 print(f"after normalization the sloping edges are {report.to_json()['sloping']}")
-for e, size in report.x_sizes:
-    print(f"  edge {e} {g.edges[e]}: {size} non-horizontal matching pairs")
+for e, support in report.supports.items():
+    print(f"  edge {e} {g.edges[e]}: {len(support)} non-horizontal matching pairs")
 print(f"its transversals: {count_transversals(cov).value}")
 
 ###############################################################################

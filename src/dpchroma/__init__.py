@@ -15,7 +15,6 @@ from .classify import (
     classify,
     scan_even_girth,
     search_quad_crossing,
-    verify_dp_good_certificate,
 )
 from .covers import (
     CountReport,

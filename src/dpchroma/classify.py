@@ -54,11 +54,22 @@ from .graphs import (
     spanning_tree_rank,
 )
 
-# the implied class of a satisfied DP-good or vertex-order verdict: the
-# paper's DP≈, the graphs with P_DP(G, m) = P(G, m) for all large enough m
+# the paper's DP≈, the graphs with P_DP(G, m) = P(G, m) for all large
+# enough m, and DP<, those with P_DP(G, m) < P(G, m) for all large enough m
 DP_STAR = "DP*"
 DP_LESS = "DP<"
 UNKNOWN = "unknown"
+
+# the class a satisfied verdict of each condition implies; a verdict of any
+# other status implies UNKNOWN
+_IMPLIED = {
+    "dp-good": DP_STAR,
+    "connected-back-neighborhood-order": DP_STAR,
+    "even-girth-edge": DP_LESS,
+    "balanced-orientation": DP_LESS,
+    "crossing-edge-set": DP_LESS,
+    "quad-girth-crossing-set": DP_LESS,
+}
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -97,7 +108,6 @@ class DpGoodCertificate:
 class ClassifierVerdict:
     condition: str
     status: str
-    implied: str
     certificate: object = None
     witness: object = None
     detail: dict = field(default_factory=dict)
@@ -105,6 +115,10 @@ class ClassifierVerdict:
     @property
     def satisfied(self) -> bool:
         return self.status == SATISFIED
+
+    @property
+    def implied(self) -> str:
+        return _IMPLIED[self.condition] if self.satisfied else UNKNOWN
 
     def to_json(self) -> dict:
         return {
@@ -218,11 +232,11 @@ def _labels_needed(g: Graph, girths: Sequence[float]) -> Optional[dict[int, int]
     for value in sorted(levels):
         pairs = levels[value]
         left_out = len(pairs) - _union(parent, pairs)
-        if value == INFINITE or int(value) % 2 == 0:
+        if value == INFINITE or value % 2 == 0:
             if left_out:
                 return None
         elif left_out:
-            needed[int(value)] = left_out
+            needed[value] = left_out
     return needed
 
 
@@ -300,12 +314,12 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     girths = _girth_values(g)
     forced = 0
     for i, value in enumerate(girths):
-        if value == INFINITE or int(value) % 2 == 0:
+        if value == INFINITE or value % 2 == 0:
             forced |= 1 << i
     witness = _subgraph_cycle(g, forced)
     if witness is not None:
         return ClassifierVerdict(
-            "dp-good", VIOLATED, UNKNOWN, witness=witness,
+            "dp-good", VIOLATED, witness=witness,
             detail={
                 "reason": "edges of even or infinite girth contain a cycle, "
                           "so no spanning tree can absorb them all",
@@ -331,14 +345,14 @@ def check_dp_good(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
              else spanning_tree_rank(g, cert.tree, forced))
     if cert is None:
         return ClassifierVerdict(
-            "dp-good", VIOLATED, UNKNOWN,
+            "dp-good", VIOLATED,
             detail={"reason": "no spanning tree admits a valid labeling",
                     "trees_tried": trees},
         )
     return ClassifierVerdict(
-        "dp-good", SATISFIED, DP_STAR, certificate=cert,
+        "dp-good", SATISFIED, certificate=cert,
         detail={"trees_tried": trees,
-                "girth_sequence": [int(girths[e]) for e in cert.labeling]},
+                "girth_sequence": [girths[e] for e in cert.labeling]},
     )
 
 
@@ -356,15 +370,11 @@ def certificate_failure_reason(g: Graph, cert: DpGoodCertificate) -> Optional[st
         return "labeling-not-the-non-tree-edges"
     if len(cert.witness_cycles) != len(cert.labeling):
         return "cycle-count"
+    # a spanning tree holds every bridge, so each labeled edge has a finite girth
     values = _girth_values(g)
-    girths = []
-    for e in cert.labeling:
-        value = values[e]
-        if value == INFINITE:
-            return "labeled-edge-is-a-bridge"
-        if int(value) % 2 == 0:
-            return "labeled-edge-has-even-girth"
-        girths.append(int(value))
+    girths = [values[e] for e in cert.labeling]
+    if any(value % 2 == 0 for value in girths):
+        return "labeled-edge-has-even-girth"
     if any(a > b for a, b in zip(girths, girths[1:])):
         return "girths-not-sorted"
     available = tree
@@ -386,11 +396,6 @@ def certificate_failure_reason(g: Graph, cert: DpGoodCertificate) -> Optional[st
         if cmask & ~available:
             return f"witness-{k}-uses-unavailable-edges"
     return None
-
-
-def verify_dp_good_certificate(g: Graph, cert: DpGoodCertificate) -> bool:
-    """Independent re-check of all certificate invariants."""
-    return certificate_failure_reason(g, cert) is None
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +430,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
     before it, is the least that can end a valid order; it decides only the
     subsets the full set reaches, and deciding more than `budget` of them
     raises BudgetExceededError.
-    A satisfied verdict implies DP-good and hence the strict cover class.
+    A satisfied verdict implies DP* (the paper's DP≈), as a DP-good tree does.
     """
     _require_connected(g)
     condition = "connected-back-neighborhood-order"
@@ -441,13 +446,12 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
                 back = nbr[v] & placed
                 if not _mask_connected(nbr, back):
                     return ClassifierVerdict(
-                        condition, VIOLATED, UNKNOWN,
+                        condition, VIOLATED,
                         witness={"index": i, "vertex": v,
                                  "back_neighborhood": sorted(mask_indices(back))},
                     )
             placed |= 1 << v
-        return ClassifierVerdict(condition, SATISFIED, DP_STAR,
-                                 certificate=tuple(seq))
+        return ClassifierVerdict(condition, SATISFIED, certificate=tuple(seq))
 
     # last[mask]: the least v that can end a valid order of mask, or -1.  Such
     # a v has a non-empty, connected back-neighbourhood in mask - v, and
@@ -475,7 +479,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
         last[mask] = low.bit_length() - 1 if rest else -1
     if last[full] < 0:
         return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN,
+            condition, VIOLATED,
             detail={"reason": "no vertex order satisfies the condition "
                               "(exhaustive over all orders)"},
         )
@@ -485,8 +489,7 @@ def check_vertex_order(g: Graph, order: Optional[Sequence[int]] = None,
         seq.append(last[mask])
         mask ^= 1 << seq[-1]
     seq.reverse()
-    return ClassifierVerdict(condition, SATISFIED, DP_STAR,
-                             certificate=tuple(seq))
+    return ClassifierVerdict(condition, SATISFIED, certificate=tuple(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +501,13 @@ def _set_girth_gate(g: Graph, condition: str, mask: int):
     r = edge_set_girth(g, mask)
     if not r.is_finite:
         return r, ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN,
+            condition, VIOLATED,
             detail={"reason": "no cycle meets the edge set an odd number of times"},
         )
-    if int(r.value) % 2 == 1:
+    if r.value % 2 == 1:
         return r, ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN, witness=r.witness,
-            detail={"reason": "set girth is odd", "set_girth": int(r.value)},
+            condition, VIOLATED, witness=r.witness,
+            detail={"reason": "set girth is odd", "set_girth": r.value},
         )
     return r, None
 
@@ -512,8 +515,8 @@ def _set_girth_gate(g: Graph, condition: str, mask: int):
 def _dp_less(g: Graph, condition: str, r: GirthResult, oriented: OrientedEdgeSet, **extra):
     """The satisfied DP< verdict: set girth, its witness and the orientation."""
     return ClassifierVerdict(
-        condition, SATISFIED, DP_LESS,
-        certificate={"set_girth": int(r.value), "girth_witness": r.witness,
+        condition, SATISFIED,
+        certificate={"set_girth": r.value, "girth_witness": r.witness,
                      "orientation": oriented.to_json(g), **extra},
     )
 
@@ -527,12 +530,12 @@ def check_balanced_orientation(g: Graph, estar: OrientedEdgeSet,
     r, failed = _set_girth_gate(g, condition, estar.edges)
     if failed:
         return failed
-    bal = check_balance(g, estar, int(r.value), cycle_budget=cycle_budget)
+    bal = check_balance(g, estar, r.value, cycle_budget=cycle_budget)
     if not bal.balanced:
         return ClassifierVerdict(
-            condition, VIOLATED, UNKNOWN, witness=bal.witness,
+            condition, VIOLATED, witness=bal.witness,
             detail={"reason": "orientation unbalanced on a short cycle",
-                    "set_girth": int(r.value)},
+                    "set_girth": r.value},
         )
     return _dp_less(g, condition, r, estar)
 
@@ -580,17 +583,17 @@ def check_crossing_edge_set(g: Graph, v1: Sequence[int], v2: Sequence[int],
     if failed:
         return failed
     # an even set girth is at least 4, so there are shorter cycles to check
-    for cyc in enumerate_cycles(g, int(r.value) - 1, budget=cycle_budget):
+    for cyc in enumerate_cycles(g, r.value - 1, budget=cycle_budget):
         hits = _crossings(g, cyc, estar)
         for (i, a), (_, b) in zip(hits, hits[1:] + hits[:1]):
             if (a in s1) == (b in s1):
                 u, v = g.edges[i]
                 return ClassifierVerdict(
-                    condition, VIOLATED, UNKNOWN, witness=cyc,
+                    condition, VIOLATED, witness=cyc,
                     detail={"reason": "a short cycle minus the crossing "
                                       "edges leaves a cross-class path",
                             "path_endpoints": [v if a == u else u, b],
-                            "set_girth": int(r.value)},
+                            "set_girth": r.value},
                 )
     return _dp_less(g, condition, r, oriented, v1=sorted(s1), v2=sorted(s2))
 
@@ -605,12 +608,12 @@ def scan_even_girth(g: Graph) -> ClassifierVerdict:
     for i, value in enumerate(girths):
         if value != INFINITE and value % 2 == 0:
             return ClassifierVerdict(
-                condition, SATISFIED, DP_LESS,
+                condition, SATISFIED,
                 certificate={"edge": i, "girth": value,
                              "witness": edge_girth(g, i).witness},
             )
     return ClassifierVerdict(
-        condition, VIOLATED, UNKNOWN,
+        condition, VIOLATED,
         detail={"reason": "every edge has odd or infinite girth",
                 "edge_girths": [value if value != INFINITE else "infinity"
                                 for value in girths]},
@@ -643,9 +646,9 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
             if not may_fit(mask):
                 continue
             r = edge_set_girth(g, mask)
-            if r.is_finite and int(r.value) == 4:
+            if r.value == 4:
                 return ClassifierVerdict(
-                    condition, SATISFIED, DP_LESS,
+                    condition, SATISFIED,
                     certificate={"v1": list(v1), "v2": list(v2),
                                  "edges": sorted(mask_indices(mask)),
                                  "witness": r.witness},
@@ -659,7 +662,7 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
                     yield (v,), tuple(w for w, _ in sub), sum(1 << i for _, i in sub)
 
     def inconclusive(reason):
-        return ClassifierVerdict(condition, INCONCLUSIVE, UNKNOWN,
+        return ClassifierVerdict(condition, INCONCLUSIVE,
                                  detail={"reason": reason, "tried": tried})
 
     girths = _girth_values(g)
@@ -696,7 +699,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET) -> list[ClassifierVerdict]:
             verdicts.append(run())
         except BudgetExceededError as exc:
             verdicts.append(ClassifierVerdict(
-                name, INCONCLUSIVE, UNKNOWN,
+                name, INCONCLUSIVE,
                 detail={"reason": f"budget exceeded: {exc}"},
             ))
     return verdicts

@@ -145,7 +145,7 @@ def _cmd_twist(g, args):
 
 def _girth_lines(label, r):
     """The lines and payload of a GirthResult, `girth` and `setgirth` alike."""
-    lines = [f"{label}: {int(r.value) if r.is_finite else 'infinity'}"]
+    lines = [f"{label}: {r.value if r.is_finite else 'infinity'}"]
     if r.witness:
         lines.append(f"witness cycle: {list(r.witness.vertices)}")
     return lines, r.to_json()

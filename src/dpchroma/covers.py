@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .girth import OrientedEdgeSet
-from .graphs import Graph, _bfs, _require_connected, _search_plan, bfs_tree, mask_indices
+from .graphs import Graph, _bfs, _require_connected, _search_plan, bfs_tree
 
 DEFAULT_NODE_BUDGET = 10**7
 # largest fold count accepted: one edge alone takes m^2 search nodes, so no
@@ -71,21 +71,20 @@ class Cover:
 
 @dataclass(frozen=True)
 class SlopingReport:
-    sloping: int  # edge mask of non-identity edges after normalization
-    x_sizes: tuple[tuple[int, int], ...]  # (edge index, |X_e|)
-    y_sets: tuple[tuple[int, frozenset[int]], ...]
+    # each sloping (non-identity) edge, in edge order, to the indices its
+    # permutation moves
+    supports: dict[int, frozenset[int]]
 
-    def x_size(self, e: int) -> int:
-        return dict(self.x_sizes).get(e, 0)
-
-    def y_set(self, e: int) -> frozenset[int]:
-        return dict(self.y_sets).get(e, frozenset())
+    @property
+    def sloping(self) -> int:
+        """The edge mask of the sloping edges."""
+        return sum(1 << e for e in self.supports)
 
     def to_json(self) -> dict:
         return {
-            "sloping": sorted(mask_indices(self.sloping)),
-            "x_sizes": {str(e): s for e, s in self.x_sizes},
-            "y_sets": {str(e): sorted(ys) for e, ys in self.y_sets},
+            "sloping": list(self.supports),
+            "x_sizes": {str(e): len(ys) for e, ys in self.supports.items()},
+            "y_sets": {str(e): sorted(ys) for e, ys in self.supports.items()},
         }
 
 
@@ -163,16 +162,8 @@ def canonical_cover(g: Graph, m: int) -> Cover:
 
 
 def sloping_report(cov: Cover) -> SlopingReport:
-    sloping = 0
-    x_sizes = []
-    y_sets = []
-    for i, p in enumerate(cov.perms):
-        support = frozenset(q for q in range(cov.m) if p[q] != q)
-        if support:
-            sloping |= 1 << i
-            x_sizes.append((i, len(support)))
-            y_sets.append((i, support))
-    return SlopingReport(sloping, tuple(x_sizes), tuple(y_sets))
+    supports = (frozenset(q for q in range(cov.m) if p[q] != q) for p in cov.perms)
+    return SlopingReport({i: support for i, support in enumerate(supports) if support})
 
 
 def build_cover(g: Graph, m: int, assignment: Optional[Mapping[int, Sequence[int]]] = None):

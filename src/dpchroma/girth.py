@@ -26,16 +26,20 @@ INFINITE = math.inf
 
 @dataclass(frozen=True)
 class GirthResult:
-    value: float  # an int when finite, INFINITE otherwise
-    witness: Optional[Cycle]
+    witness: Optional[Cycle]  # a shortest cycle, or None when there is none
+
+    @property
+    def value(self) -> float:
+        """The witness's length, an int, or INFINITE when there is none."""
+        return INFINITE if self.witness is None else len(self.witness)
 
     @property
     def is_finite(self) -> bool:
-        return self.value != INFINITE
+        return self.witness is not None
 
     def to_json(self) -> dict:
         return {
-            "value": int(self.value) if self.is_finite else "infinity",
+            "value": self.value if self.is_finite else "infinity",
             "witness": self.witness.to_json() if self.witness else None,
         }
 
@@ -88,8 +92,11 @@ class OrientedEdgeSet:
 
 @dataclass(frozen=True)
 class BalanceVerdict:
-    balanced: bool
-    witness: Optional[Cycle]
+    witness: Optional[Cycle]  # a short cycle the orientation is unbalanced on
+
+    @property
+    def balanced(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -102,9 +109,7 @@ def edge_girth(g: Graph, e: int) -> GirthResult:
     """Length of a shortest cycle through edge e; INFINITE for a bridge."""
     u, v = g.edges[e]
     path = _bfs_path(g._incidence, g.full_mask() ^ 1 << e, u, v)
-    if path is None:
-        return GirthResult(INFINITE, None)
-    return GirthResult(len(path), Cycle.from_vertices(g, path))
+    return GirthResult(None if path is None else Cycle.from_vertices(g, path))
 
 
 def _parity_cover(g: Graph, e0: int) -> list[list[tuple[int, int]]]:
@@ -171,7 +176,7 @@ def edge_set_girth(g: Graph, e0: int) -> GirthResult:
         if walk is not None:
             best, h = walk, c
     if best is None:
-        return GirthResult(INFINITE, None)
+        return GirthResult(None)
     skip = set(sources)
     for s in range(h):
         if s not in skip:
@@ -182,7 +187,7 @@ def edge_set_girth(g: Graph, e0: int) -> GirthResult:
     # a shortest odd closed walk is a simple cycle: a repeated vertex would
     # split it into two shorter closed walks, one of them odd
     assert len(set(best)) == len(best)
-    return GirthResult(len(best), Cycle.from_vertices(g, best))
+    return GirthResult(Cycle.from_vertices(g, best))
 
 
 def _crossings(g: Graph, cyc: Cycle, mask: int) -> list[tuple[int, int]]:
@@ -208,10 +213,10 @@ def check_balance(g: Graph, estar: OrientedEdgeSet, bound: int,
     if bound < 3:
         raise ValueError("bound must be >= 3")
     if bound - 1 < 3:
-        return BalanceVerdict(True, None)
+        return BalanceVerdict(None)
     tails = dict(estar.tails)
     for cyc in enumerate_cycles(g, bound - 1, budget=cycle_budget):
         hits = _crossings(g, cyc, estar.edges)
         if 2 * sum(tails[i] == a for i, a in hits) != len(hits):
-            return BalanceVerdict(False, cyc)
-    return BalanceVerdict(True, None)
+            return BalanceVerdict(cyc)
+    return BalanceVerdict(None)

@@ -25,6 +25,7 @@ from dpchroma import (
     DpGoodCertificate,
     Graph,
     OrientedEdgeSet,
+    UNKNOWN,
     certificate_failure_reason,
     check_balanced_orientation,
     check_crossing_edge_set,
@@ -41,13 +42,13 @@ from dpchroma import (
     edge_set_girth,
     fig1_graph,
     fig3b_graph,
+    fixture,
     mask_indices,
     path_graph,
     scan_even_girth,
     search_quad_crossing,
     spanning_tree_count,
     twisted_cover,
-    verify_dp_good_certificate,
 )
 from dpchroma.classify import (
     _first_basis,
@@ -102,7 +103,7 @@ def test_tree_is_dp_good_with_empty_labeling():
     verdict = check_dp_good(path_graph(5))
     assert verdict.satisfied
     assert verdict.certificate.labeling == ()
-    assert verify_dp_good_certificate(path_graph(5), verdict.certificate)
+    assert certificate_failure_reason(path_graph(5), verdict.certificate) is None
 
 
 def test_c4_is_not_dp_good():
@@ -116,7 +117,7 @@ def test_k4_is_dp_good():
     g = complete_graph(4)
     verdict = check_dp_good(g)
     assert verdict.satisfied and verdict.implied == DP_STAR
-    assert verify_dp_good_certificate(g, verdict.certificate)
+    assert certificate_failure_reason(g, verdict.certificate) is None
 
 
 def test_fig1_is_dp_good_with_expected_girths():
@@ -124,7 +125,7 @@ def test_fig1_is_dp_good_with_expected_girths():
     verdict = check_dp_good(g)
     assert verdict.satisfied
     assert verdict.detail["girth_sequence"] == [3, 3, 3, 3, 3, 3, 5, 5]
-    assert verify_dp_good_certificate(g, verdict.certificate)
+    assert certificate_failure_reason(g, verdict.certificate) is None
 
 
 def test_dp_good_budget_returns_inconclusive():
@@ -177,7 +178,7 @@ def test_emitted_certificates_always_verify(rng):
         verdict = check_dp_good(g)
         if verdict.satisfied:
             seen_satisfied += 1
-            assert verify_dp_good_certificate(g, verdict.certificate)
+            assert certificate_failure_reason(g, verdict.certificate) is None
     assert seen_satisfied > 0
 
 
@@ -191,7 +192,7 @@ def test_plane_near_triangulations_are_dp_good():
                 assert g.m == 3 * n - 6  # a maximal plane graph
             verdict = check_dp_good(g)
             assert verdict.satisfied, (grow.__name__, n)
-            assert verify_dp_good_certificate(g, verdict.certificate)
+            assert certificate_failure_reason(g, verdict.certificate) is None
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 3, 3, 3)])
@@ -199,7 +200,7 @@ def test_complete_multipartite_graphs_are_dp_good(sizes):
     g = complete_multipartite(sizes)
     verdict = check_dp_good(g)
     assert verdict.satisfied
-    assert verify_dp_good_certificate(g, verdict.certificate)
+    assert certificate_failure_reason(g, verdict.certificate) is None
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3), (3, 4)])
@@ -369,6 +370,20 @@ def test_one_place_call_labels_a_long_cycle(monkeypatch):
     assert [pending for pending, _ in calls] == [[300]]
     [(e, witness)] = calls[0][1]
     assert e == 300 and len(witness) == 301
+
+
+def test_walk_that_finds_no_good_basis_is_violated(monkeypatch):
+    # no graph small enough for a test is known that passes both rule-out
+    # tests yet has no good basis, so a `_place` that never places anything
+    # stands in for one: fig1 passes both tests, its girth-3 walk tries
+    # every basis and finds none good, and every candidate tree is counted
+    monkeypatch.setattr(classify_module, "_place", lambda *args: None)
+    g = fig1_graph()
+    verdict = check_dp_good(g)
+    assert verdict.status == "violated" and verdict.certificate is None
+    assert verdict.detail == {"reason": "no spanning tree admits a valid labeling",
+                              "trees_tried": spanning_tree_count(g, 0)}
+    assert verdict.detail["trees_tried"] == 10854
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +753,7 @@ def test_k4_star_certificate_any_order():
     for order in ([3, 4, 5], [5, 3, 4], [4, 5, 3]):
         cert = DpGoodCertificate(tree, tuple(order),
                                  tuple(Cycle(triangle[e]) for e in order))
-        assert verify_dp_good_certificate(g, cert)
+        assert certificate_failure_reason(g, cert) is None
 
 
 def test_fig1_certificate_verifies():
@@ -752,7 +767,6 @@ def test_fig1_certificate_reordered_fails():
         cert.labeling[-2:] + cert.labeling[:-2],
         cert.witness_cycles[-2:] + cert.witness_cycles[:-2],
     )
-    assert not verify_dp_good_certificate(fig1_graph(), bad)
     assert certificate_failure_reason(fig1_graph(), bad) == "girths-not-sorted"
 
 
@@ -762,7 +776,7 @@ def test_certificate_malformed_reasons():
     tri = Cycle((0, 1, 2))
     ok = DpGoodCertificate(tree, (3, 4, 5),
                            (tri, Cycle((0, 1, 3)), Cycle((0, 2, 3))))
-    assert verify_dp_good_certificate(g, ok)
+    assert certificate_failure_reason(g, ok) is None
 
     bad_tree = DpGoodCertificate(mask_of([0, 1]), (3, 4, 5), ok.witness_cycles)
     assert certificate_failure_reason(g, bad_tree) == "tree-size"
@@ -776,8 +790,7 @@ def test_certificate_malformed_reasons():
 
     misses = DpGoodCertificate(tree, (3, 4, 5),
                                (tri, tri, Cycle((0, 2, 3))))
-    assert certificate_failure_reason(g, misses) in {
-        "witness-1-misses-its-edge", "witness-cycles-not-distinct"}
+    assert certificate_failure_reason(g, misses) == "witness-cycles-not-distinct"
 
     # C4-like even girth rejection
     c4 = cycle_graph(4)
@@ -797,13 +810,48 @@ def test_certificate_unavailable_edges_detected():
     assert certificate_failure_reason(g, bad) == "witness-6-uses-unavailable-edges"
 
 
+# K4's star at vertex 0 (edges 0-2) labels edges 3 = 12, 4 = 13 and 5 = 23
+K4_STAR = mask_of([0, 1, 2])
+K4_TRIANGLES = (Cycle((0, 1, 2)), Cycle((0, 1, 3)), Cycle((0, 2, 3)))
+# a triangle with a pendant edge 3 = 23, a bridge
+PENDANT_TRIANGLE = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("g,cert,reason", [
+    (complete_graph(4), DpGoodCertificate(1 << 6, (3, 4, 5), K4_TRIANGLES),
+     "tree-mask-out-of-range"),
+    (complete_graph(4), DpGoodCertificate(-1, (3, 4, 5), K4_TRIANGLES),
+     "tree-mask-out-of-range"),
+    # three edges, but a triangle that leaves vertex 3 out
+    (complete_graph(4), DpGoodCertificate(mask_of([0, 1, 3]), (2, 4, 5), K4_TRIANGLES),
+     "tree-not-spanning"),
+    # labeling the bridge 23 leaves it out of a tree of the right size,
+    # which then cannot span: every spanning tree holds every bridge
+    (PENDANT_TRIANGLE, DpGoodCertificate(mask_of([0, 1, 2]), (3,), (Cycle((0, 1, 2)),)),
+     "tree-not-spanning"),
+    (complete_graph(4), DpGoodCertificate(K4_STAR, (3, 4, 5), K4_TRIANGLES[:2]),
+     "cycle-count"),
+    # a 4-cycle through edge 12 where its girth is 3
+    (complete_graph(4), DpGoodCertificate(K4_STAR, (3, 4, 5),
+                                          (Cycle((0, 1, 2, 3)),) + K4_TRIANGLES[1:]),
+     "witness-0-wrong-length"),
+    # the triangle 013 has the right length but not edge 12
+    (complete_graph(4), DpGoodCertificate(K4_STAR, (3, 4, 5),
+                                          (K4_TRIANGLES[1], K4_TRIANGLES[0], K4_TRIANGLES[2])),
+     "witness-0-misses-its-edge"),
+], ids=["mask-too-large", "mask-negative", "tree-not-spanning", "labels-a-bridge",
+        "cycle-count", "wrong-length", "misses-its-edge"])
+def test_certificate_failure_reason_codes(g, cert, reason):
+    assert certificate_failure_reason(g, cert) == reason
+
+
 def test_certificate_json_round_trip():
     g = fig1_graph()
     cert = fig1_certificate()
     data = json.loads(json.dumps(cert.to_json()))
     back = DpGoodCertificate.from_json(data)
     assert back == cert
-    assert verify_dp_good_certificate(g, back)
+    assert certificate_failure_reason(g, back) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1150,36 @@ def test_twist_beats_chromatic_on_balanced_fixtures():
 
 # ---------------------------------------------------------------------------
 # the aggregate classifier
+
+def test_each_condition_implies_its_one_class():
+    # one satisfied verdict of each of the six conditions: the DP-good and
+    # vertex-order conditions give DP*, the four set-girth conditions DP<
+    c4 = cycle_graph(4)
+    h = fig3b_graph()
+    satisfied = [
+        scan_even_girth(c4),
+        check_dp_good(fig1_graph()),
+        check_vertex_order(complete_graph(4)),
+        check_balanced_orientation(c4, OrientedEdgeSet.from_pairs(c4, [(0, 1)])),
+        check_crossing_edge_set(h, FIG3B_V1, FIG3B_V2, h.edge_mask(FIG3B_CROSSING)),
+        search_quad_crossing(fixture("cycle:4")),
+    ]
+    assert all(v.satisfied for v in satisfied)
+    assert {v.condition: v.implied for v in satisfied} == {
+        "even-girth-edge": DP_LESS,
+        "dp-good": DP_STAR,
+        "connected-back-neighborhood-order": DP_STAR,
+        "balanced-orientation": DP_LESS,
+        "crossing-edge-set": DP_LESS,
+        "quad-girth-crossing-set": DP_LESS,
+    }
+    assert all(v.to_json()["implied"] == v.implied for v in satisfied)
+    # a violated or inconclusive verdict implies no class
+    others = [scan_even_girth(complete_graph(4)), check_dp_good(fig3b_graph()),
+              check_vertex_order(cycle_graph(5)), search_quad_crossing(complete_graph(4))]
+    assert [v.status for v in others] == ["violated"] * 3 + ["inconclusive"]
+    assert all(v.implied == v.to_json()["implied"] == UNKNOWN for v in others)
+
 
 def test_classify_c6_even_girth():
     verdicts = classify(cycle_graph(6))

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from time import perf_counter
 
 import pytest
 
@@ -64,8 +65,7 @@ def test_shift_on_tree_edge_migrates_to_nontree_edge():
     # exactly one sloping edge survives, with full support
     assert bin(report.sloping).count("1") == 1
     e = report.sloping.bit_length() - 1
-    assert report.x_size(e) == 3
-    assert report.y_set(e) == frozenset({0, 1, 2})
+    assert report.supports == {e: frozenset({0, 1, 2})}
 
 
 def test_k3_all_swaps_normalizes_to_one_swap():
@@ -107,13 +107,6 @@ def test_normalization_preserves_counts(rng):
                                            [tuple(raw_perms[i]) for i in range(g.m)], m)
         assert count_transversals(raw).value == direct
         assert count_transversals(cov).value == direct
-
-
-def test_sloping_report_sizes_match():
-    g = cycle_graph(5)
-    cov, report = build_cover(g, 4, {2: (1, 0, 2, 3), 4: (1, 2, 3, 0)})
-    for e, size in report.x_sizes:
-        assert size == len(report.y_set(e))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +608,22 @@ def test_dp_exact_budget_error():
     # 3! permutations that the orbit walk lists
     assert err.value.attempted == 11 * 2 ** 3 + 6
     assert err.value.counter == SWEEP_COUNTER
+
+
+@pytest.mark.parametrize("g,m,attempted", [
+    # K4 (q = 3): the listed permutations pass 2^64 at 21!, before any orbit
+    (complete_graph(4), 25, 2 ** 25 + math.factorial(21)),
+    # K4 minus an edge (q = 2): one orbit per class of S_60, and the 17th
+    # class takes the 2^60 column sets of each past 2^64
+    (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 60, 17 * 2 ** 60),
+], ids=["k4-m25", "k4-minus-an-edge-m60"])
+def test_sweep_check_stops_early_at_huge_fold_counts(g, m, attempted):
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        dp_exact(g, m)
+    assert perf_counter() - start < 1
+    assert err.value.counter == SWEEP_COUNTER
+    assert err.value.attempted == attempted
 
 
 def test_fold_counts_above_the_cap_are_rejected():
