@@ -620,14 +620,55 @@ def scan_even_girth(g: Graph) -> ClassifierVerdict:
     )
 
 
+def _star_fits(g: Graph, nbr: Sequence[int], v: int):
+    """One item per star of the quad search at centre v, in its order (the
+    subsets W of N(v) with |W| >= 2, by size, then in incidence order):
+    ((v,), W, mask) when the star's edges have set girth four, else None.
+
+    A cycle meets the star oddly exactly when it passes through v with one
+    edge to W and the other to R = N(v) - W, so the star's set girth is
+    2 + dist_{G-v}(W, R).  It is four exactly when R is non-empty, no edge
+    joins W to R, and some x != v is adjacent to a vertex of each.  With
+    near[w] the neighbours of w in N(v) and far[w] the neighbours of
+    N(w) - {v} in N(v), from the neighbour bitmasks `nbr`, each star
+    costs O(|W|) bit operations.
+    """
+    pairs = g._incidence[v]
+    around = nbr[v]
+    bits = [1 << w for w, _ in pairs]
+    near = [nbr[w] & around for w, _ in pairs]
+    far = []
+    for w, _ in pairs:
+        reach = 0
+        for x in g.adj[w]:
+            if x != v:
+                reach |= nbr[x]
+        far.append(reach & around)
+    for size in range(2, len(pairs) + 1):
+        for sub in combinations(range(len(pairs)), size):
+            inner = joined = linked = 0
+            for k in sub:
+                inner |= bits[k]
+                joined |= near[k]
+                linked |= far[k]
+            rest = around ^ inner
+            if rest and not joined & rest and linked & rest:
+                yield ((v,), tuple(pairs[k][0] for k in sub),
+                       sum(1 << pairs[k][1] for k in sub))
+            else:
+                yield None
+
+
 def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVerdict:
     """Bounded search for a crossing edge set of set-girth exactly four.
 
     Candidates are single edges and stars around a vertex; exhausting them
-    proves nothing, so the fallback is inconclusive.  A single edge's set
-    girth is its edge girth, so singles are read from `_girth_values` and
-    only the first edge of girth 4 runs `edge_set_girth`, for its witness;
-    each single still counts as a candidate.  Between the two, the
+    proves nothing, so the fallback is inconclusive.  Each candidate is
+    decided without a set-girth search: a single edge's set girth is its
+    edge girth, read from `_girth_values`, and a star's is four exactly when
+    its centre's neighbourhood says so (`_star_fits`).  Only the first
+    fitting candidate runs `edge_set_girth`, for its witness; every
+    candidate still counts against the budget.  Between the two, the
     cycle space stops the search: when the cycles of length at most 4 have
     the rank of the triangles, every 4-cycle is a GF(2) sum of triangles,
     so an edge set that meets every triangle evenly meets every 4-cycle
@@ -637,37 +678,34 @@ def search_quad_crossing(g: Graph, budget: int = DEFAULT_BUDGET) -> ClassifierVe
     condition = "quad-girth-crossing-set"
     tried = 0
 
-    def first_fit(candidates, may_fit=lambda mask: True):
+    def first_fit(candidates):
         nonlocal tried
-        for v1, v2, mask in candidates:
+        for fit in candidates:
             tried += 1
             if tried > budget:
                 raise BudgetExceededError("quad candidates", tried, budget)
-            if not may_fit(mask):
-                continue
-            r = edge_set_girth(g, mask)
-            if r.value == 4:
+            if fit is not None:
+                v1, v2, mask = fit
                 return ClassifierVerdict(
                     condition, SATISFIED,
                     certificate={"v1": list(v1), "v2": list(v2),
                                  "edges": sorted(mask_indices(mask)),
-                                 "witness": r.witness},
+                                 "witness": edge_set_girth(g, mask).witness},
                 )
         return None
 
     def stars():
-        for v, pairs in enumerate(g._incidence):
-            for size in range(2, len(pairs) + 1):
-                for sub in combinations(pairs, size):
-                    yield (v,), tuple(w for w, _ in sub), sum(1 << i for _, i in sub)
+        nbr = _neighbor_masks(g)
+        for v in range(g.n):
+            yield from _star_fits(g, nbr, v)
 
     def inconclusive(reason):
         return ClassifierVerdict(condition, INCONCLUSIVE,
                                  detail={"reason": reason, "tried": tried})
 
     girths = _girth_values(g)
-    found = first_fit((((u,), (v,), 1 << i) for i, (u, v) in enumerate(g.edges)),
-                      lambda mask: girths[mask.bit_length() - 1] == 4)
+    found = first_fit(((u,), (v,), 1 << i) if girths[i] == 4 else None
+                      for i, (u, v) in enumerate(g.edges))
     if found is not None:
         return found
     ranks = cycle_space_ranks(g, (3, 4))  # no pass once the rank test found that the triangles span

@@ -35,6 +35,28 @@ def stacked_triangulation(n, rng):
     return Graph(n, edges)
 
 
+def stacked_torus():
+    """The 4x4 triangulated torus, vertex (i, j) numbered 4i + j mod 4, with
+    18 vertices stacked into faces at vertex 0: each step removes the first
+    face that holds 0, joins a new vertex to its three corners and appends
+    the three new faces.  34 vertices, 102 edges, deg(0) = 24; every edge
+    lies on a triangle, yet a 4-cycle around the torus is no sum of
+    triangles, so the cycle rank rises at length 4."""
+    def vertex(i, j):
+        return 4 * (i % 4) + j % 4
+
+    faces = []
+    for i in range(4):
+        for j in range(4):
+            faces.append((vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)))
+            faces.append((vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)))
+    for v in range(16, 34):
+        a, b, c = faces.pop(next(k for k, face in enumerate(faces) if 0 in face))
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    edges = {tuple(sorted(pair)) for face in faces for pair in combinations(face, 2)}
+    return Graph(34, sorted(edges))
+
+
 def outer_path_near_triangulation(n, rng):
     """A plane graph whose inner faces are triangles, grown from a triangle
     by joining each new vertex to a path of 2 or more consecutive vertices

@@ -8,6 +8,7 @@ implementations the fast code is checked against.
 
 from bisect import insort
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from dpchroma.errors import BudgetExceededError
@@ -260,19 +261,25 @@ def dp_minimum(n, edges, m):
     return best
 
 
-def edge_set_girth(n, edges, e0):
-    """Shortest cycle meeting e0 (edge index set) an odd number of times."""
+def edge_set_girth(n, edges, e0, max_len=None):
+    """Shortest cycle meeting e0 (edge index set) an odd number of times,
+    among the cycles of length at most max_len when it is given; the first
+    in `all_cycles` order of that length."""
+    hit = sum(1 << i for i in set(e0))
+    for cyc, mask in _cycle_masks(n, tuple(edges), max_len):
+        if (mask & hit).bit_count() % 2 == 1:
+            return len(cyc), cyc
+    return None, None
+
+
+@lru_cache(maxsize=4)
+def _cycle_masks(n, edges, max_len):
+    """`all_cycles` with each cycle's edge index mask, kept for the last few
+    graphs so that many edge sets of one graph enumerate its cycles once."""
     index = {e: i for i, e in enumerate(edges)}
-    best = None
-    for cyc in all_cycles(n, edges):
-        hits = 0
-        for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-            i = index[(a, b) if a < b else (b, a)]
-            if i in e0:
-                hits += 1
-        if hits % 2 == 1 and (best is None or len(cyc) < len(best)):
-            best = cyc
-    return (None, None) if best is None else (len(best), best)
+    return [(cyc, sum(1 << index[(a, b) if a < b else (b, a)]
+                      for a, b in zip(cyc, cyc[1:] + (cyc[0],))))
+            for cyc in all_cycles(n, edges, max_len)]
 
 
 def set_girth_witness(n, edges, e0):

@@ -14,6 +14,7 @@ from conftest import (
     outer_path_near_triangulation,
     random_connected_graph,
     random_edges,
+    stacked_torus,
     stacked_triangulation,
 )
 
@@ -54,8 +55,10 @@ from dpchroma.classify import (
     _first_basis,
     _girth_values,
     _labels_needed,
+    _neighbor_masks,
     _place,
     _rank_test,
+    _star_fits,
     _subgraph_cycle,
 )
 from dpchroma.girth import INFINITE
@@ -1213,6 +1216,9 @@ def test_classify_reports_all_four_checks():
 
 
 RANK_STOP = "no edge set has set girth four: every 4-cycle is a sum of triangles"
+# no edge has girth 4, and the first star of set girth 4 is {02, 05}
+STAR_FOUR = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                      (2, 5), (3, 4)])
 
 
 def test_quad_rank_stop_ends_a_triangulation_search_at_once():
@@ -1243,15 +1249,15 @@ def test_quad_rank_stop_fires_only_without_set_girth_four():
     assert fired > 0
     # the rank rises at 4 here, so the search goes on past the single
     # edges, none of which has set girth four, to a star that has
-    g = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
-                  (2, 5), (3, 4)])
-    verdict = search_quad_crossing(g)
+    verdict = search_quad_crossing(STAR_FOUR)
     assert verdict.satisfied and verdict.certificate["v2"] == [2, 5]
 
 
 def test_quad_singles_call_edge_set_girth_only_for_a_witness(monkeypatch, rng):
-    # a single edge's set girth is its edge girth, read from the girth table;
-    # only the first edge of girth 4 runs edge_set_girth, for its witness
+    # a single edge's set girth is its edge girth, read from the girth table,
+    # and a star's is decided from its centre's neighbourhood; only the first
+    # fitting candidate runs edge_set_girth, on the certificate's edges, for
+    # its witness
     calls = []
 
     def spy(g, mask):
@@ -1259,21 +1265,65 @@ def test_quad_singles_call_edge_set_girth_only_for_a_witness(monkeypatch, rng):
         return edge_set_girth(g, mask)
 
     monkeypatch.setattr(classify_module, "edge_set_girth", spy)
-    graphs = [fig1_graph(), fig3b_graph()]
+    # fig3b tries 22 singles and 266 stars, and none fits
+    graphs = [fig1_graph(), fig3b_graph(), complete_graph(5), STAR_FOUR]
     graphs += [random_connected_graph(rng, lo=4, hi=10) for _ in range(80)]
     seen = Counter()
     for g in graphs:
         calls.clear()
         verdict = search_quad_crossing(g)
-        singles = [mask for mask in calls if mask & mask - 1 == 0]
         fours = [i for i, x in enumerate(oracle_weights(g)) if x == 4]
-        if fours:
-            assert calls == singles == [1 << fours[0]]
-            assert verdict.satisfied and verdict.certificate["edges"] == fours[:1]
+        if verdict.satisfied:
+            edges = verdict.certificate["edges"]
+            assert calls == [sum(1 << i for i in edges)]
+            assert edges == fours[:1] if fours else len(edges) > 1
+            seen["single" if fours else "star"] += 1
         else:
-            assert singles == []
-        seen[bool(fours), bool(calls)] += 1
-    assert seen[True, True] and seen[False, True] and seen[False, False]
+            assert calls == [] and not fours
+            seen["none"] += 1
+    assert seen["single"] and seen["star"] and seen["none"]
+
+
+def test_star_rule_matches_the_set_girth_oracle(rng):
+    # a star fits exactly when the oracle's shortest cycle meeting it oddly
+    # has length 4; the stacked torus's vertex 0 has 2^24 - 25 stars, so
+    # there only the first 2,300 (the stars of 2 and 3 edges) are compared
+    graphs = [fig1_graph(), fig3b_graph(), complete_graph(4), complete_graph(5),
+              stacked_torus()]
+    graphs += [random_connected_graph(rng, lo=4, hi=10) for _ in range(200)]
+    fits = Counter()
+    for g in graphs:
+        nbr = _neighbor_masks(g)
+        for v, pairs in enumerate(g._incidence):
+            subs = list(islice((sub for size in range(2, len(pairs) + 1)
+                                for sub in combinations(pairs, size)), 2300))
+            found = list(islice(_star_fits(g, nbr, v), 2300))
+            assert len(found) == len(subs)
+            for sub, fit in zip(subs, found):
+                edges = [i for _, i in sub]
+                four = oracles.edge_set_girth(g.n, list(g.edges), edges, 4)[0] == 4
+                star = ((v,), tuple(w for w, _ in sub), sum(1 << i for i in edges))
+                assert fit == (star if four else None)
+                fits[four] += 1
+    assert fits[True] > 100 and fits[False] > 10000
+
+
+def test_quad_search_meets_its_budget_on_the_stacked_torus_in_seconds():
+    # every edge has girth 3 but the cycle rank rises at length 4, so the
+    # search tries the 102 single edges and then the stars at vertex 0, of
+    # degree 24, until the budget stops it.  About 1.6 s on a shared 2-core
+    # host; one set-girth search per star took 1.8 s per 20,000 stars there
+    g = stacked_torus()
+    assert (g.n, g.m, g.degree(0)) == (34, 102, 24)
+    assert set(_girth_values(g)) == {3}
+    ranks = cycle_space_ranks(g, (3, 4))
+    assert ranks[4] > ranks[3]
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        search_quad_crossing(g)
+    assert perf_counter() - start < 10.0
+    assert str(info.value) == (
+        "quad candidates: reached 1000001, over the budget of 1000000")
 
 
 def test_quad_budget_counts_every_single_and_star():

@@ -155,7 +155,8 @@ def test_edge_set_girth_witness_matches_parity_cover_bfs(rng):
 
 
 def test_vertex_cover_of_a_star_is_its_centre():
-    # so each star of the quad search costs one BFS run for its length
+    # so setgirth on a star costs one BFS run for its length (the quad
+    # search decides its stars from the centre's neighbourhood, with none)
     for g in (fig1_graph(), fig3b_graph(), complete_graph(5)):
         for v, mask in stars(g):
             assert _vertex_cover(g, mask) == [v]
